@@ -1,0 +1,390 @@
+"""Exact rational arithmetic on the elliptic curves y^2 = x(x+m)(x+n).
+
+Everything here is pure and exact: points carry `fractions.Fraction`
+coordinates, the group law is the chord-tangent construction on the
+expanded model y^2 = x^3 + (m+n)x^2 + mn*x, and the torsion oracle is a
+Nagell-Lutz enumeration that is independent of the closed-form torsion
+classifier in `concordia.torsion`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from sympy import divisors, factorint
+
+# Quadratic-residue bitmasks used to reject non-squares cheaply before
+# paying for a big-integer isqrt.
+_SQ_FILTERS = []
+for _mod in (64, 63, 65, 11):
+    _flags = bytearray(_mod)
+    for _i in range(_mod):
+        _flags[_i * _i % _mod] = 1
+    _SQ_FILTERS.append((_mod, bytes(_flags)))
+
+
+def isqrt_exact(v: int) -> Optional[int]:
+    """Integer square root of v, or None if v is not a perfect square."""
+    if v < 0:
+        return None
+    r = math.isqrt(v)
+    return r if r * r == v else None
+
+
+def iroot4_exact(v: int) -> Optional[int]:
+    if v < 0:
+        return None
+    r = round(v ** 0.25) if v < 1 << 50 else math.isqrt(math.isqrt(v))
+    for c in (r - 1, r, r + 1):
+        if c >= 0 and c ** 4 == v:
+            return c
+    return None
+
+
+def sqrt_fraction(v: Fraction) -> Optional[Fraction]:
+    """Exact nonnegative square root of a rational, or None."""
+    num = isqrt_exact(v.numerator)
+    if num is None:
+        return None
+    den = isqrt_exact(v.denominator)
+    if den is None:
+        return None
+    return Fraction(num, den)
+
+
+def is_square_fraction(v: Fraction) -> bool:
+    return sqrt_fraction(Fraction(v)) is not None
+
+
+@dataclass(frozen=True)
+class Point:
+    """Affine point or the point at infinity (x = y = None)."""
+
+    x: Optional[Fraction]
+    y: Optional[Fraction]
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.x is None
+
+    def __repr__(self):
+        if self.is_infinity:
+            return "O"
+        return f"({self.x}, {self.y})"
+
+
+INFINITY = Point(None, None)
+
+
+def point_sort_key(P: Point):
+    """Canonical ordering: infinity first, then (x num, x den, y)."""
+    if P.is_infinity:
+        return (0, 0, 0, Fraction(0))
+    return (1, P.x.numerator, P.x.denominator, P.y)
+
+
+def _integer_cubic_roots(A: int, B: int, C: int) -> list[int]:
+    """All integer roots of x^3 + A*x^2 + B*x + C, by exact bisection.
+
+    The cubic is split at its critical points into monotone pieces; a sign
+    change on a piece is narrowed by bisection to an integer candidate.
+    """
+
+    def g(x: int) -> int:
+        return ((x + A) * x + B) * x + C
+
+    roots = set()
+    bound = 1 + max(abs(A), abs(B), abs(C))
+    disc = A * A - 3 * B
+    segments = []
+    if disc <= 0:
+        segments.append((-bound, bound))
+    else:
+        r = math.isqrt(disc)
+        c1, c2 = (-A - r) // 3, (-A + r) // 3
+        # +-2 margins keep each segment strictly inside a monotone piece;
+        # the skipped integers near the critical points are checked directly.
+        for x in range(c1 - 2, c1 + 3):
+            if g(x) == 0:
+                roots.add(x)
+        for x in range(c2 - 2, c2 + 3):
+            if g(x) == 0:
+                roots.add(x)
+        segments = [(-bound, c1 - 2), (c1 + 2, c2 - 2), (c2 + 2, bound)]
+    for lo, hi in segments:
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            continue
+        glo, ghi = g(lo), g(hi)
+        if glo == 0:
+            roots.add(lo)
+        if ghi == 0:
+            roots.add(hi)
+        if (glo < 0 < ghi) or (ghi < 0 < glo):
+            neg_lo = glo < 0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                gm = g(mid)
+                if gm == 0:
+                    roots.add(mid)
+                    break
+                if (gm < 0) == neg_lo:
+                    lo = mid
+                else:
+                    hi = mid
+    return sorted(roots)
+
+
+@dataclass(frozen=True)
+class Curve:
+    """The curve E(m,n): y^2 = x(x+m)(x+n), with m, n nonzero and distinct."""
+
+    m: int
+    n: int
+
+    def __post_init__(self):
+        if self.m == 0 or self.n == 0:
+            raise ValueError("degenerate cubic: m and n must be nonzero")
+        if self.m == self.n:
+            raise ValueError("degenerate cubic: m and n must differ")
+
+    # -- basic point handling -------------------------------------------
+
+    def rhs(self, x: Fraction) -> Fraction:
+        return x * (x + self.m) * (x + self.n)
+
+    def contains(self, P: Point) -> bool:
+        if P.is_infinity:
+            return True
+        return P.y * P.y == self.rhs(P.x)
+
+    def point(self, x, y) -> Point:
+        P = Point(Fraction(x), Fraction(y))
+        if not self.contains(P):
+            raise ValueError(f"({x}, {y}) is not on E({self.m},{self.n})")
+        return P
+
+    def two_torsion(self) -> list[Point]:
+        return [self.point(x, 0) for x in (0, -self.m, -self.n)]
+
+    # -- group law ------------------------------------------------------
+
+    def add(self, P: Point, Q: Point) -> Point:
+        if P.is_infinity:
+            return Q
+        if Q.is_infinity:
+            return P
+        if P.x == Q.x:
+            if P.y == -Q.y:
+                return INFINITY
+            # tangent slope of y^2 = x^3 + (m+n)x^2 + mn x
+            lam = (3 * P.x * P.x + 2 * (self.m + self.n) * P.x
+                   + self.m * self.n) / (2 * P.y)
+        else:
+            lam = (Q.y - P.y) / (Q.x - P.x)
+        x3 = lam * lam - (self.m + self.n) - P.x - Q.x
+        y3 = lam * (P.x - x3) - P.y
+        return Point(x3, y3)
+
+    def negate(self, P: Point) -> Point:
+        if P.is_infinity:
+            return P
+        return Point(P.x, -P.y)
+
+    def multiply(self, P: Point, t: int) -> Point:
+        if t < 0:
+            return self.multiply(self.negate(P), -t)
+        acc = INFINITY
+        while t:
+            if t & 1:
+                acc = self.add(acc, P)
+            P = self.add(P, P)
+            t >>= 1
+        return acc
+
+    # -- orders and halving ---------------------------------------------
+
+    def order_of(self, P: Point) -> Optional[int]:
+        """Exact order of a torsion point; None for infinite order.
+
+        Non-integral coordinates rule out torsion immediately (Nagell-Lutz
+        on this integral model); otherwise at most 12 multiples are needed.
+        """
+        if P.is_infinity:
+            return 1
+        if P.x.denominator != 1 or P.y.denominator != 1:
+            return None
+        Q = P
+        for t in range(1, 13):
+            if Q.is_infinity:
+                return t
+            Q = self.add(Q, P)
+        return None
+
+    def is_double(self, P: Point) -> bool:
+        """True iff P = 2Q for some rational Q.
+
+        With full rational 2-torsion this is the descent criterion: x, x+m
+        and x+n must all be rational squares.
+        """
+        if P.is_infinity:
+            return True
+        return (is_square_fraction(P.x)
+                and is_square_fraction(P.x + self.m)
+                and is_square_fraction(P.x + self.n))
+
+    def halves(self, P: Point) -> list[Point]:
+        """All rational Q with 2Q = P (empty when P is not a double)."""
+        if P.is_infinity:
+            return [INFINITY] + self.two_torsion()
+        if not self.is_double(P):
+            return []
+        a0 = sqrt_fraction(P.x)
+        a1 = sqrt_fraction(P.x + self.m)
+        a2 = sqrt_fraction(P.x + self.n)
+        out = []
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                xh = P.x + s1 * a0 * a1 + s2 * a0 * a2 + s1 * s2 * a1 * a2
+                yh = sqrt_fraction(self.rhs(xh))
+                if yh is None:
+                    continue
+                for Q in (Point(xh, yh), Point(xh, -yh)):
+                    if self.multiply(Q, 2) == P and Q not in out:
+                        out.append(Q)
+        return sorted(out, key=point_sort_key)
+
+    # -- exhaustive torsion oracle --------------------------------------
+
+    def discriminant_root(self) -> int:
+        """|m*n*(m-n)|, the square root of the cubic's discriminant."""
+        return abs(self.m * self.n * (self.m - self.n))
+
+    def torsion_oracle(self) -> frozenset[Point]:
+        """Complete set of rational torsion points, by brute enumeration.
+
+        Candidate y values run over the divisors of |mn(m-n)| (so that
+        y^2 divides the discriminant); integer x values are recovered as
+        roots of x^3 + (m+n)x^2 + mn*x - y^2, then filtered by order.
+        """
+        pts = {INFINITY}
+        pts.update(self.two_torsion())
+        A, B = self.m + self.n, self.m * self.n
+        for y in divisors(self.discriminant_root()):
+            for x in _integer_cubic_roots(A, B, -y * y):
+                P = Point(Fraction(x), Fraction(y))
+                if self.order_of(P) is not None:
+                    pts.add(P)
+                    pts.add(Point(Fraction(x), Fraction(-y)))
+        return frozenset(pts)
+
+    # -- bounded-height point search ------------------------------------
+
+    def search(self, height: int) -> frozenset[Point]:
+        """All affine points with x = u/w^2, gcd(u,w)=1, |u| <= H, w^2 <= H.
+
+        The shape x = u/w^2 is the one rational points on an integral
+        model of this form can take; completeness holds for the searched
+        grid only.
+        """
+        if height < 1:
+            raise ValueError("height bound must be >= 1")
+        m, n = self.m, self.n
+        gcd = math.gcd
+        isqrt = math.isqrt
+        filters = _SQ_FILTERS
+        pts = set()
+        for w in range(1, isqrt(height) + 1):
+            w2 = w * w
+            w3 = w2 * w
+            mw, nw = m * w2, n * w2
+            for u in range(-height, height + 1):
+                if w > 1 and gcd(u, w) != 1:
+                    continue
+                N = u * (u + mw) * (u + nw)
+                if N < 0:
+                    continue
+                if N == 0:
+                    pts.add(Point(Fraction(u, w2), Fraction(0)))
+                    continue
+                ok = True
+                for mod, flags in filters:
+                    if not flags[N % mod]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                r = isqrt(N)
+                if r * r == N:
+                    x = Fraction(u, w2)
+                    y = Fraction(r, w3)
+                    pts.add(Point(x, y))
+                    pts.add(Point(x, -y))
+        return frozenset(pts)
+
+
+def make_curve(m: int, n: int) -> Curve:
+    return Curve(m, n)
+
+
+@dataclass(frozen=True)
+class NormalizedParams:
+    """Decomposition m = -p*k*d^2, n = q*k*d^2 with gcd(p,q)=1, k squarefree."""
+
+    p: int
+    q: int
+    k: int
+    d: int
+
+
+def squarefree_decompose(v: int) -> tuple[int, int]:
+    """v = k * d^2 with k squarefree and d maximal; returns (k, d)."""
+    if v <= 0:
+        raise ValueError("positive integer required")
+    k, d = 1, 1
+    for prime, exp in factorint(v).items():
+        d *= prime ** (exp // 2)
+        if exp % 2:
+            k *= prime
+    return k, d
+
+
+def normalize_params(m: int, n: int) -> NormalizedParams:
+    if not (m < 0 < n):
+        raise ValueError("normalization requires m < 0 < n")
+    g = math.gcd(-m, n)
+    k, d = squarefree_decompose(g)
+    return NormalizedParams(p=-m // g, q=n // g, k=k, d=d)
+
+
+def canonical_model(c: Curve) -> tuple[Curve, int, int]:
+    """Reduce E(m,n) to an isomorphic model E(m0,n0) with m0 < 0 < n0 and
+    squarefree coefficient gcd.
+
+    Returns (reduced curve, shift e, scale d): a reduced point (x,y) maps
+    to (d^2*x + e, d^3*y) on the original curve.  The shift moves the
+    origin of the 2-torsion to the middle root of x(x+m)(x+n); the scale
+    is the (x,y) -> (d^2 x, d^3 y) isomorphism that strips square factors
+    from gcd(-m, n).
+    """
+    roots = sorted((0, -c.m, -c.n))
+    e = roots[1]
+    m1, n1 = e - roots[2], e - roots[0]
+    nc = normalize_params(m1, n1)
+    d = nc.d
+    return Curve(m1 // (d * d), n1 // (d * d)), e, d
+
+
+def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
+    if P.is_infinity:
+        return P
+    return Point(scale * scale * P.x + shift, scale ** 3 * P.y)
+
+
+def map_to_canonical(P: Point, shift: int, scale: int) -> Point:
+    if P.is_infinity:
+        return P
+    return Point((P.x - shift) / (scale * scale), P.y / scale ** 3)

@@ -1,0 +1,154 @@
+"""Arithmetic progressions of rational squares and rational theta-triangles.
+
+The geometric layer of the correspondence: a nontrivial quadric point
+yields three rational squares in arithmetic progression, which in turn
+yield a triangle with a prescribed rational-cosine angle.  The side
+formulas a = gamma + alpha, b = gamma - alpha, c = 2*beta are validated
+here by the law of cosines and the area relation a*b = 2*k*s, which the
+test suite checks exactly on every conversion.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .quadrics import QuadricPoint
+from .triples import CongruentTriple, congruent_to_concordant
+
+
+class DegenerateTriangleError(ValueError):
+    """A conversion produced a zero side or a tight triangle inequality."""
+
+
+@dataclass(frozen=True)
+class APTriple:
+    """alpha^2 < beta^2 < gamma^2 in arithmetic progression of step `step`,
+    with the outer squares p resp. q steps away from the middle one."""
+
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    step: int
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if self.step < 1 or self.p < 1 or self.q < 1:
+            raise ValueError("step and gaps must be positive")
+        if self.alpha < 0 or self.beta <= 0 or self.gamma <= 0:
+            raise ValueError("progression terms must be nonnegative magnitudes")
+        if self.alpha ** 2 != self.beta ** 2 - self.p * self.step:
+            raise ValueError("lower gap mismatch")
+        if self.gamma ** 2 != self.beta ** 2 + self.q * self.step:
+            raise ValueError("upper gap mismatch")
+
+    def squares(self) -> tuple[Fraction, Fraction, Fraction]:
+        return (self.alpha ** 2, self.beta ** 2, self.gamma ** 2)
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """Rational triangle with angle theta (cos theta = r/s) between the
+    sides a and b; by convention a >= b."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    r: int
+    s: int
+
+    def __post_init__(self):
+        if self.a <= 0 or self.b <= 0 or self.c <= 0:
+            raise DegenerateTriangleError("sides must be positive")
+        if self.a < self.b:
+            raise ValueError("side labels must satisfy a >= b")
+        if not (self.a < self.b + self.c and self.c < self.a + self.b):
+            raise DegenerateTriangleError("triangle inequality violated")
+        if self.s < 1 or abs(self.r) >= self.s or math.gcd(self.r, self.s) != 1:
+            raise ValueError("cos(theta) = r/s must be reduced with |r| < s")
+        lhs = self.c ** 2 * self.s
+        rhs = (self.a ** 2 + self.b ** 2) * self.s - 2 * self.a * self.b * self.r
+        if lhs != rhs:
+            raise ValueError("law of cosines fails for the given angle")
+
+    def sides(self) -> tuple[Fraction, Fraction, Fraction]:
+        return (self.a, self.b, self.c)
+
+    def area_coefficient(self) -> Fraction:
+        """k with area = k*sqrt(s^2 - r^2); equals a*b/(2s)."""
+        return self.a * self.b / (2 * self.s)
+
+    def is_isosceles(self) -> bool:
+        return self.a == self.b
+
+
+def quadric_to_ap(S: QuadricPoint, p: int, q: int, step: int) -> APTriple:
+    """Magnitudes |X2/X1|, |X0/X1|, |X3/X1| of a nontrivial quadric point."""
+    if S.is_trivial:
+        raise ValueError("trivial quadric points carry no progression")
+    x1 = Fraction(abs(S.x1))
+    return APTriple(alpha=abs(Fraction(S.x2)) / x1,
+                    beta=abs(Fraction(S.x0)) / x1,
+                    gamma=abs(Fraction(S.x3)) / x1,
+                    step=step, p=p, q=q)
+
+
+def ap_to_quadric(t: APTriple) -> QuadricPoint:
+    return QuadricPoint.from_raw(t.beta, 1, t.alpha, t.gamma)
+
+
+def _theta_gaps(r: int, s: int, k) -> tuple[int, int, int]:
+    """(p, q, step) of the square progression of a (r,s,k) solution."""
+    t = congruent_to_concordant(CongruentTriple(r, s, int(k)))
+    return t.p, t.q, t.k
+
+
+def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
+    """Sides (gamma+alpha, gamma-alpha, 2*beta) with the angle (r,s)."""
+    a = t.gamma + t.alpha
+    b = t.gamma - t.alpha
+    c = 2 * t.beta
+    if a <= 0 or b <= 0 or c <= 0:
+        raise DegenerateTriangleError("progression collapses to a zero side")
+    k = a * b / (2 * s)
+    if k.denominator != 1:
+        raise ValueError(f"area coefficient {k} is not an integer")
+    if _theta_gaps(r, s, k) != (t.p, t.q, t.step):
+        raise ValueError("progression gaps do not match the angle (r, s)")
+    return Triangle(a=max(a, b), b=min(a, b), c=c, r=r, s=s)
+
+
+def triangle_to_ap(T: Triangle) -> APTriple:
+    k = T.area_coefficient()
+    if k.denominator != 1:
+        raise ValueError(f"area coefficient {k} is not an integer")
+    p, q, step = _theta_gaps(T.r, T.s, k)
+    return APTriple(alpha=(T.a - T.b) / 2, beta=T.c / 2, gamma=(T.a + T.b) / 2,
+                    step=step, p=p, q=q)
+
+
+def isosceles_triangle(rho: int, sigma: int
+                       ) -> tuple[Triangle, int, int, int]:
+    """The unique isosceles triangle with sin(theta/2) = rho/sigma and
+    squarefree area coefficient; returns (triangle, r, s, k)."""
+    if not (0 < rho < sigma):
+        raise ValueError("0 < rho < sigma required")
+    if math.gcd(rho, sigma) != 1:
+        raise ValueError("rho and sigma must be coprime")
+    if sigma % 2 == 1:
+        a, c = 2 * sigma, 4 * rho
+        r, s = sigma * sigma - 2 * rho * rho, sigma * sigma
+        k = 2
+    else:
+        tau = sigma // 2
+        a, c = sigma, 2 * rho
+        r, s = 2 * tau * tau - rho * rho, 2 * tau * tau
+        k = 1
+    g = math.gcd(r, s)
+    r, s = r // g, s // g
+    tri = Triangle(a=Fraction(a), b=Fraction(a), c=Fraction(c), r=r, s=s)
+    if tri.area_coefficient() != k:
+        raise AssertionError("area coefficient drifted from the construction")
+    return tri, r, s, k

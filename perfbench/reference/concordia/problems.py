@@ -1,0 +1,288 @@
+"""End-to-end solution pipelines for the concordant-form and
+theta-congruent problems, plus the torsion-solution family generators.
+
+A report never claims nonexistence: an empty solution list only means
+nothing was found among torsion points and (optionally) a height-bounded
+search, so reports carry decidability="bounded".
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+from .curves import Curve, Point, point_sort_key
+from .geometry import (APTriple, DegenerateTriangleError, Triangle,
+                       ap_to_triangle, quadric_to_ap)
+from .quadrics import QuadricPoint, point_to_quadric, quadric_to_point
+from .serialize import frac_str, point_json
+from .torsion import TorsionClass, classify_torsion, torsion_subgroup
+from .triples import (ConcordantTriple, CongruentTriple,
+                      concordant_to_congruent, congruent_to_concordant)
+
+
+@dataclass(frozen=True)
+class SolutionEntry:
+    point: Point
+    quadric: QuadricPoint
+    ap: APTriple
+    triangle: Optional[Triangle]
+    degenerate_reason: Optional[str]
+    provenance: str  # "torsion" or "search"
+
+    def to_json(self) -> dict:
+        out = {
+            "point": point_json(self.point),
+            "quadric": list(self.quadric.coords()),
+            "ap": {
+                "alpha": frac_str(self.ap.alpha),
+                "beta": frac_str(self.ap.beta),
+                "gamma": frac_str(self.ap.gamma),
+                "step": self.ap.step,
+                "p": self.ap.p,
+                "q": self.ap.q,
+            },
+            "provenance": self.provenance,
+        }
+        if self.triangle is not None:
+            out["triangle"] = {
+                "a": frac_str(self.triangle.a),
+                "b": frac_str(self.triangle.b),
+                "c": frac_str(self.triangle.c),
+                "r": self.triangle.r,
+                "s": self.triangle.s,
+            }
+        elif self.degenerate_reason is not None:
+            out["triangle"] = None
+            out["degenerate_reason"] = self.degenerate_reason
+        return out
+
+
+@dataclass(frozen=True)
+class SolutionReport:
+    problem: str
+    triple: tuple
+    curve: Curve
+    torsion_class: TorsionClass
+    solutions: tuple[SolutionEntry, ...]
+    search_bound: Optional[int]
+
+    @property
+    def decidability(self) -> str:
+        return "bounded"
+
+    def triangles(self) -> list[tuple[Triangle, list[Point]]]:
+        """Distinct triangles with the points generating each."""
+        seen: dict[tuple, tuple[Triangle, list[Point]]] = {}
+        for entry in self.solutions:
+            if entry.triangle is None:
+                continue
+            key = tuple(sorted(entry.triangle.sides()))
+            seen.setdefault(key, (entry.triangle, []))[1].append(entry.point)
+        return [seen[key] for key in sorted(seen)]
+
+    def to_json(self) -> dict:
+        out = {
+            "problem": self.problem,
+            "triple": list(self.triple),
+            "curve": {"m": self.curve.m, "n": self.curve.n},
+            "torsion": self.torsion_class.to_json(),
+            "solutions": [e.to_json() for e in self.solutions],
+            "search_bound": self.search_bound,
+            "decidability": self.decidability,
+        }
+        if self.problem == "theta-congruent":
+            out["triangles"] = [
+                {
+                    "sides": [frac_str(v) for v in tri.sides()],
+                    "points": [point_json(P) for P in pts],
+                }
+                for tri, pts in self.triangles()
+            ]
+        return out
+
+
+def _entries(c: Curve, points, ct: ConcordantTriple, provenance: str,
+             angle: Optional[tuple[int, int]]) -> list[SolutionEntry]:
+    entries = []
+    for P in sorted(points, key=point_sort_key):
+        S = point_to_quadric(P, c)
+        ap = quadric_to_ap(S, ct.p, ct.q, ct.k)
+        triangle = None
+        reason = None
+        if angle is not None:
+            try:
+                triangle = ap_to_triangle(ap, *angle)
+            except DegenerateTriangleError as exc:
+                reason = str(exc)
+        entries.append(SolutionEntry(point=P, quadric=S, ap=ap,
+                                     triangle=triangle,
+                                     degenerate_reason=reason,
+                                     provenance=provenance))
+    return entries
+
+
+def _solve(problem: str, triple_fields: tuple, ct: ConcordantTriple,
+           angle: Optional[tuple[int, int]],
+           search_bound: Optional[int]) -> SolutionReport:
+    c = ct.curve()
+    cls, torsion = torsion_subgroup(c)
+    interesting = {P for P in torsion if (c.order_of(P) or 13) > 2}
+    entries = _entries(c, interesting, ct, "torsion", angle)
+    if search_bound is not None:
+        hits = {P for P in c.search(search_bound)
+                if P not in torsion and not P.is_infinity and P.y != 0}
+        entries += _entries(c, hits, ct, "search", angle)
+    return SolutionReport(problem=problem, triple=triple_fields, curve=c,
+                          torsion_class=cls, solutions=tuple(entries),
+                          search_bound=search_bound)
+
+
+def solve_concordant(t: ConcordantTriple,
+                     search_bound: Optional[int] = None) -> SolutionReport:
+    """Nontrivial solutions of X^2 - pkY^2 = Z^2, X^2 + qkY^2 = W^2 found
+    among torsion points of order > 2 and, optionally, a bounded search."""
+    return _solve("concordant", (t.p, t.q, t.k), t, None, search_bound)
+
+
+def solve_theta_congruent(t: CongruentTriple,
+                          search_bound: Optional[int] = None) -> SolutionReport:
+    """Rational theta-triangles with area k*sqrt(s^2-r^2), via the curve of
+    the equivalent concordant triple."""
+    ct = congruent_to_concordant(t)
+    return _solve("theta-congruent", (t.r, t.s, t.k), ct, (t.r, t.s),
+                  search_bound)
+
+
+# ---------------------------------------------------------------------------
+# Families of curves with prescribed torsion
+
+
+@dataclass(frozen=True)
+class FamilyRecord:
+    family: str
+    params: tuple
+    m: int
+    n: int
+    concordant: ConcordantTriple
+    congruent: CongruentTriple
+    congruent_curve: tuple[int, int]  # curve carrying the congruent triple
+    parity_case: str
+    torsion_tag: str
+
+    def to_json(self) -> dict:
+        return {
+            "family": self.family,
+            "params": list(self.params),
+            "curve": {"m": self.m, "n": self.n},
+            "concordant": [self.concordant.p, self.concordant.q,
+                           self.concordant.k],
+            "congruent": [self.congruent.r, self.congruent.s,
+                          self.congruent.k],
+            "congruent_curve": list(self.congruent_curve),
+            "parity_case": self.parity_case,
+            "torsion": self.torsion_tag,
+        }
+
+
+def _congruent_variant(m: int, n: int, scale_k: int
+                       ) -> tuple[CongruentTriple, tuple[int, int], str]:
+    """Congruent triple attached to a torsion solution of E(m,n).
+
+    When m and n are both odd the triple lives on E(m,n) itself; with
+    unequal parities it lives on E(4m,4n) with a doubled number k.  Both
+    routes go through the inverse bijection, never hand-ordered pairs.
+    """
+    p, q = -m // scale_k, n // scale_k
+    if m % 2 != 0 and n % 2 != 0:
+        t = concordant_to_congruent(ConcordantTriple(p, q, scale_k))
+        return t, (m, n), "m,n odd"
+    t = concordant_to_congruent(ConcordantTriple(p, q, 4 * scale_k))
+    return t, (4 * m, 4 * n), "m,n of unequal parity"
+
+
+def gen_order4_family(u: int, v: int) -> FamilyRecord:
+    """Curves E(-u^2, v^2-u^2) whose torsion contains points of order 4."""
+    if not (0 < u < v) or math.gcd(u, v) != 1:
+        raise ValueError("coprime 0 < u < v required")
+    m, n = -u * u, v * v - u * u
+    congruent, cc, case = _congruent_variant(m, n, 1)
+    return FamilyRecord(family="order4", params=(u, v), m=m, n=n,
+                        concordant=ConcordantTriple(-m, n, 1),
+                        congruent=congruent, congruent_curve=cc,
+                        parity_case=case,
+                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+
+
+def gen_order8_family(xi: int, eta: int, zeta: int) -> FamilyRecord:
+    """Curves E(-xi^4, eta^4-xi^4) with torsion Z2xZ8, from a primitive
+    Pythagorean triple with xi < eta."""
+    if xi * xi + eta * eta != zeta * zeta:
+        raise ValueError("not a Pythagorean triple")
+    if math.gcd(xi, eta) != 1 or not (0 < xi < eta):
+        raise ValueError("primitive triple with xi < eta required")
+    m, n = -xi ** 4, eta ** 4 - xi ** 4
+    congruent, cc, case = _congruent_variant(m, n, 1)
+    return FamilyRecord(family="order8", params=(xi, eta, zeta), m=m, n=n,
+                        concordant=ConcordantTriple(-m, n, 1),
+                        congruent=congruent, congruent_curve=cc,
+                        parity_case=case,
+                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+
+
+def gen_order36_family(a: int, b: int) -> FamilyRecord:
+    """Curves E(a^3(a+2b), b^3(2a+b)) with torsion Z2xZ6."""
+    if math.gcd(a, b) != 1:
+        raise ValueError("a and b must be coprime")
+    if not (a < 0 < b) or a + 2 * b <= 0 or 2 * a + b <= 0 or a + b == 0:
+        raise ValueError("need a < 0 < b with a+2b > 0, 2a+b > 0, a+b != 0")
+    m, n = a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b)
+    shared = math.gcd(a + 2 * b, 2 * a + b)
+    if shared not in (1, 3):
+        raise AssertionError("gcd(a+2b, 2a+b) can only be 1 or 3")
+    congruent, cc, case = _congruent_variant(m, n, shared)
+    return FamilyRecord(family="order36", params=(a, b), m=m, n=n,
+                        concordant=ConcordantTriple(-m // shared, n // shared,
+                                                    shared),
+                        congruent=congruent, congruent_curve=cc,
+                        parity_case=case,
+                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+
+
+# ---------------------------------------------------------------------------
+# Verifiers
+
+
+def verify_concordant_solution(m: int, n: int, X: int, Y: int, Z: int,
+                               W: int) -> str:
+    """Classify an integral 4-tuple as a solution of the concordant system:
+    returns "nontrivial", "trivial" or "invalid"."""
+    if (X, Y, Z, W) == (0, 0, 0, 0):
+        return "invalid"
+    if X * X + m * Y * Y != Z * Z or X * X + n * Y * Y != W * W:
+        return "invalid"
+    return "trivial" if Y == 0 else "nontrivial"
+
+
+def four_torsion_counterexamples(k_values=(2, 3, 4, 5, 6, 8, 9, 13)) -> list[dict]:
+    """For each k, check that (0,1,1,k) solves the system on Q(1,k^2) and
+    that the isomorphism sends it to a point of order 4 on E(1,k^2).
+
+    These are solutions with a zero component, invisible to degree-4 maps
+    but captured by the isomorphism.
+    """
+    rows = []
+    for k in k_values:
+        c = Curve(1, k * k)
+        verdict = verify_concordant_solution(1, k * k, 0, 1, 1, k)
+        S = QuadricPoint(0, 1, 1, k)
+        P = quadric_to_point(S, c)
+        rows.append({
+            "k": k,
+            "solution": [0, 1, 1, k],
+            "verdict": verdict,
+            "point": point_json(P),
+            "order": c.order_of(P),
+        })
+    return rows

@@ -1,0 +1,35 @@
+"""Exact-string serialization helpers shared by the library and the CLI.
+
+Rationals cross every boundary as "num/den" strings in lowest terms
+(integers as plain "num"); the point at infinity is the string "O".
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def frac_str(v) -> str:
+    v = Fraction(v)
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
+
+
+def parse_frac(text: str) -> Fraction:
+    return Fraction(text.strip())
+
+
+def point_json(P):
+    if P.is_infinity:
+        return "O"
+    return [frac_str(P.x), frac_str(P.y)]
+
+
+def parse_point(obj):
+    from .curves import INFINITY, Point
+
+    if obj == "O":
+        return INFINITY
+    x, y = obj
+    return Point(parse_frac(x), parse_frac(y))

@@ -1,0 +1,232 @@
+"""Closed-form torsion classification for E(m,n): y^2 = x(x+m)(x+n).
+
+Every curve in this family has full rational 2-torsion, so the torsion
+subgroup is Z2xZ2, Z2xZ4, Z2xZ6 or Z2xZ8.  The classifier works on the
+reduced model produced by `canonical_model` (m < 0 < n, squarefree
+coefficient gcd) and carries a certificate witnessing the class:
+
+  Z2xZ4:  (u, v)          with -m = u^2, n = v^2 - u^2
+  Z2xZ8:  (xi, eta, zeta) with xi^2 + eta^2 = zeta^2, m = -xi^4,
+                          n = eta^4 - xi^4
+  Z2xZ6:  (a, b)          coprime, m = a^3(a+2b), n = b^3(2a+b)
+
+The generated torsion points are mapped back to the input curve through
+the shift/scale isomorphism recorded on the class.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+from sympy import divisors
+
+from .curves import (Curve, INFINITY, NormalizedParams, Point,
+                     canonical_model, iroot4_exact, isqrt_exact,
+                     map_from_canonical, point_sort_key)
+
+Z2xZ2 = "Z2xZ2"
+Z2xZ4 = "Z2xZ4"
+Z2xZ6 = "Z2xZ6"
+Z2xZ8 = "Z2xZ8"
+
+_GROUP_SIZE = {Z2xZ2: 4, Z2xZ4: 8, Z2xZ6: 12, Z2xZ8: 16}
+_MAX_ORDER = {Z2xZ2: 2, Z2xZ4: 4, Z2xZ6: 6, Z2xZ8: 8}
+
+
+class CertificateMismatch(ValueError):
+    """Raised when a torsion certificate does not match the given curve."""
+
+
+@dataclass(frozen=True)
+class TorsionClass:
+    tag: str
+    certificate: Optional[tuple]
+    base: Curve      # reduced model the certificate refers to
+    shift: int       # reduced point (x,y) -> (scale^2 x + shift, scale^3 y)
+    scale: int
+
+    def group_size(self) -> int:
+        return _GROUP_SIZE[self.tag]
+
+    def max_order(self) -> int:
+        return _MAX_ORDER[self.tag]
+
+    def to_json(self) -> dict:
+        out = {"class": self.tag}
+        if self.tag == Z2xZ4:
+            out["u"], out["v"] = self.certificate
+        elif self.tag == Z2xZ8:
+            out["xi"], out["eta"], out["zeta"] = self.certificate
+        elif self.tag == Z2xZ6:
+            out["a"], out["b"] = self.certificate
+        if self.shift != 0 or self.scale != 1:
+            out["shift"] = self.shift
+            out["scale"] = self.scale
+        return out
+
+    def reconstruct_mn(self) -> frozenset[int]:
+        """Rebuild {m, n} of the classified curve from base, scale and shift."""
+        d2 = self.scale * self.scale
+        roots = {r * d2 + self.shift for r in (0, -self.base.m, -self.base.n)}
+        if 0 not in roots:
+            raise CertificateMismatch("shift does not restore the origin root")
+        return frozenset(-r for r in roots if r != 0)
+
+
+def _detect_order8(m: int, n: int) -> Optional[tuple]:
+    xi = iroot4_exact(-m)
+    if xi is None or xi == 0:
+        return None
+    eta = iroot4_exact(n - m)
+    if eta is None:
+        return None
+    zeta = isqrt_exact(xi * xi + eta * eta)
+    if zeta is None:
+        return None
+    return (xi, eta, zeta)
+
+
+def _detect_order4(m: int, n: int) -> Optional[tuple]:
+    u = isqrt_exact(-m)
+    if u is None or u == 0:
+        return None
+    v = isqrt_exact(n - m)
+    if v is None:
+        return None
+    return (u, v)
+
+
+def _detect_order3(m: int, n: int) -> Optional[tuple]:
+    """Find coprime (a,b) with m = a^3(a+2b), n = b^3(2a+b), b > 0."""
+    for a0 in divisors(abs(m)):
+        cube = a0 ** 3
+        if abs(m) % cube != 0:
+            continue
+        for a in (a0, -a0):
+            t = m // (a ** 3)
+            if (t - a) % 2 != 0:
+                continue
+            b = (t - a) // 2
+            if b == 0 or math.gcd(a, b) != 1:
+                continue
+            if a + 2 * b == 0 or 2 * a + b == 0 or a + b == 0 or a == b:
+                continue
+            if n != b ** 3 * (2 * a + b):
+                continue
+            if b < 0:
+                a, b = -a, -b
+            return (a, b)
+    return None
+
+
+def classify_torsion(c: Curve) -> TorsionClass:
+    """Torsion subgroup type of E(m,n), with a witnessing certificate.
+
+    The input is first moved to the reduced model (m0 < 0 < n0 with
+    squarefree gcd); torsion type is invariant under that isomorphism.
+    """
+    base, shift, scale = canonical_model(c)
+    m, n = base.m, base.n
+    cert = _detect_order8(m, n)
+    if cert is not None:
+        return TorsionClass(Z2xZ8, cert, base, shift, scale)
+    cert = _detect_order4(m, n)
+    if cert is not None:
+        return TorsionClass(Z2xZ4, cert, base, shift, scale)
+    cert = _detect_order3(m, n)
+    if cert is not None:
+        return TorsionClass(Z2xZ6, cert, base, shift, scale)
+    return TorsionClass(Z2xZ2, None, base, shift, scale)
+
+
+def _checked(c: Curve, x: int, y: int, order: int) -> list[Point]:
+    """Both points (x, +-y), verified on-curve and of the claimed order."""
+    P = c.point(x, y)
+    if c.order_of(P) != order:
+        raise CertificateMismatch(
+            f"({x},{y}) on E({c.m},{c.n}) does not have order {order}")
+    return [P, c.negate(P)]
+
+
+def four_torsion_points(u: int, v: int, c: Curve) -> frozenset[Point]:
+    """The four points of order 4 on E(-u^2, v^2-u^2)."""
+    if c.m != -u * u or c.n != v * v - u * u:
+        raise CertificateMismatch(f"(u,v)=({u},{v}) does not fit E({c.m},{c.n})")
+    pts = []
+    for x in (u * u - u * v, u * u + u * v):
+        pts += _checked(c, x, v * x, 4)
+    return frozenset(pts)
+
+
+def eight_torsion_points(xi: int, eta: int, zeta: int, c: Curve) -> frozenset[Point]:
+    """The eight points of order 8 on E(-xi^4, eta^4-xi^4)."""
+    if xi * xi + eta * eta != zeta * zeta:
+        raise CertificateMismatch("not a Pythagorean triple")
+    if c.m != -xi ** 4 or c.n != eta ** 4 - xi ** 4:
+        raise CertificateMismatch(
+            f"(xi,eta,zeta)=({xi},{eta},{zeta}) does not fit E({c.m},{c.n})")
+    pts = []
+    for e_sign in (1, -1):
+        for z_sign in (1, -1):
+            x = xi * zeta * (xi + e_sign * eta) * (zeta + z_sign * eta)
+            y = (xi * eta * zeta * (xi + e_sign * eta)
+                 * (zeta + e_sign * z_sign * xi) * (zeta + z_sign * eta))
+            pts += _checked(c, x, y, 8)
+    return frozenset(pts)
+
+
+def three_six_torsion_points(a: int, b: int, c: Curve
+                             ) -> tuple[frozenset[Point], frozenset[Point]]:
+    """Order-3 and order-6 points on E(a^3(a+2b), b^3(2a+b))."""
+    if c.m != a ** 3 * (a + 2 * b) or c.n != b ** 3 * (2 * a + b):
+        raise CertificateMismatch(f"(a,b)=({a},{b}) does not fit E({c.m},{c.n})")
+    x3 = a * a * b * b
+    pts3 = frozenset(_checked(c, x3, x3 * (a + b) ** 2, 3))
+    pts6 = []
+    for x, factor in (
+            (-a * a * b * (b + 2 * a), a * a - b * b),
+            (-a * b * b * (a + 2 * b), a * a - b * b),
+            (a * b * (a + 2 * b) * (b + 2 * a), (a + b) ** 2)):
+        pts6 += _checked(c, x, x * factor, 6)
+    return pts3, frozenset(pts6)
+
+
+def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
+    """Full rational torsion of E(m,n) from the closed-form certificates."""
+    cls = classify_torsion(c)
+    base = cls.base
+    pts = set()
+    if cls.tag == Z2xZ4:
+        u, v = cls.certificate
+        pts |= four_torsion_points(u, v, base)
+    elif cls.tag == Z2xZ8:
+        xi, eta, zeta = cls.certificate
+        pts |= four_torsion_points(xi * xi, eta * eta, base)
+        pts |= eight_torsion_points(xi, eta, zeta, base)
+    elif cls.tag == Z2xZ6:
+        a, b = cls.certificate
+        p3, p6 = three_six_torsion_points(a, b, base)
+        pts |= p3 | p6
+    mapped = {INFINITY}
+    mapped.update(c.two_torsion())
+    for P in pts:
+        Q = map_from_canonical(P, cls.shift, cls.scale)
+        if not c.contains(Q):
+            raise CertificateMismatch("rescaled torsion point left the curve")
+        mapped.add(Q)
+    if len(mapped) != cls.group_size():
+        raise CertificateMismatch(
+            f"E({c.m},{c.n}): expected {cls.group_size()} torsion points, "
+            f"got {len(mapped)}")
+    return cls, frozenset(mapped)
+
+
+def check_k_constraint(nc: NormalizedParams, t: TorsionClass) -> bool:
+    """Consistency of the squarefree step k with the torsion type."""
+    if t.tag in (Z2xZ4, Z2xZ8):
+        return nc.k == 1
+    if t.tag == Z2xZ6:
+        return nc.k in (1, 3)
+    return True
