@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid arguments, 2 verification failure or
-invariant violation, 3 internal inconsistency (classifier disagrees with
-the enumeration oracle).  All numbers cross the boundary as exact
-strings; search results are memoized in a JSON cache file (override the
-path with the CONCORDIA_CACHE environment variable).
+Exit codes: 0 ok, 1 usage error, 2 failed verification, 3 internal
+invariant violation (a torsion certificate that does not check out, or
+the classifier disagreeing with the enumeration oracle).  All numbers
+cross the boundary as exact strings; search results are memoized in a
+JSON cache file (override the path with the CONCORDIA_CACHE environment
+variable).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .problems import (four_torsion_counterexamples, gen_order4_family,
 from .quadrics import point_to_quadric
 from .serialize import frac_str, parse_frac, point_json
 from .sweeps import family_sweep, oracle_equivalence_sweep
-from .torsion import torsion_subgroup
+from .torsion import CertificateMismatch, torsion_subgroup
 from .triples import (ConcordantTriple, CongruentTriple,
                       concordant_to_congruent, congruent_to_concordant)
 
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CertificateMismatch as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,17 +4,17 @@ Everything here is pure and exact: points carry `fractions.Fraction`
 coordinates, the group law is the chord-tangent construction on the
 expanded model y^2 = x^3 + (m+n)x^2 + mn*x, and the torsion oracle is a
 Nagell-Lutz enumeration that is independent of the closed-form torsion
-classifier in `concordia.torsion`.
+classifier in `concordia.torsion`.  The integer helpers the package
+needs (exact roots, `factorint`, `divisors`) live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from sympy import divisors, factorint
 
 # Quadratic-residue bitmasks used to reject non-squares cheaply before
 # paying for a big-integer isqrt.
@@ -42,6 +42,177 @@ def iroot4_exact(v: int) -> Optional[int]:
         if c >= 0 and c ** 4 == v:
             return c
     return None
+
+
+# -- factoring ----------------------------------------------------------
+
+_SMALL_PRIMES = [p for p in range(2, 1000)
+                 if all(p % q for q in range(2, math.isqrt(p) + 1))]
+# Miller-Rabin to the first 13 prime bases is deterministic below
+# _MR_LIMIT (Sorenson & Webster 2015); above it _is_prime runs BPSW.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
+# rho takes about sqrt(p) steps to split off a prime p; this cap finds
+# factors up to about 10^12 with a wide margin and ends a hopeless walk in
+# seconds (about 1 us a step at 40 digits) instead of hanging.
+_RHO_STEP_LIMIT = 1 << 23
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: is odd n > a a strong probable prime to
+    base a?"""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (P = 1), for odd n
+    above _MR_LIMIT that is not a perfect square."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q  # U_k, V_k, Q^k for k = 1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division, then Miller-Rabin below _MR_LIMIT, BPSW above."""
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n > 1
+        if n % p == 0:
+            return n == p
+    if n < _MR_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return (_strong_probable_prime(n, 2) and isqrt_exact(n) is None
+            and _strong_lucas_probable_prime(n))
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n (Brent 1980); ValueError
+    once the walks have taken _RHO_STEP_LIMIT steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEP_LIMIT:
+                raise ValueError(
+                    f"cannot factor a {n.bit_length()}-bit integer: Pollard "
+                    f"rho found no factor in {_RHO_STEP_LIMIT} steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _iroot(v: int, k: int) -> int:
+    """floor(v ** (1/k)) for v >= 1, by integer Newton steps from above."""
+    r = 1 << -(-v.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + v // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _split(n: int) -> list[int]:
+    """Factors of a composite n without prime factors below 1000: k equal
+    roots if n is a perfect k-th power (rho would need about sqrt(root)
+    steps there), else a Pollard-Brent split."""
+    for k in _SMALL_PRIMES:
+        if 1000 ** k > n:
+            break
+        r = _iroot(n, k)
+        if r ** k == n:
+            return [r] * k
+    g = _pollard_brent(n)
+    return [g, n // g]
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError("factorint requires n >= 1")
+    found = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            found[p] = found.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        f = pending.pop()
+        if _is_prime(f):
+            found[f] = found.get(f, 0) + 1
+        else:
+            pending += _split(f)
+    return dict(sorted(found.items()))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, e in factorint(n).items():
+        divs = [d * p ** k for k in range(e + 1) for d in divs]
+    return sorted(divs)
 
 
 def sqrt_fraction(v: Fraction) -> Optional[Fraction]:

@@ -9,7 +9,6 @@ The sweeps are embarrassingly parallel over parameter tuples.
 from __future__ import annotations
 
 import math
-from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from .curves import Curve, normalize_params
@@ -60,6 +59,8 @@ def oracle_equivalence_sweep(p_max: int = 30,
                              jobs: int = 1) -> list[str]:
     grid = list(curve_grid(p_max, k_values))
     if jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             chunks = pool.map(check_curve_against_oracle, grid, chunksize=32)
     else:

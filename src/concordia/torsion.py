@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from sympy import divisors
-
 from .curves import (Curve, INFINITY, NormalizedParams, Point,
                      canonical_model, iroot4_exact, isqrt_exact,
                      map_from_canonical, point_sort_key)
@@ -99,24 +97,37 @@ def _detect_order4(m: int, n: int) -> Optional[tuple]:
 
 
 def _detect_order3(m: int, n: int) -> Optional[tuple]:
-    """Find coprime (a,b) with m = a^3(a+2b), n = b^3(2a+b), b > 0."""
-    for a0 in divisors(abs(m)):
-        cube = a0 ** 3
-        if abs(m) % cube != 0:
+    """Find coprime (a,b) with m = a^3(a+2b), n = b^3(2a+b), b > 0, on the
+    reduced model (m < 0 < n), without factoring anything.
+
+    Such (a,b) put a point of order 3 at x = t^2, t = -ab > 0, and
+    y^2 >= 0 puts it at x > -m.  The 3-division polynomial
+    psi3(x) = 3x^4 + 4(m+n)x^3 + 6mn x^2 - m^2 n^2 is negative on [0, -m]
+    and, for x > -m, increasing (psi3' = 12x(x+m)(x+n)) and convex, as is
+    psi3(t^2) in t; it is positive at x = 4 max(-m, n).  Newton steps in
+    t from there, rounded down, never pass the real root, and a step of
+    at least 1 ends on it if it is an integer, else just below it.  Then
+    a^2 = t -+ sqrt(t^2 + m); the solution is unique up to the sign of
+    (a, b).
+    """
+    A, B, C = 4 * (m + n), 6 * m * n, m * m * n * n
+    t = math.isqrt(4 * max(-m, n)) + 1
+    while True:
+        x = t * t
+        v = ((3 * x + A) * x + B) * x * x - C
+        if v <= 0:
+            break
+        t -= max(1, v // (24 * t * x * (x + m) * (x + n)))
+    r = isqrt_exact(x + m) if v == 0 else None
+    if r is None:
+        return None
+    for a2 in (t - r, t + r):
+        a = isqrt_exact(a2)
+        if a is None or t % a:
             continue
-        for a in (a0, -a0):
-            t = m // (a ** 3)
-            if (t - a) % 2 != 0:
-                continue
-            b = (t - a) // 2
-            if b == 0 or math.gcd(a, b) != 1:
-                continue
-            if a + 2 * b == 0 or 2 * a + b == 0 or a + b == 0 or a == b:
-                continue
-            if n != b ** 3 * (2 * a + b):
-                continue
-            if b < 0:
-                a, b = -a, -b
+        a, b = -a, t // a
+        if (math.gcd(a, b) == 1 and m == a ** 3 * (a + 2 * b)
+                and n == b ** 3 * (2 * a + b)):
             return (a, b)
     return None
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from concordia.cli import main
+from concordia.torsion import CertificateMismatch
 
 
 def run(capsys, *argv):
@@ -149,3 +150,42 @@ def test_selftest_shallow(capsys):
     code, out = run(capsys, "--format", "text", "selftest", "--pmax", "6")
     assert code == 0
     assert "PASS" in out or "ok" in out.lower()
+
+
+def test_classify_huge_m_needs_no_divisors(capsys):
+    # |m| = 10^2200 has about 4.8M divisors; the 3-torsion test walks none.
+    code, payload = run_json(capsys, "classify", "--m", str(-10 ** 2200),
+                             "--n", "3")
+    assert code == 0
+    assert payload["torsion"]["class"] == "Z2xZ2"
+    assert len(payload["points"]) == 4
+
+
+def test_certificate_mismatch_exits_3(monkeypatch, capsys):
+    def broken(*args):
+        raise CertificateMismatch("simulated invariant break")
+
+    monkeypatch.setattr("concordia.torsion.four_torsion_points", broken)
+    assert main(["classify", "--m", "-1", "--n", "3"]) == 3
+    assert "simulated invariant break" in capsys.readouterr().err
+
+
+# 2^61 - 1 and 2^89 - 1 are prime; Pollard rho would need about 2^30 steps
+# to split their product.
+BIG_SEMIPRIME = (2 ** 61 - 1) * (2 ** 89 - 1)
+
+
+def test_classify_smooth_m_semiprime_n(capsys):
+    code, payload = run_json(capsys, "classify", "--m", str(-2 ** 200),
+                             "--n", str(BIG_SEMIPRIME))
+    assert code == 0
+    assert payload["torsion"]["class"] == "Z2xZ2"
+
+
+def test_unfactorable_gcd_is_a_usage_error(monkeypatch, capsys):
+    # The reduced model needs the square part of gcd(m, n) = BIG_SEMIPRIME;
+    # rho gives up at its step cap (lowered here to keep the test fast).
+    monkeypatch.setattr("concordia.curves._RHO_STEP_LIMIT", 1 << 12)
+    assert main(["classify", "--m", str(-BIG_SEMIPRIME),
+                 "--n", str(2 * BIG_SEMIPRIME)]) == 1
+    assert "cannot factor a 150-bit integer" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from concordia.curves import make_curve
 from concordia.torsion import (CertificateMismatch, TorsionClass,
-                               check_k_constraint, classify_torsion,
+                               _detect_order3, check_k_constraint, classify_torsion,
                                eight_torsion_points, four_torsion_points,
                                three_six_torsion_points, torsion_subgroup)
 
@@ -182,3 +182,53 @@ def test_classification_invariant_under_scaling(m, n, d):
     c = make_curve(m, n)
     scaled = make_curve(m * d * d, n * d * d)
     assert classify_torsion(c).tag == classify_torsion(scaled).tag
+
+
+def _order3_by_divisor_walk(m, n):
+    """The slow reference `_detect_order3` replaced: every divisor a0 of |m|
+    is tried as |a|, and b comes from m = a^3(a+2b)."""
+    from math import gcd
+
+    from sympy import divisors
+    for a0 in divisors(abs(m)):
+        if abs(m) % a0 ** 3:
+            continue
+        for a in (a0, -a0):
+            t = m // a ** 3
+            if (t - a) % 2:
+                continue
+            b = (t - a) // 2
+            if b and gcd(a, b) == 1 and n == b ** 3 * (2 * a + b):
+                return (a, b) if b > 0 else (-a, -b)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.integers(min_value=1, max_value=120),
+       st.integers(min_value=-1, max_value=1),
+       st.integers(min_value=-1, max_value=1))
+def test_detect_order3_matches_divisor_walk(k, extra, dm, dn):
+    # a = -k, b > 2k spans the reduced models m < 0 < n of the Z2xZ6
+    # family; the +-1 nudges give near misses.
+    a, b = -k, 2 * k + extra
+    m = a ** 3 * (a + 2 * b) + dm
+    n = b ** 3 * (2 * a + b) + dn
+    assert _detect_order3(m, n) == _order3_by_divisor_walk(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=10 ** 6))
+def test_detect_order3_matches_divisor_walk_random(neg_m, n):
+    assert _detect_order3(-neg_m, n) == _order3_by_divisor_walk(-neg_m, n)
+
+
+def test_six_torsion_with_large_prime_parameters():
+    # a and b are 61-bit: m and n have prime factors rho cannot split in
+    # useful time, and none is needed.
+    p = 2 ** 61 - 1
+    a, b = -p, 3 * p + 1
+    c = make_curve(a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b))
+    tc = classify_torsion(c)
+    assert tc.tag == "Z2xZ6" and tc.certificate == (a, b)
