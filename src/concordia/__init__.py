@@ -3,7 +3,7 @@ forms, rational squares in arithmetic progression and the elliptic
 curves E(m,n): y^2 = x(x+m)(x+n)."""
 
 from .curves import (Curve, INFINITY, NormalizedParams, Point,
-                     canonical_model, make_curve, normalize_params)
+                     canonical_model, normalize_params)
 from .geometry import (APTriple, DegenerateTriangleError, Triangle,
                        ap_to_quadric, ap_to_triangle, isosceles_triangle,
                        quadric_to_ap, triangle_to_ap)

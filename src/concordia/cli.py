@@ -3,9 +3,8 @@
 Exit codes: 0 ok, 1 usage error, 2 failed verification, 3 internal
 invariant violation (a torsion certificate that does not check out, or
 the classifier disagreeing with the enumeration oracle).  All numbers
-cross the boundary as exact strings; search results are memoized in a
-JSON cache file (override the path with the CONCORDIA_CACHE environment
-variable).
+cross the boundary as exact strings.  A search bound (`--bound`) above
+MAX_BOUND is refused as a usage error.
 """
 
 from __future__ import annotations
@@ -28,12 +27,15 @@ from .torsion import CertificateMismatch, torsion_subgroup
 from .triples import (ConcordantTriple, CongruentTriple,
                       concordant_to_congruent, congruent_to_concordant)
 
-DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".concordia-cache.json")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
+
+# Curve.search takes 0.4-2.4 s at H = 10^6 and 6-28 s at H = 10^7 for
+# small m, n (E(-5,5) to E(-2310,221), one core of a 2-vCPU host); larger
+# bounds are refused rather than left to run for minutes.
+MAX_BOUND = 10 ** 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,40 +44,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _cache_path() -> str:
-    return os.environ.get("CONCORDIA_CACHE", DEFAULT_CACHE)
-
-
-def _cached_search(c: Curve, bound: int, use_cache: bool):
-    key = f"{c.m},{c.n},{bound}"
-    cache = {}
-    path = _cache_path()
-    if use_cache and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                cache = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            cache = {}
-        if key in cache:
-            return [c.point(parse_frac(x), parse_frac(y))
-                    for x, y in cache[key]]
-    pts = sorted(c.search(bound), key=point_sort_key)
-    if use_cache:
-        cache[key] = [[frac_str(P.x), frac_str(P.y)] for P in pts]
-        try:
-            with open(path, "w") as fh:
-                json.dump(cache, fh, indent=2, sort_keys=True)
-        except OSError:
-            pass
-    return pts
+def _bound(text: str) -> int:
+    """Type of --bound: an integer no larger than MAX_BOUND.  A digit
+    string too long for int() (over 4300 digits) is past the limit too."""
+    try:
+        value = int(text)
+    except ValueError:
+        if not text.strip().lstrip("+").isdigit():
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        value = MAX_BOUND + 1
+    if value > MAX_BOUND:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_BOUND}")
+    return value
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (e.g. `| head`): drop the rest of the output
+        # so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _curve_from_args(args) -> Curve:
@@ -175,7 +172,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     c = Curve(args.m, args.n)
-    pts = _cached_search(c, args.bound, not args.no_cache)
+    pts = sorted(c.search(args.bound), key=point_sort_key)
     rows = []
     for P in pts:
         order = c.order_of(P)
@@ -259,13 +256,13 @@ def build_parser() -> _Parser:
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--q", type=int, required=True)
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--bound", type=int)
+    pc.add_argument("--bound", type=_bound)
     pc.set_defaults(func=_cmd_solve)
     pt = solve_sub.add_parser("theta")
     pt.add_argument("--r", type=int, required=True)
     pt.add_argument("--s", type=int, required=True)
     pt.add_argument("--k", type=int, required=True)
-    pt.add_argument("--bound", type=int)
+    pt.add_argument("--bound", type=_bound)
     pt.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("convert", help="triple encodings and object chains")
@@ -303,8 +300,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="height-bounded point search")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--no-cache", action="store_true")
+    p.add_argument("--bound", type=_bound, required=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("family", help="torsion-solution family generators")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from concordia.cli import main
-from concordia.curves import make_curve
+from concordia.curves import Curve
 from concordia.geometry import (ap_to_triangle, isosceles_triangle,
                                 quadric_to_ap, triangle_to_ap)
 from concordia.problems import (four_torsion_counterexamples,
@@ -64,7 +64,7 @@ def test_criterion_2_family_classifications(capsys):
     t0 = time.monotonic()
     bad = []
     for mn, tag in FAMILY_CURVES.items():
-        cls, pts = torsion_subgroup(make_curve(*mn))
+        cls, pts = torsion_subgroup(Curve(*mn))
         if cls.tag != tag or len(pts) != cls.group_size():
             bad.append((mn, cls.tag))
     elapsed = time.monotonic() - t0
@@ -107,7 +107,7 @@ def test_criterion_5_isomorphism_identities(capsys):
         return set(torsion) | set(c.search(H))
 
     for n in (5, 6, 7, 31):
-        c = make_curve(-n, n)
+        c = Curve(-n, n)
         for P in points_of(c):
             S = point_to_quadric(P, c)
             if quadric_to_point(S, c) != P:
@@ -115,7 +115,7 @@ def test_criterion_5_isomorphism_identities(capsys):
             if right_triangle_map(S, c) != c.multiply(P, 2):
                 bad.append((c, P, "tau"))
     for mn in SIGMA_CURVES:
-        c = make_curve(*mn)
+        c = Curve(*mn)
         for P in points_of(c):
             S = point_to_quadric(P, c)
             if quadric_to_point(S, c) != P:
@@ -134,12 +134,12 @@ def test_criterion_5_isomorphism_identities(capsys):
 def test_criterion_6_counterexample_points(capsys):
     t0 = time.monotonic()
     checks = []
-    c31 = make_curve(-31, 31)
+    c31 = Curve(-31, 31)
     P31 = c31.point(Fraction(1681, 49), Fraction(29520, 343))
     checks.append(c31.order_of(P31) is None)
     checks.append(not c31.is_double(P31))
     checks.append(P31 in c31.search(1700))
-    c5 = make_curve(-5, 5)
+    c5 = Curve(-5, 5)
     P5 = c5.point(Fraction(25, 4), Fraction(75, 8))
     checks.append(c5.order_of(P5) is None)
     checks.append(not c5.is_double(P5))
@@ -165,7 +165,7 @@ def _equivalence_failures():
     """Order-4 points <-> zero in the progression <-> isosceles triangle."""
     bad = []
     for mn in FAMILY_CURVES:
-        c = make_curve(*mn)
+        c = Curve(*mn)
         _, torsion = torsion_subgroup(c)
         g = gcd(-c.m, c.n)
         p, q = -c.m // g, c.n // g
@@ -173,7 +173,7 @@ def _equivalence_failures():
             curve, ct = c, ConcordantTriple(p, q, g)
             lift = lambda P: P
         else:
-            curve = make_curve(4 * c.m, 4 * c.n)
+            curve = Curve(4 * c.m, 4 * c.n)
             ct = ConcordantTriple(p, q, 4 * g)
             lift = lambda P: curve.point(4 * P.x, 8 * P.y)
         ang = concordant_to_congruent(ct)

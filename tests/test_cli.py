@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from concordia.cli import main
 from concordia.torsion import CertificateMismatch
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -97,31 +104,49 @@ def test_verify_exit_codes(capsys):
                  "--y", "1", "--z", "1", "--w", "1"]) == 2
 
 
-def test_search_with_cache(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "cache.json"
-    monkeypatch.setenv("CONCORDIA_CACHE", str(cache))
-    code, payload = run_json(capsys, "search", "--m", "-5", "--n", "5",
-                             "--bound", "50")
-    assert code == 0
-    rows = {tuple(p["point"]): p for p in payload["points"]}
-    assert ("25/4", "75/8") in rows
+def cli(*argv, **env):
+    return subprocess.run([sys.executable, "-m", "concordia.cli", *argv],
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC, **env))
+
+
+def test_search_is_repeatable_and_writes_no_file(tmp_path):
+    argv = ("search", "--m", "-5", "--n", "5", "--bound", "50")
+    first = cli(*argv, HOME=str(tmp_path))
+    assert first.returncode == 0
+    rows = {tuple(p["point"]): p for p in json.loads(first.stdout)["points"]}
     assert rows[("25/4", "75/8")]["order"] == "infinite"
-    assert cache.exists()
-    stored = json.loads(cache.read_text())
-    assert "-5,5,50" in stored
-    # cached rerun returns the same answer
-    code2, payload2 = run_json(capsys, "search", "--m", "-5", "--n", "5",
-                               "--bound", "50")
-    assert payload2 == payload
+    second = cli(*argv, HOME=str(tmp_path))
+    assert (second.returncode, second.stdout) == (0, first.stdout)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_search_no_cache(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "cache.json"
-    monkeypatch.setenv("CONCORDIA_CACHE", str(cache))
-    code, payload = run_json(capsys, "search", "--m", "-5", "--n", "5",
-                             "--bound", "50", "--no-cache")
-    assert code == 0
-    assert not cache.exists()
+@pytest.mark.parametrize("argv", [
+    ["search", "--m", "-5", "--n", "5"],
+    ["solve", "concordant", "--p", "1", "--q", "1", "--k", "1"],
+    ["solve", "theta", "--r", "0", "--s", "1", "--k", "5"],
+])
+@pytest.mark.parametrize("bound", [str(10 ** 7 + 1), "1" + "0" * 5000])
+def test_bound_over_limit_is_refused_at_once(argv, bound, capsys):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bound", bound])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 1
+    assert "--bound: must be at most 10000000" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "concordia.cli", "classify",
+         "--m", str(-10 ** 100), "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    proc.stdout.close()  # the reader goes away before any output
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""  # no BrokenPipeError traceback
 
 
 def test_family_commands(capsys):

@@ -5,35 +5,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concordia.curves import (Curve, INFINITY, Point, canonical_model,
-                              is_square_fraction, make_curve,
-                              map_from_canonical, map_to_canonical,
+                              is_square_fraction, map_from_canonical,
+                              map_to_canonical,
                               normalize_params, point_sort_key,
                               sqrt_fraction, _integer_cubic_roots)
 
 
-def test_make_curve_rejects_degenerate():
+def test_curve_rejects_degenerate():
     with pytest.raises(ValueError):
-        make_curve(2, 2)
+        Curve(2, 2)
     with pytest.raises(ValueError):
-        make_curve(0, 3)
+        Curve(0, 3)
     with pytest.raises(ValueError):
-        make_curve(3, 0)
+        Curve(3, 0)
 
 
-def test_make_curve_accepts_valid():
-    assert make_curve(-1, 3) == Curve(-1, 3)
-    assert make_curve(-5, 5).m == -5
+def test_curve_accepts_valid():
+    assert Curve(-1, 3) == Curve(-1, 3)
+    assert Curve(-5, 5).m == -5
 
 
 def test_point_validation():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     assert c.point(3, 6) == Point(Fraction(3), Fraction(6))
     with pytest.raises(ValueError):
         c.point(3, 7)
 
 
 def test_add_examples():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     P = c.point(3, 6)
     assert c.add(P, INFINITY) == P
     assert c.add(P, P) == c.point(1, 0)
@@ -42,44 +42,44 @@ def test_add_examples():
 
 
 def test_negate_and_multiply():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     assert c.negate(INFINITY) == INFINITY
     P = c.point(3, 6)
     assert c.negate(P) == c.point(3, -6)
     assert c.multiply(P, 4) == INFINITY
     assert c.multiply(P, 0) == INFINITY
     assert c.multiply(P, -1) == c.point(3, -6)
-    c2 = make_curve(-5, 27)
+    c2 = Curve(-5, 27)
     assert c2.multiply(c2.point(9, 36), 3) == INFINITY
 
 
 def test_order_of():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     assert c.order_of(INFINITY) == 1
     assert c.order_of(c.point(-1, 2)) == 4
     assert c.order_of(c.point(0, 0)) == 2
-    c55 = make_curve(-5, 5)
+    c55 = Curve(-5, 5)
     P = c55.point(Fraction(25, 4), Fraction(75, 8))
     assert c55.order_of(P) is None
     # integral coordinates but infinite order
-    c66 = make_curve(-6, 6)
+    c66 = Curve(-6, 6)
     assert c66.order_of(c66.point(12, 36)) is None
 
 
 def test_is_double():
-    c55 = make_curve(-5, 5)
+    c55 = Curve(-5, 5)
     assert not c55.is_double(c55.point(Fraction(25, 4), Fraction(75, 8)))
-    c31 = make_curve(-31, 31)
+    c31 = Curve(-31, 31)
     P = c31.point(Fraction(41 ** 2, 7 ** 2), Fraction(29520, 7 ** 3))
     assert not c31.is_double(P)
     assert c31.is_double(c31.multiply(P, 2))
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     assert c.is_double(INFINITY)
     assert c.is_double(c.point(1, 0))  # doubles of the 4-torsion points
 
 
 def test_halves_recover_preimages():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     halves = c.halves(c.point(1, 0))
     assert c.point(3, 6) in halves
     assert c.point(-1, 2) in halves
@@ -89,7 +89,7 @@ def test_halves_recover_preimages():
 
 
 def test_halves_of_search_doubles():
-    c = make_curve(-6, 6)
+    c = Curve(-6, 6)
     for P in sorted(c.search(60), key=point_sort_key):
         D = c.multiply(P, 2)
         if D.is_infinity:
@@ -99,37 +99,37 @@ def test_halves_of_search_doubles():
 
 
 def test_torsion_oracle_examples():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     pts = c.torsion_oracle()
     expected = {INFINITY, c.point(0, 0), c.point(1, 0), c.point(-3, 0),
                 c.point(3, 6), c.point(3, -6), c.point(-1, 2),
                 c.point(-1, -2)}
     assert pts == expected
 
-    c23 = make_curve(-2, 3)
+    c23 = Curve(-2, 3)
     assert c23.torsion_oracle() == {INFINITY, c23.point(0, 0),
                                     c23.point(2, 0), c23.point(-3, 0)}
 
-    c527 = make_curve(-5, 27)
+    c527 = Curve(-5, 27)
     pts = c527.torsion_oracle()
     assert len(pts) == 12
     assert c527.point(9, 36) in pts and c527.point(9, -36) in pts
 
 
 def test_search_finds_quoted_points():
-    c55 = make_curve(-5, 5)
+    c55 = Curve(-5, 5)
     assert c55.point(Fraction(25, 4), Fraction(75, 8)) in c55.search(25)
-    c31 = make_curve(-31, 31)
+    c31 = Curve(-31, 31)
     found = c31.search(1681)
     assert c31.point(Fraction(1681, 49), Fraction(29520, 343)) in found
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     for H in (10, 50, 200):
         assert c.search(H) <= c.torsion_oracle()
 
 
 def test_search_rejects_bad_bound():
     with pytest.raises(ValueError):
-        make_curve(-1, 3).search(0)
+        Curve(-1, 3).search(0)
 
 
 def test_normalize_params():
@@ -144,8 +144,8 @@ def test_normalize_params():
 
 
 def test_rescaling_isomorphism_preserves_orders():
-    small = make_curve(-5, 27)
-    big = make_curve(-20, 108)
+    small = Curve(-5, 27)
+    big = Curve(-20, 108)
     _, shift, scale = canonical_model(big)
     assert (shift, scale) == (0, 2)
     small_pts = small.torsion_oracle()
@@ -158,9 +158,9 @@ def test_rescaling_isomorphism_preserves_orders():
 
 
 def test_canonical_model_translates_sign_patterns():
-    c0, shift, scale = canonical_model(make_curve(1, 4))
+    c0, shift, scale = canonical_model(Curve(1, 4))
     assert (c0.m, c0.n, shift, scale) == (-1, 3, -1, 1)
-    orig = make_curve(1, 4)
+    orig = Curve(1, 4)
     P = map_from_canonical(c0.point(3, 6), shift, scale)
     assert orig.contains(P) and orig.order_of(P) == 4
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from concordia.curves import make_curve
+from concordia.curves import Curve
 from concordia.problems import (FamilyRecord, four_torsion_counterexamples,
                                 gen_order4_family, gen_order8_family,
                                 gen_order36_family, solve_concordant,
@@ -91,8 +91,8 @@ def test_family_congruent_variants_are_consistent():
     for rec in (gen_order4_family(1, 2), gen_order8_family(3, 4, 5),
                 gen_order36_family(-2, 5), gen_order36_family(-2, 7)):
         assert isinstance(rec, FamilyRecord)
-        assert rec.congruent.curve() == make_curve(*rec.congruent_curve)
-        assert rec.concordant.curve() == make_curve(rec.m, rec.n)
+        assert rec.congruent.curve() == Curve(*rec.congruent_curve)
+        assert rec.concordant.curve() == Curve(rec.m, rec.n)
 
 
 def test_verify_concordant_solution():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import INFINITY, make_curve, point_sort_key
+from concordia.curves import INFINITY, Curve, point_sort_key
 from concordia.quadrics import (QuadricPoint, TRIVIAL_BASE,
                                 concordant_form_map, point_to_quadric,
                                 quadric_to_point, right_triangle_map)
@@ -30,14 +30,14 @@ def test_trivial_detection():
 
 
 def test_on_quadric():
-    c = make_curve(1, 4)
+    c = Curve(1, 4)
     assert QuadricPoint(0, 1, 1, 2).on_quadric(c)
     assert TRIVIAL_BASE.on_quadric(c)
     assert not QuadricPoint(1, 1, 1, 1).on_quadric(c)
 
 
 def test_special_values():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     assert quadric_to_point(TRIVIAL_BASE, c) == INFINITY
     assert point_to_quadric(INFINITY, c) == TRIVIAL_BASE
     for x in (0, 1, -3):
@@ -48,12 +48,12 @@ def test_special_values():
 
 
 def test_known_image():
-    c = make_curve(1, 4)
+    c = Curve(1, 4)
     P = quadric_to_point(QuadricPoint(0, 1, 1, 2), c)
     assert c.order_of(P) == 4
 
 
-CURVES = [make_curve(*mn) for mn in
+CURVES = [Curve(*mn) for mn in
           [(-1, 3), (-2, 3), (-5, 27), (-1, 8), (-64, 125), (-96, 1029),
            (-5, 5), (-6, 6), (1, 4), (-20, 108)]]
 
@@ -74,7 +74,7 @@ def test_roundtrip_both_ways(c):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 31])
 def test_right_triangle_map_is_doubling(n):
-    c = make_curve(-n, n)
+    c = Curve(-n, n)
     for P in _sample_points(c, 2500):
         S = point_to_quadric(P, c)
         assert right_triangle_map(S, c) == c.multiply(P, 2)
@@ -89,11 +89,11 @@ def test_concordant_form_map_is_negated_doubling(c):
 
 def test_right_triangle_map_requires_symmetric_curve():
     with pytest.raises(ValueError):
-        right_triangle_map(TRIVIAL_BASE, make_curve(-1, 3))
+        right_triangle_map(TRIVIAL_BASE, Curve(-1, 3))
 
 
 def test_maps_reject_off_quadric_points():
-    c = make_curve(-1, 3)
+    c = Curve(-1, 3)
     with pytest.raises(ValueError):
         quadric_to_point(QuadricPoint(1, 1, 1, 1), c)
     with pytest.raises(ValueError):

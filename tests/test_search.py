@@ -1,0 +1,76 @@
+"""Differential tests: the descent-factored `Curve.search` against the
+plain scan of every |u| <= H it replaced."""
+
+import math
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from concordia.curves import _SQ_FILTERS, Curve, Point
+
+
+def reference_search(c: Curve, height: int) -> frozenset[Point]:
+    """Every affine point with x = u/w^2, gcd(u,w)=1, |u| <= H, w^2 <= H,
+    by testing all 2H+1 values of u for each w: O(H^1.5)."""
+    m, n = c.m, c.n
+    pts = set()
+    for w in range(1, math.isqrt(height) + 1):
+        w2 = w * w
+        w3 = w2 * w
+        mw, nw = m * w2, n * w2
+        for u in range(-height, height + 1):
+            if w > 1 and math.gcd(u, w) != 1:
+                continue
+            N = u * (u + mw) * (u + nw)
+            if N < 0:
+                continue
+            if N == 0:
+                pts.add(Point(Fraction(u, w2), Fraction(0)))
+                continue
+            if not all(flags[N % mod] for mod, flags in _SQ_FILTERS):
+                continue
+            r = math.isqrt(N)
+            if r * r == N:
+                x = Fraction(u, w2)
+                y = Fraction(r, w3)
+                pts.add(Point(x, y))
+                pts.add(Point(x, -y))
+    return frozenset(pts)
+
+
+nonzero = st.integers(-1000, 1000).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero, nonzero, st.integers(1, 2000))
+def test_search_matches_reference(m, n, height):
+    if m == n:
+        n = -n
+    c = Curve(m, n)
+    assert c.search(height) == reference_search(c, height)
+
+
+def test_search_matches_reference_many_small_primes():
+    for m, n in ((-210, 210), (-2 * 3 * 5 * 7 * 11, 13 * 17),
+                 (6, 210)):
+        c = Curve(m, n)
+        assert c.search(10 ** 4) == reference_search(c, 10 ** 4)
+
+
+def test_search_does_not_factor_mn(monkeypatch):
+    # |mn| is about 10^210 with the primes 2^607 - 1 and 2^89 - 1, far past
+    # the height bound and past what Pollard rho splits; search only
+    # trial-divides up to H.
+    def refuse(v):
+        raise AssertionError("search must not factor")
+
+    monkeypatch.setattr("concordia.curves.factorint", refuse)
+    monkeypatch.setattr("concordia.curves.divisors", refuse)
+    c = Curve(-6 * (2 ** 607 - 1), 5 * (2 ** 89 - 1))
+    t0 = time.perf_counter()
+    found = c.search(10 ** 4)
+    assert time.perf_counter() - t0 < 1.0
+    assert c.search(300) == reference_search(c, 300)
+    assert reference_search(c, 300) <= found

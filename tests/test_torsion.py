@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import make_curve
+from concordia.curves import Curve
 from concordia.torsion import (CertificateMismatch, TorsionClass,
                                _detect_order3, check_k_constraint, classify_torsion,
                                eight_torsion_points, four_torsion_points,
@@ -24,72 +24,72 @@ CLASSIFIED = {
 
 @pytest.mark.parametrize("mn,expected", sorted(CLASSIFIED.items()))
 def test_classify_known_curves(mn, expected):
-    tc = classify_torsion(make_curve(*mn))
+    tc = classify_torsion(Curve(*mn))
     assert (tc.tag, tc.certificate) == expected
 
 
 def test_classify_scaled_and_shifted_models():
     # same class as (-5, 27) after dividing out the square factor 4
-    tc = classify_torsion(make_curve(-20, 108))
+    tc = classify_torsion(Curve(-20, 108))
     assert tc.tag == "Z2xZ6" and tc.scale == 2
     # (1, 4) shifts onto (-1, 3)
-    tc = classify_torsion(make_curve(1, 4))
+    tc = classify_torsion(Curve(1, 4))
     assert tc.tag == "Z2xZ4" and tc.shift == -1
     # roots {0, 9, 25} recentered at 9 give the (-16, 9) model
-    tc = classify_torsion(make_curve(-9, -25))
+    tc = classify_torsion(Curve(-9, -25))
     assert tc.tag == "Z2xZ4" and tc.shift == 9 and tc.certificate == (4, 5)
     # twists are not isomorphic: negated roots can drop the 4-torsion
-    assert classify_torsion(make_curve(-1, -4)).tag == "Z2xZ2"
+    assert classify_torsion(Curve(-1, -4)).tag == "Z2xZ2"
 
 
 def test_group_size_and_max_order():
     sizes = {"Z2xZ2": (4, 2), "Z2xZ4": (8, 4), "Z2xZ6": (12, 6),
              "Z2xZ8": (16, 8)}
     for mn, (tag, _) in CLASSIFIED.items():
-        tc = classify_torsion(make_curve(*mn))
+        tc = classify_torsion(Curve(*mn))
         assert (tc.group_size(), tc.max_order()) == sizes[tag]
 
 
 def test_certificate_reconstructs_curve():
     for mn in CLASSIFIED:
-        tc = classify_torsion(make_curve(*mn))
+        tc = classify_torsion(Curve(*mn))
         assert tc.reconstruct_mn() == frozenset(mn)
 
 
 def test_certificate_mismatch_detected():
-    good = classify_torsion(make_curve(-1, 3))
+    good = classify_torsion(Curve(-1, 3))
     bad = TorsionClass(tag=good.tag, certificate=good.certificate,
                        base=good.base, shift=5, scale=good.scale)
     with pytest.raises(CertificateMismatch):
         bad.reconstruct_mn()
     with pytest.raises(CertificateMismatch):
-        four_torsion_points(1, 5, make_curve(-1, 3))
+        four_torsion_points(1, 5, Curve(-1, 3))
     with pytest.raises(CertificateMismatch):
-        eight_torsion_points(3, 4, 5, make_curve(-1, 3))
+        eight_torsion_points(3, 4, 5, Curve(-1, 3))
     with pytest.raises(CertificateMismatch):
-        three_six_torsion_points(-1, 3, make_curve(-1, 3))
+        three_six_torsion_points(-1, 3, Curve(-1, 3))
 
 
 def test_four_torsion_points_formulas():
-    c = make_curve(-81, 175)
+    c = Curve(-81, 175)
     pts = four_torsion_points(9, 16, c)
     assert c.point(-63, -1008) in pts and c.point(225, 3600) in pts
     for P in pts:
         assert c.order_of(P) == 4
 
-    c = make_curve(-1, 8)
+    c = Curve(-1, 8)
     pts = four_torsion_points(1, 3, c)
     assert c.point(-2, 6) in pts and c.point(4, 12) in pts
 
 
 def test_eight_torsion_points_formulas():
-    c = make_curve(-4096, 46529)
+    c = Curve(-4096, 46529)
     pts = eight_torsion_points(8, 15, 17, c)
     assert len(pts) == 8
     for P in pts:
         assert c.order_of(P) == 8
 
-    c345 = make_curve(-81, 175)
+    c345 = Curve(-81, 175)
     pts = eight_torsion_points(3, 4, 5, c345)
     assert c345.point(945, 30240) in pts
     assert c345.point(105, -840) in pts
@@ -98,26 +98,26 @@ def test_eight_torsion_points_formulas():
 
 
 def test_three_six_torsion_points_formulas():
-    c = make_curve(-5, 27)
+    c = Curve(-5, 27)
     pts3, pts6 = three_six_torsion_points(-1, 3, c)
     assert len(pts3) == 2 and len(pts6) == 6
     assert all(c.order_of(P) == 3 for P in pts3)
     assert all(c.order_of(P) == 6 for P in pts6)
-    c = make_curve(-64, 125)
+    c = Curve(-64, 125)
     pts3, pts6 = three_six_torsion_points(-2, 5, c)
     assert c.point(100, 900) in pts3
 
 
 def test_torsion_subgroup_matches_oracle():
     for mn in CLASSIFIED:
-        c = make_curve(*mn)
+        c = Curve(*mn)
         tc, pts = torsion_subgroup(c)
         assert pts == c.torsion_oracle()
         assert len(pts) == tc.group_size()
 
 
 def test_torsion_subgroup_on_scaled_curve():
-    c = make_curve(-20, 108)
+    c = Curve(-20, 108)
     tc, pts = torsion_subgroup(c)
     assert len(pts) == 12
     assert pts == c.torsion_oracle()
@@ -127,15 +127,15 @@ def test_check_k_constraint():
     from concordia.curves import normalize_params
 
     # (-96, 1029) = (-32*3, 343*3): k=3 is allowed for Z2xZ6
-    tc = classify_torsion(make_curve(-96, 1029))
+    tc = classify_torsion(Curve(-96, 1029))
     assert check_k_constraint(normalize_params(-96, 1029), tc)
     # but k=2 would not be: borrow the class tag onto a k=2 scaling
     nc2 = normalize_params(-10, 54)
     assert nc2.k == 2
     assert not check_k_constraint(nc2, tc)
-    tc6 = classify_torsion(make_curve(-5, 27))
+    tc6 = classify_torsion(Curve(-5, 27))
     assert check_k_constraint(normalize_params(-5, 27), tc6)
-    tc4 = classify_torsion(make_curve(-1, 3))
+    tc4 = classify_torsion(Curve(-1, 3))
     assert check_k_constraint(normalize_params(-1, 3), tc4)
 
 
@@ -145,7 +145,7 @@ def test_check_k_constraint():
 def test_four_torsion_family_property(u, v):
     if v <= u or (v * v - u * u) == u * u:
         return
-    c = make_curve(-u * u, v * v - u * u)
+    c = Curve(-u * u, v * v - u * u)
     pts = four_torsion_points(u, v, c)
     assert len(pts) == 4
     for P in pts:
@@ -165,7 +165,7 @@ def test_six_torsion_family_property(a, b):
     n = b ** 3 * (2 * a + b)
     if m == 0 or n == 0 or m == n:
         return
-    c = make_curve(m, n)
+    c = Curve(m, n)
     pts3, pts6 = three_six_torsion_points(a, b, c)
     for P in pts3 | pts6:
         assert c.contains(P) and c.order_of(P) in (3, 6)
@@ -179,8 +179,8 @@ def test_six_torsion_family_property(a, b):
 def test_classification_invariant_under_scaling(m, n, d):
     if m in (0, n) or n == 0:
         return
-    c = make_curve(m, n)
-    scaled = make_curve(m * d * d, n * d * d)
+    c = Curve(m, n)
+    scaled = Curve(m * d * d, n * d * d)
     assert classify_torsion(c).tag == classify_torsion(scaled).tag
 
 
@@ -229,6 +229,6 @@ def test_six_torsion_with_large_prime_parameters():
     # useful time, and none is needed.
     p = 2 ** 61 - 1
     a, b = -p, 3 * p + 1
-    c = make_curve(a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b))
+    c = Curve(a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b))
     tc = classify_torsion(c)
     assert tc.tag == "Z2xZ6" and tc.certificate == (a, b)
