@@ -56,6 +56,9 @@ _MR_LIMIT = 3317044064679887385961981
 # factors up to about 10^12 with a wide margin and ends a hopeless walk in
 # seconds (about 1 us a step at 40 digits) instead of hanging.
 _RHO_STEP_LIMIT = 1 << 23
+# Candidate pairs 6k +- 1 per gcd in _prime_factors_up_to: at H = 10^6 and a
+# 4000-digit v, blocks of 32 to 256 pairs all take 0.23-0.28 s.
+_TRIAL_BLOCK = 64
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -257,56 +260,67 @@ def point_sort_key(P: Point):
     return (1, P.x.numerator, P.x.denominator, P.y)
 
 
-def _integer_cubic_roots(A: int, B: int, C: int) -> list[int]:
-    """All integer roots of x^3 + A*x^2 + B*x + C, by exact bisection.
+def _cubic_peak(e1: int, e2: int, e3: int) -> tuple[int, int]:
+    """(f(xc), xc) for the integer xc in [e1, e2] where
+    f(x) = (x-e1)(x-e2)(x-e3), e1 < e2 < e3, is largest.
 
-    The cubic is split at its critical points into monotone pieces; a sign
-    change on a piece is narrowed by bisection to an integer candidate.
+    f is 0 at e1 and e2, rises up to its smaller critical point
+    c = (s - sqrt(D))/3 and falls after it, with s = e1+e2+e3 and
+    D = s^2 - 3(e1e2 + e1e3 + e2e3) > 0.  So xc is floor(c) or floor(c)+1,
+    and both lie within one of k = (s - isqrt(D)) // 3.
     """
+    s = e1 + e2 + e3
+    k = (s - math.isqrt(s * s - 3 * (e1 * e2 + e1 * e3 + e2 * e3))) // 3
+    return max(((x - e1) * (x - e2) * (x - e3), x)
+               for x in range(max(e1, k - 1), min(e2, k + 1) + 1))
 
-    def g(x: int) -> int:
-        return ((x + A) * x + B) * x + C
 
-    roots = set()
-    bound = 1 + max(abs(A), abs(B), abs(C))
-    disc = A * A - 3 * B
-    segments = []
-    if disc <= 0:
-        segments.append((-bound, bound))
-    else:
-        r = math.isqrt(disc)
-        c1, c2 = (-A - r) // 3, (-A + r) // 3
-        # +-2 margins keep each segment strictly inside a monotone piece;
-        # the skipped integers near the critical points are checked directly.
-        for x in range(c1 - 2, c1 + 3):
-            if g(x) == 0:
-                roots.add(x)
-        for x in range(c2 - 2, c2 + 3):
-            if g(x) == 0:
-                roots.add(x)
-        segments = [(-bound, c1 - 2), (c1 + 2, c2 - 2), (c2 + 2, bound)]
-    for lo, hi in segments:
-        lo, hi = max(lo, -bound), min(hi, bound)
-        if lo > hi:
-            continue
-        glo, ghi = g(lo), g(hi)
-        if glo == 0:
-            roots.add(lo)
-        if ghi == 0:
-            roots.add(hi)
-        if (glo < 0 < ghi) or (ghi < 0 < glo):
-            neg_lo = glo < 0
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                gm = g(mid)
-                if gm == 0:
-                    roots.add(mid)
-                    break
-                if (gm < 0) == neg_lo:
-                    lo = mid
-                else:
-                    hi = mid
-    return sorted(roots)
+def _integer_cubic_roots(e1: int, e2: int, e3: int, peak: tuple[int, int],
+                         y2: int) -> list[int]:
+    """All integer roots, ascending, of g(x) = (x-e1)(x-e2)(x-e3) - y2 for
+    e1 < e2 < e3 and y2 > 0, with `peak` = _cubic_peak(e1, e2, e3).
+
+    g is negative at each e_i and below e1, so its roots lie in (e1, e2)
+    or above e3.  In (e1, e2) there are none unless y2 is at most the
+    peak f(xc), and then g rises up to xc and falls after it: one
+    bisection on each side.  A root r <= xc has y2 >= (r-e1)(e2-xc)(e3-xc)
+    and a root r >= xc has y2 >= (xc-e1)(e2-r)(e3-e2), which narrows the
+    two brackets for small y2.  Above e3, g is increasing and convex with
+    exactly one root, at most e3 + cbrt(y2) because f(e3 + t) >= t^3
+    there.  Newton steps from e3 + 2^ceil(bits(y2)/3), rounded down, never
+    pass that root and end on it if it is an integer, else just below it.
+    """
+    roots = []
+    top, xc = peak
+    if y2 <= top:
+        lo, hi = e1, min(xc, e1 + y2 // ((e2 - xc) * (e3 - xc)))  # g(lo) < 0
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if (mid - e1) * (mid - e2) * (mid - e3) < y2:
+                lo = mid
+            else:
+                hi = mid
+        if (hi - e1) * (hi - e2) * (hi - e3) == y2:
+            roots.append(hi)
+        lo, hi = max(xc, e2 - y2 // ((xc - e1) * (e3 - e2))), e2  # g(hi) < 0
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if (mid - e1) * (mid - e2) * (mid - e3) >= y2:
+                lo = mid
+            else:
+                hi = mid
+        if (lo - e1) * (lo - e2) * (lo - e3) == y2 and lo not in roots:
+            roots.append(lo)
+    x = e3 + (1 << -(-y2.bit_length() // 3))
+    while True:
+        a, b, c = x - e1, x - e2, x - e3
+        v = a * b * c - y2
+        if v <= 0:
+            break
+        x -= -(-v // (a * b + (a + b) * c))
+    if v == 0:
+        roots.append(x)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -379,20 +393,34 @@ class Curve:
     # -- orders and halving ---------------------------------------------
 
     def order_of(self, P: Point) -> Optional[int]:
-        """Exact order of a torsion point; None for infinite order.
+        """Exact order of a torsion point P on the curve; None for infinite
+        order.
 
-        Non-integral coordinates rule out torsion immediately (Nagell-Lutz
-        on this integral model); otherwise at most 12 multiples are needed.
+        Every multiple of a torsion point is integral (Nagell-Lutz on this
+        integral model), and the slope lam that yields an integral
+        multiple is an integer, since lam^2 = x3 + m + n + x + x1.  So
+        non-integral coordinates rule out torsion at once, the multiples
+        are chained in integers, and the first inexact slope division ends
+        the chain; at most 12 multiples are needed.
         """
         if P.is_infinity:
             return 1
         if P.x.denominator != 1 or P.y.denominator != 1:
             return None
-        Q = P
-        for t in range(1, 13):
-            if Q.is_infinity:
-                return t
-            Q = self.add(Q, P)
+        A, B = self.m + self.n, self.m * self.n
+        x1, y1 = P.x.numerator, P.y.numerator
+        x, y = x1, y1  # tP
+        for t in range(1, 12):
+            if x == x1:
+                if y == -y1:
+                    return t + 1
+                lam, r = divmod((3 * x1 + 2 * A) * x1 + B, 2 * y1)
+            else:
+                lam, r = divmod(y - y1, x - x1)
+            if r:
+                return None
+            x3 = lam * lam - A - x - x1
+            x, y = x3, lam * (x - x3) - y
         return None
 
     def is_double(self, P: Point) -> bool:
@@ -439,13 +467,15 @@ class Curve:
 
         Candidate y values run over the divisors of |mn(m-n)| (so that
         y^2 divides the discriminant); integer x values are recovered as
-        roots of x^3 + (m+n)x^2 + mn*x - y^2, then filtered by order.
+        roots of x(x+m)(x+n) - y^2, located from the known roots 0, -m,
+        -n of x(x+m)(x+n), then filtered by order.
         """
         pts = {INFINITY}
         pts.update(self.two_torsion())
-        A, B = self.m + self.n, self.m * self.n
+        e1, e2, e3 = sorted((0, -self.m, -self.n))
+        peak = _cubic_peak(e1, e2, e3)
         for y in divisors(self.discriminant_root()):
-            for x in _integer_cubic_roots(A, B, -y * y):
+            for x in _integer_cubic_roots(e1, e2, e3, peak, y * y):
                 P = Point(Fraction(x), Fraction(y))
                 if self.order_of(P) is not None:
                     pts.add(P)
@@ -534,15 +564,37 @@ def _nonnegative_roots(s: int, d: int, mw: int, nw: int, amax: int):
 
 def _prime_factors_up_to(v: int, limit: int) -> list[int]:
     """The primes p <= limit dividing v >= 1, ascending, by trial division
-    alone: the work is bounded by limit however large v is."""
+    alone: the work is bounded by limit however large v is.
+
+    Past 2 and 3 the candidates are the c = 6k +- 1, in blocks of
+    2*_TRIAL_BLOCK: one gcd of v with the product of a block costs far
+    less than reducing a large v once per candidate, and only the primes
+    it shows to divide v reduce v.  A composite candidate never divides
+    the gcd, because its prime factors are smaller and already divided
+    out of both.
+    """
     primes = []
-    p = 2
-    while p <= limit and p * p <= v:
-        if v % p == 0:
+    for p in (2, 3):
+        if p <= limit and v % p == 0:
             primes.append(p)
             while v % p == 0:
                 v //= p
-        p += 1 if p == 2 else 2
+    top = min(limit, math.isqrt(v))
+    lo = 5
+    while lo <= top:
+        hi = min(top + 1, lo + 6 * _TRIAL_BLOCK)
+        g = math.gcd(v, math.prod(range(lo, hi, 6))
+                     * math.prod(range(lo + 2, hi, 6)))
+        if g > 1:
+            for c in sorted((*range(lo, hi, 6), *range(lo + 2, hi, 6))):
+                if g % c == 0:
+                    primes.append(c)
+                    while g % c == 0:
+                        g //= c
+                    while v % c == 0:
+                        v //= c
+                    top = min(limit, math.isqrt(v))
+        lo += 6 * _TRIAL_BLOCK
     if 1 < v <= limit:
         primes.append(v)
     return primes

@@ -99,12 +99,6 @@ def ap_to_quadric(t: APTriple) -> QuadricPoint:
     return QuadricPoint.from_raw(t.beta, 1, t.alpha, t.gamma)
 
 
-def _theta_gaps(r: int, s: int, k) -> tuple[int, int, int]:
-    """(p, q, step) of the square progression of a (r,s,k) solution."""
-    t = congruent_to_concordant(CongruentTriple(r, s, int(k)))
-    return t.p, t.q, t.k
-
-
 def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
     """Sides (gamma+alpha, gamma-alpha, 2*beta) with the angle (r,s)."""
     a = t.gamma + t.alpha
@@ -115,7 +109,8 @@ def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
     k = a * b / (2 * s)
     if k.denominator != 1:
         raise ValueError(f"area coefficient {k} is not an integer")
-    if _theta_gaps(r, s, k) != (t.p, t.q, t.step):
+    gaps = congruent_to_concordant(CongruentTriple(r, s, int(k)))
+    if (gaps.p, gaps.q, gaps.k) != (t.p, t.q, t.step):
         raise ValueError("progression gaps do not match the angle (r, s)")
     return Triangle(a=max(a, b), b=min(a, b), c=c, r=r, s=s)
 
@@ -124,9 +119,9 @@ def triangle_to_ap(T: Triangle) -> APTriple:
     k = T.area_coefficient()
     if k.denominator != 1:
         raise ValueError(f"area coefficient {k} is not an integer")
-    p, q, step = _theta_gaps(T.r, T.s, k)
+    gaps = congruent_to_concordant(CongruentTriple(T.r, T.s, int(k)))
     return APTriple(alpha=(T.a - T.b) / 2, beta=T.c / 2, gamma=(T.a + T.b) / 2,
-                    step=step, p=p, q=q)
+                    step=gaps.k, p=gaps.p, q=gaps.q)
 
 
 def isosceles_triangle(rho: int, sigma: int

@@ -17,7 +17,8 @@ from .geometry import (APTriple, DegenerateTriangleError, Triangle,
                        ap_to_triangle, quadric_to_ap)
 from .quadrics import QuadricPoint, point_to_quadric, quadric_to_point
 from .serialize import frac_str, point_json
-from .torsion import TorsionClass, classify_torsion, torsion_subgroup
+from .torsion import (CertificateMismatch, TorsionClass, classify_torsion,
+                      torsion_subgroup)
 from .triples import (ConcordantTriple, CongruentTriple,
                       concordant_to_congruent, congruent_to_concordant)
 
@@ -240,7 +241,7 @@ def gen_order36_family(a: int, b: int) -> FamilyRecord:
     m, n = a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b)
     shared = math.gcd(a + 2 * b, 2 * a + b)
     if shared not in (1, 3):
-        raise AssertionError("gcd(a+2b, 2a+b) can only be 1 or 3")
+        raise CertificateMismatch("gcd(a+2b, 2a+b) can only be 1 or 3")
     congruent, cc, case = _congruent_variant(m, n, shared)
     return FamilyRecord(family="order36", params=(a, b), m=m, n=n,
                         concordant=ConcordantTriple(-m // shared, n // shared,

@@ -3,7 +3,11 @@
 `oracle_equivalence_sweep` pits the closed-form torsion classifier
 against the Nagell-Lutz enumeration oracle on a grid of curves
 E(-p*k, q*k); any disagreement is reported as a discrepancy string.
-The sweeps are embarrassingly parallel over parameter tuples.
+Both sides compare full point sets.  The oracle works in integers only:
+its x candidates are located from the known roots 0, -m, -n, and its
+orders come from a multiple chain that stops at the first inexact
+division (`Curve.torsion_oracle`, `Curve.order_of`).  The sweeps are
+embarrassingly parallel over parameter tuples.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -193,6 +194,17 @@ def test_certificate_mismatch_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("concordia.torsion.four_torsion_points", broken)
     assert main(["classify", "--m", "-1", "--n", "3"]) == 3
     assert "simulated invariant break" in capsys.readouterr().err
+
+
+def test_order36_invariant_break_exits_3(monkeypatch, capsys):
+    # gcd(a+2b, 2a+b) divides 3 whenever gcd(a, b) = 1; a gcd that says 5
+    # for that pair simulates the impossible case.
+    def gcd(x, y):
+        return 1 if (x, y) == (-2, 7) else 5
+
+    monkeypatch.setattr("concordia.problems.math", SimpleNamespace(gcd=gcd))
+    assert main(["family", "order36", "--a", "-2", "--b", "7"]) == 3
+    assert "can only be 1 or 3" in capsys.readouterr().err
 
 
 # 2^61 - 1 and 2^89 - 1 are prime; Pollard rho would need about 2^30 steps

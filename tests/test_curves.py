@@ -8,7 +8,8 @@ from concordia.curves import (Curve, INFINITY, Point, canonical_model,
                               is_square_fraction, map_from_canonical,
                               map_to_canonical,
                               normalize_params, point_sort_key,
-                              sqrt_fraction, _integer_cubic_roots)
+                              sqrt_fraction, _cubic_peak,
+                              _integer_cubic_roots)
 
 
 def test_curve_rejects_degenerate():
@@ -166,11 +167,16 @@ def test_canonical_model_translates_sign_patterns():
 
 
 def test_integer_cubic_roots():
-    # (x-2)(x+3)(x-7) = x^3 - 6x^2 - 13x + 42
-    assert _integer_cubic_roots(-6, -13, 42) == [-3, 2, 7]
-    assert _integer_cubic_roots(0, 0, -8) == [2]
-    assert _integer_cubic_roots(0, -1, 0) == [-1, 0, 1]
-    assert _integer_cubic_roots(0, 0, 7) == []
+    # integer x with (x+3)(x-2)(x-7) = y2; the left hump peaks at f(-1) = 48
+    peak = _cubic_peak(-3, 2, 7)
+    assert peak == (48, -1)
+    assert _integer_cubic_roots(-3, 2, 7, peak, 42) == [0]
+    assert _integer_cubic_roots(-3, 2, 7, peak, 48) == [-1]
+    assert _integer_cubic_roots(-3, 2, 7, peak, 66) == [8]
+    assert _integer_cubic_roots(-3, 2, 7, peak, 100) == []
+    # (x+3)(x-1)(x-2) - 12 = (x+2)(x+1)(x-3)
+    assert _integer_cubic_roots(-3, 1, 2, _cubic_peak(-3, 1, 2), 12) == \
+        [-2, -1, 3]
 
 
 def test_sqrt_helpers():
