@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -139,22 +140,14 @@ def _cmd_convert(args) -> int:
         payload = {"point": point_json(P), "quadric": list(S.coords())}
         lines = [f"point {P}", f"quadric {S.coords()}"]
         if not S.is_trivial and c.m < 0 < c.n:
-            import math
-
             step = math.gcd(-c.m, c.n)
             ap = quadric_to_ap(S, -c.m // step, c.n // step, step)
-            payload["ap"] = {"alpha": frac_str(ap.alpha),
-                             "beta": frac_str(ap.beta),
-                             "gamma": frac_str(ap.gamma),
-                             "step": ap.step, "p": ap.p, "q": ap.q}
+            payload["ap"] = ap.to_json()
             lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
                          f"step {ap.step} gaps ({ap.p},{ap.q})")
             if args.r is not None and args.s is not None:
                 tri = ap_to_triangle(ap, args.r, args.s)
-                payload["triangle"] = {"a": frac_str(tri.a),
-                                       "b": frac_str(tri.b),
-                                       "c": frac_str(tri.c),
-                                       "r": tri.r, "s": tri.s}
+                payload["triangle"] = tri.to_json()
                 lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
     _emit(payload, args.format, lines)
     return EXIT_OK

@@ -1,8 +1,12 @@
 """Exact rational arithmetic on the elliptic curves y^2 = x(x+m)(x+n).
 
-Everything here is pure and exact: points carry `fractions.Fraction`
-coordinates, the group law is the chord-tangent construction on the
-expanded model y^2 = x^3 + (m+n)x^2 + mn*x, and the torsion oracle is a
+Everything here is pure and exact.  Points carry `fractions.Fraction`
+coordinates, but the kernels run in integers: a rational point of this
+integral model is x = X/Z^2, y = Y/Z^3 in lowest terms, so membership
+is one integer identity in (X, Y, Z), and the group law is the
+chord-tangent construction on the expanded model
+y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates,
+with one reduction per result coordinate.  The torsion oracle is a
 Nagell-Lutz enumeration that is independent of the closed-form torsion
 classifier in `concordia.torsion`.  The integer helpers the package
 needs (exact roots, `factorint`, `divisors`) live here too.
@@ -253,6 +257,18 @@ class Point:
 INFINITY = Point(None, None)
 
 
+def _weighted(P: Point) -> Optional[tuple[int, int, int]]:
+    """(X, Y, Z) with x = X/Z^2 and y = Y/Z^3 for an affine P, or None
+    when the lowest-terms denominators of x and y are not Z^2 and Z^3 for
+    one Z >= 1 (no point of an integral model y^2 = x(x+m)(x+n) has
+    other denominators: see `Curve.contains`)."""
+    b, e = P.x.denominator, P.y.denominator
+    Z = math.isqrt(b)
+    if b != Z * Z or e != Z * b:
+        return None
+    return P.x.numerator, P.y.numerator, Z
+
+
 def point_sort_key(P: Point):
     """Canonical ordering: infinity first, then (x num, x den, y)."""
     if P.is_infinity:
@@ -342,9 +358,24 @@ class Curve:
         return x * (x + self.m) * (x + self.n)
 
     def contains(self, P: Point) -> bool:
-        if P.is_infinity:
-            return True
-        return P.y * P.y == self.rhs(P.x)
+        """Is P on the curve?  Exact, in integers.
+
+        Let x = a/b and y = c/e in lowest terms.  At a prime p | b each
+        factor of x(x+m)(x+n) has valuation -v_p(b), so 2v_p(e) = 3v_p(b):
+        a point on the curve has b = Z^2 and e = Z^3, and then
+        y^2 = x(x+m)(x+n) reads c^2 = a(a+mb)(a+nb).
+        """
+        return P.is_infinity or self.weighted(P) is not None
+
+    def weighted(self, P: Point) -> Optional[tuple[int, int, int]]:
+        """(X, Y, Z) with x = X/Z^2, y = Y/Z^3 for an affine point P on
+        the curve, None if P is not on it (see `contains`)."""
+        w = _weighted(P)
+        if w is None:
+            return None
+        X, Y, Z = w
+        b = Z * Z
+        return w if Y * Y == X * (X + self.m * b) * (X + self.n * b) else None
 
     def point(self, x, y) -> Point:
         P = Point(Fraction(x), Fraction(y))
@@ -353,26 +384,59 @@ class Curve:
         return P
 
     def two_torsion(self) -> list[Point]:
-        return [self.point(x, 0) for x in (0, -self.m, -self.n)]
+        """(0,0), (-m,0), (-n,0): the roots of x(x+m)(x+n), on the curve
+        by construction."""
+        zero = Fraction(0)
+        return [Point(Fraction(x), zero) for x in (0, -self.m, -self.n)]
 
     # -- group law ------------------------------------------------------
 
     def add(self, P: Point, Q: Point) -> Point:
+        """P + Q by the chord-tangent law on y^2 = x^3 + Ax^2 + Bx,
+        A = m+n, B = mn, in the weighted projective coordinates
+        x = X/Z^2, y = Y/Z^3 of `_weighted` (Jacobian coordinates;
+        Silverman-Tate I.4, Cohen 7.1).  The slope is R/(H*Z1*Z2) for the
+        chord, with R and H first divided by gcd(R, H), which is about as
+        long as Z1 when P and Q are multiples of one point, and M/(2*Y1*Z1)
+        for the tangent.  The sum is X3/Z3^2, Y3/Z3^3: one reduction per
+        coordinate.  ValueError for a denominator no point of the curve
+        can have.
+        """
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
+        if P.x == Q.x and P.y == -Q.y:
+            return INFINITY
+        p, q = _weighted(P), _weighted(Q)
+        if p is None or q is None:
+            raise ValueError(f"{P if p is None else Q} is not on "
+                             f"E({self.m},{self.n})")
+        A = self.m + self.n
+        X1, Y1, Z1 = p
+        Z1s = Z1 * Z1
         if P.x == Q.x:
-            if P.y == -Q.y:
-                return INFINITY
-            # tangent slope of y^2 = x^3 + (m+n)x^2 + mn x
-            lam = (3 * P.x * P.x + 2 * (self.m + self.n) * P.x
-                   + self.m * self.n) / (2 * P.y)
+            M = (3 * X1 + 2 * A * Z1s) * X1 + self.m * self.n * Z1s * Z1s
+            Z3 = 2 * Y1 * Z1
+            Y1s = Y1 * Y1
+            V = 4 * X1 * Y1s  # x1 * Z3^2
+            X3 = M * M - A * Z3 * Z3 - 2 * V
+            Y3 = M * (V - X3) - 8 * Y1s * Y1s
         else:
-            lam = (Q.y - P.y) / (Q.x - P.x)
-        x3 = lam * lam - (self.m + self.n) - P.x - Q.x
-        y3 = lam * (P.x - x3) - P.y
-        return Point(x3, y3)
+            X2, Y2, Z2 = q
+            Z2s = Z2 * Z2
+            U1, U2 = X1 * Z2s, X2 * Z1s
+            S1 = Y1 * Z2s * Z2
+            H, R = U2 - U1, Y2 * Z1s * Z1 - S1
+            g = math.gcd(R, H)
+            H, R = H // g, R // g
+            Z3 = Z1 * Z2 * H
+            H2 = H * H
+            V = U1 * H2  # x1 * Z3^2
+            X3 = R * R - A * Z3 * Z3 - V - U2 * H2
+            Y3 = R * (V - X3) - S1 * H2 * H
+        Z3s = Z3 * Z3
+        return Point(Fraction(X3, Z3s), Fraction(Y3, Z3s * Z3))
 
     def negate(self, P: Point) -> Point:
         if P.is_infinity:

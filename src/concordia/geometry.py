@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadrics import QuadricPoint
+from .serialize import frac_str
 from .triples import CongruentTriple, congruent_to_concordant
 
 
@@ -39,13 +40,24 @@ class APTriple:
             raise ValueError("step and gaps must be positive")
         if self.alpha < 0 or self.beta <= 0 or self.gamma <= 0:
             raise ValueError("progression terms must be nonnegative magnitudes")
-        if self.alpha ** 2 != self.beta ** 2 - self.p * self.step:
+        # In lowest terms b^2 +- j*d^2 over d^2 is again in lowest terms, so
+        # it equals a^2/e^2 iff d = e and b^2 +- j*d^2 = a^2.
+        b, d = self.beta.numerator, self.beta.denominator
+        b2, d2 = b * b, d * d
+        if (self.alpha.denominator != d
+                or self.alpha.numerator ** 2 != b2 - self.p * self.step * d2):
             raise ValueError("lower gap mismatch")
-        if self.gamma ** 2 != self.beta ** 2 + self.q * self.step:
+        if (self.gamma.denominator != d
+                or self.gamma.numerator ** 2 != b2 + self.q * self.step * d2):
             raise ValueError("upper gap mismatch")
 
     def squares(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha ** 2, self.beta ** 2, self.gamma ** 2)
+
+    def to_json(self) -> dict:
+        return {"alpha": frac_str(self.alpha), "beta": frac_str(self.beta),
+                "gamma": frac_str(self.gamma), "step": self.step,
+                "p": self.p, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -60,17 +72,21 @@ class Triangle:
     s: int
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.c <= 0:
+        # The sides times a common denominator, so every check below is an
+        # integer identity.
+        d = math.lcm(self.a.denominator, self.b.denominator,
+                     self.c.denominator)
+        a, b, c = (v.numerator * (d // v.denominator)
+                   for v in (self.a, self.b, self.c))
+        if a <= 0 or b <= 0 or c <= 0:
             raise DegenerateTriangleError("sides must be positive")
-        if self.a < self.b:
+        if a < b:
             raise ValueError("side labels must satisfy a >= b")
-        if not (self.a < self.b + self.c and self.c < self.a + self.b):
+        if not (a < b + c and c < a + b):
             raise DegenerateTriangleError("triangle inequality violated")
         if self.s < 1 or abs(self.r) >= self.s or math.gcd(self.r, self.s) != 1:
             raise ValueError("cos(theta) = r/s must be reduced with |r| < s")
-        lhs = self.c ** 2 * self.s
-        rhs = (self.a ** 2 + self.b ** 2) * self.s - 2 * self.a * self.b * self.r
-        if lhs != rhs:
+        if c * c * self.s != (a * a + b * b) * self.s - 2 * a * b * self.r:
             raise ValueError("law of cosines fails for the given angle")
 
     def sides(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -83,15 +99,19 @@ class Triangle:
     def is_isosceles(self) -> bool:
         return self.a == self.b
 
+    def to_json(self) -> dict:
+        return {"a": frac_str(self.a), "b": frac_str(self.b),
+                "c": frac_str(self.c), "r": self.r, "s": self.s}
+
 
 def quadric_to_ap(S: QuadricPoint, p: int, q: int, step: int) -> APTriple:
     """Magnitudes |X2/X1|, |X0/X1|, |X3/X1| of a nontrivial quadric point."""
     if S.is_trivial:
         raise ValueError("trivial quadric points carry no progression")
-    x1 = Fraction(abs(S.x1))
-    return APTriple(alpha=abs(Fraction(S.x2)) / x1,
-                    beta=abs(Fraction(S.x0)) / x1,
-                    gamma=abs(Fraction(S.x3)) / x1,
+    x1 = abs(S.x1)
+    return APTriple(alpha=Fraction(abs(S.x2), x1),
+                    beta=Fraction(abs(S.x0), x1),
+                    gamma=Fraction(abs(S.x3), x1),
                     step=step, p=p, q=q)
 
 
@@ -100,19 +120,24 @@ def ap_to_quadric(t: APTriple) -> QuadricPoint:
 
 
 def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
-    """Sides (gamma+alpha, gamma-alpha, 2*beta) with the angle (r,s)."""
-    a = t.gamma + t.alpha
-    b = t.gamma - t.alpha
-    c = 2 * t.beta
-    if a <= 0 or b <= 0 or c <= 0:
+    """Sides (gamma+alpha, gamma-alpha, 2*beta) with the angle (r,s).
+
+    alpha, beta and gamma share one denominator (`APTriple` checks it),
+    a >= b since alpha >= 0, and the area coefficient ab/(2s) is
+    ((p+q)*step)/(2s), because ab = gamma^2 - alpha^2 = (p+q)*step.
+    """
+    d = t.beta.denominator
+    al, be, ga = t.alpha.numerator, t.beta.numerator, t.gamma.numerator
+    if ga + al <= 0 or ga - al <= 0 or be <= 0:
         raise DegenerateTriangleError("progression collapses to a zero side")
-    k = a * b / (2 * s)
+    a, b, c = Fraction(ga + al, d), Fraction(ga - al, d), 2 * t.beta
+    k = Fraction((t.p + t.q) * t.step, 2 * s)
     if k.denominator != 1:
         raise ValueError(f"area coefficient {k} is not an integer")
     gaps = congruent_to_concordant(CongruentTriple(r, s, int(k)))
     if (gaps.p, gaps.q, gaps.k) != (t.p, t.q, t.step):
         raise ValueError("progression gaps do not match the angle (r, s)")
-    return Triangle(a=max(a, b), b=min(a, b), c=c, r=r, s=s)
+    return Triangle(a=a, b=b, c=c, r=r, s=s)
 
 
 def triangle_to_ap(T: Triangle) -> APTriple:

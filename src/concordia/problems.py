@@ -36,24 +36,11 @@ class SolutionEntry:
         out = {
             "point": point_json(self.point),
             "quadric": list(self.quadric.coords()),
-            "ap": {
-                "alpha": frac_str(self.ap.alpha),
-                "beta": frac_str(self.ap.beta),
-                "gamma": frac_str(self.ap.gamma),
-                "step": self.ap.step,
-                "p": self.ap.p,
-                "q": self.ap.q,
-            },
+            "ap": self.ap.to_json(),
             "provenance": self.provenance,
         }
         if self.triangle is not None:
-            out["triangle"] = {
-                "a": frac_str(self.triangle.a),
-                "b": frac_str(self.triangle.b),
-                "c": frac_str(self.triangle.c),
-                "r": self.triangle.r,
-                "s": self.triangle.s,
-            }
+            out["triangle"] = self.triangle.to_json()
         elif self.degenerate_reason is not None:
             out["triangle"] = None
             out["degenerate_reason"] = self.degenerate_reason

@@ -15,6 +15,7 @@ sign, which the test suite checks exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,49 +93,62 @@ def quadric_to_point(S: QuadricPoint, c: Curve) -> Point:
     return c.point(Fraction(X, T), Fraction(Y, T))
 
 
-# Values at infinity and the 2-torsion points, where the quartic formulas
-# vanish identically; pinned so that quadric_to_point inverts them.
-_SPECIAL_IMAGES = {
-    "infinity": QuadricPoint(1, 0, 1, 1),
-    "zero": QuadricPoint(1, 0, -1, -1),
-    "minus_m": QuadricPoint(1, 0, -1, 1),
-    "minus_n": QuadricPoint(1, 0, 1, -1),
-}
-
-
 def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
-    """Isomorphism E(m,n) -> Q(m,n), inverse to `quadric_to_point`."""
+    """Isomorphism E(m,n) -> Q(m,n), inverse to `quadric_to_point`.
+
+    Affinely the image is (mn - x^2 : 2y : -(x^2 + 2mx + mn) :
+    -(x^2 + 2nx + mn)): the classical quartics
+    (-(x+m)(y^2 - m(x+n)^2) : 2y(x+m)(x+n) : ...) with the common factor
+    (x+m)(x+n) taken out, using y^2 = x(x+m)(x+n).  With x = X/Z^2 and
+    y = Y/Z^3 this is Z^4 times it, a polynomial in (X, Y, Z), reduced
+    by one gcd.  It holds at the 2-torsion points too; infinity goes to
+    the trivial base point (1:0:1:1).
+    """
     if P.is_infinity:
-        return _SPECIAL_IMAGES["infinity"]
-    if not c.contains(P):
+        return TRIVIAL_BASE
+    w = c.weighted(P)
+    if w is None:
         raise ValueError(f"{P} is not on E({c.m},{c.n})")
-    if P.y == 0:
-        if P.x == 0:
-            return _SPECIAL_IMAGES["zero"]
-        if P.x == -c.m:
-            return _SPECIAL_IMAGES["minus_m"]
-        return _SPECIAL_IMAGES["minus_n"]
-    m, n = c.m, c.n
-    x, y = P.x, P.y
-    xm, xn = x + m, x + n
-    y2 = y * y
-    return QuadricPoint.from_raw(
-        -xm * (y2 - m * xn * xn),
-        2 * y * xn * xm,
-        -xm * (y2 + m * xn * xn),
-        -xn * (y2 + n * xm * xm),
-    )
+    X, Y, Z = w
+    Z2 = Z * Z
+    X2, mnZ4 = X * X, c.m * c.n * Z2 * Z2
+    coords = [mnZ4 - X2, 2 * Y * Z, -(X2 + 2 * c.m * X * Z2 + mnZ4),
+              -(X2 + 2 * c.n * X * Z2 + mnZ4)]
+    g = math.gcd(*coords)
+    if coords[0] < 0 or coords[0] == 0 and coords[1] < 0:
+        g = -g
+    return QuadricPoint(*(v // g for v in coords))
+
+
+class _Coprime:
+    """n/d with gcd(n, d) = 1 and d > 0.  Registered as a
+    `numbers.Rational`, whose numerator and denominator are in lowest
+    terms by contract, so `Fraction(_Coprime(n, d))` takes them as they
+    are instead of spending a gcd to find the common factor 1."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator, self.denominator = n, d
+
+
+numbers.Rational.register(_Coprime)
 
 
 def _degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
+    """(x0/x1)^2, sign*x0*x2*x3/x1^3, built in lowest terms without a
+    gcd: on a primitive point of Q(m,n), gcd(x0, x1) = gcd(x2, x1) =
+    gcd(x3, x1) = 1, since a prime dividing x1 and one of x0, x2, x3
+    divides all four."""
     if not S.on_quadric(c):
         raise ValueError(f"{S} is not on Q({c.m},{c.n})")
     if S.x1 == 0:
         return INFINITY
-    x0, x1 = Fraction(S.x0), Fraction(S.x1)
-    x = (x0 / x1) ** 2
-    y = sign * Fraction(S.x0 * S.x2 * S.x3, S.x1 ** 3)
-    return c.point(x, y)
+    x1 = S.x1
+    if x1 < 0:
+        x1, sign = -x1, -sign
+    return c.point(Fraction(_Coprime(S.x0 * S.x0, x1 * x1)),
+                   Fraction(_Coprime(sign * S.x0 * S.x2 * S.x3, x1 * x1 * x1)))
 
 
 def right_triangle_map(S: QuadricPoint, c: Curve) -> Point:

@@ -1,0 +1,456 @@
+"""Differential tests: the integer kernels for membership, the group law,
+the quadric maps and the progression/triangle validators against the
+Fraction code they replaced, kept here as references."""
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from concordia.curves import INFINITY, Curve, Point
+from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
+                                ap_to_triangle, quadric_to_ap)
+from concordia.quadrics import (QuadricPoint, concordant_form_map,
+                                point_to_quadric, quadric_to_point,
+                                right_triangle_map)
+from concordia.triples import CongruentTriple, congruent_to_concordant
+
+# -- references: the Fraction bodies the kernels replaced -------------------
+
+
+def reference_contains(c: Curve, P: Point) -> bool:
+    if P.is_infinity:
+        return True
+    return P.y * P.y == P.x * (P.x + c.m) * (P.x + c.n)
+
+
+def reference_add(c: Curve, P: Point, Q: Point) -> Point:
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return INFINITY
+        lam = (3 * P.x * P.x + 2 * (c.m + c.n) * P.x + c.m * c.n) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - (c.m + c.n) - P.x - Q.x
+    y3 = lam * (P.x - x3) - P.y
+    return Point(x3, y3)
+
+
+_REFERENCE_SPECIAL_IMAGES = {
+    "infinity": QuadricPoint(1, 0, 1, 1),
+    "zero": QuadricPoint(1, 0, -1, -1),
+    "minus_m": QuadricPoint(1, 0, -1, 1),
+    "minus_n": QuadricPoint(1, 0, 1, -1),
+}
+
+
+def reference_point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
+    if P.is_infinity:
+        return _REFERENCE_SPECIAL_IMAGES["infinity"]
+    if not reference_contains(c, P):
+        raise ValueError(f"{P} is not on E({c.m},{c.n})")
+    if P.y == 0:
+        if P.x == 0:
+            return _REFERENCE_SPECIAL_IMAGES["zero"]
+        if P.x == -c.m:
+            return _REFERENCE_SPECIAL_IMAGES["minus_m"]
+        return _REFERENCE_SPECIAL_IMAGES["minus_n"]
+    m, n = c.m, c.n
+    x, y = P.x, P.y
+    xm, xn = x + m, x + n
+    y2 = y * y
+    return QuadricPoint.from_raw(
+        -xm * (y2 - m * xn * xn),
+        2 * y * xn * xm,
+        -xm * (y2 + m * xn * xn),
+        -xn * (y2 + n * xm * xm),
+    )
+
+
+def reference_degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
+    if not S.on_quadric(c):
+        raise ValueError(f"{S} is not on Q({c.m},{c.n})")
+    if S.x1 == 0:
+        return INFINITY
+    x0, x1 = Fraction(S.x0), Fraction(S.x1)
+    P = Point((x0 / x1) ** 2,
+              sign * Fraction(S.x0 * S.x2 * S.x3, S.x1 ** 3))
+    if not reference_contains(c, P):
+        raise ValueError(f"({P.x}, {P.y}) is not on E({c.m},{c.n})")
+    return P
+
+
+def reference_ap_error(alpha, beta, gamma, step, p, q):
+    """The message APTriple's Fraction checks gave, or None if valid."""
+    if step < 1 or p < 1 or q < 1:
+        return "step and gaps must be positive"
+    if alpha < 0 or beta <= 0 or gamma <= 0:
+        return "progression terms must be nonnegative magnitudes"
+    if alpha ** 2 != beta ** 2 - p * step:
+        return "lower gap mismatch"
+    if gamma ** 2 != beta ** 2 + q * step:
+        return "upper gap mismatch"
+    return None
+
+
+def reference_triangle_error(a, b, c, r, s):
+    """(exception type, message) of Triangle's Fraction checks, or None."""
+    if a <= 0 or b <= 0 or c <= 0:
+        return DegenerateTriangleError, "sides must be positive"
+    if a < b:
+        return ValueError, "side labels must satisfy a >= b"
+    if not (a < b + c and c < a + b):
+        return DegenerateTriangleError, "triangle inequality violated"
+    if s < 1 or abs(r) >= s or math.gcd(r, s) != 1:
+        return ValueError, "cos(theta) = r/s must be reduced with |r| < s"
+    if c ** 2 * s != (a ** 2 + b ** 2) * s - 2 * a * b * r:
+        return ValueError, "law of cosines fails for the given angle"
+    return None
+
+
+def _error(cls, *args):
+    try:
+        cls(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# -- inputs -----------------------------------------------------------------
+
+# (m, n), P of infinite order, and the theta triple of the curve: congruent
+# curves (m = -n, the right-triangle chart) and theta curves, with P
+# integral and not.
+CHAINS = [
+    ((-5, 5), (Fraction(-5, 9), Fraction(100, 27)), (0, 1, 5)),
+    ((-6, 6), (Fraction(-6, 49), Fraction(720, 343)), (0, 1, 6)),
+    ((-20, 10), (Fraction(-5), Fraction(25)), (-1, 3, 5)),
+    ((-7, 35), (Fraction(-35, 9), Fraction(980, 27)), (2, 3, 7)),
+    ((-6, 8), (Fraction(-6), Fraction(12)), (1, 7, 1)),
+]
+K = 40
+
+
+@lru_cache(maxsize=None)
+def multiples(i: int) -> tuple[Point, ...]:
+    """P, 2P, ..., K*P on chain curve i, by the reference group law."""
+    (m, n), (x, y), _ = CHAINS[i]
+    c, P = Curve(m, n), Point(x, y)
+    out = [P]
+    for _ in range(K - 1):
+        out.append(reference_add(c, out[-1], P))
+    return tuple(out)
+
+
+def chain(i: int) -> tuple[Curve, tuple[Point, ...]]:
+    return Curve(*CHAINS[i][0]), multiples(i)
+
+
+chain_index = st.integers(0, len(CHAINS) - 1)
+multiple_index = st.integers(0, K - 1)
+
+
+def test_chain_points_are_on_their_curves():
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        assert all(reference_contains(c, Q) for Q in pts)
+        assert pts[-1].y.denominator.bit_length() > 2000  # big heights
+
+
+# -- membership -------------------------------------------------------------
+
+
+def test_contains_on_every_multiple_and_torsion_point():
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        for Q in pts:
+            assert c.contains(Q)
+            assert c.contains(c.negate(Q))
+        for T in c.torsion_oracle():
+            assert c.contains(T) and reference_contains(c, T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_index, multiple_index, st.sampled_from(
+    ["y+1", "y-1", "x+1", "x/q", "y/q", "y*Z", "x*Z", "swap"]),
+       st.integers(2, 50))
+def test_contains_matches_reference_off_curve(i, k, how, q):
+    c, pts = chain(i)
+    Q = pts[k]
+    x, y = Q.x, Q.y
+    z = math.isqrt(x.denominator)
+    if how == "y+1":
+        y += 1
+    elif how == "y-1":
+        y -= 1
+    elif how == "x+1":
+        x += 1
+    elif how == "x/q":  # a denominator that is not a square (for most q)
+        x /= q
+    elif how == "y/q":  # a y denominator that is not Z^3
+        y /= q
+    elif how == "y*Z":
+        y *= z
+    elif how == "x*Z":
+        x *= z
+    else:
+        x, y = y, x
+    P = Point(x, y)
+    assert c.contains(P) == reference_contains(c, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60),
+       st.fractions(max_denominator=60), st.fractions(max_denominator=300))
+def test_contains_matches_reference_on_small_rationals(m, n, x, y):
+    if m == 0 or n == 0 or m == n:
+        return
+    c, P = Curve(m, n), Point(x, y)
+    assert c.contains(P) == reference_contains(c, P)
+
+
+def test_contains_rejects_wrong_denominators():
+    c = Curve(-5, 5)
+    P = multiples(0)[3]
+    X, Y = P.x.numerator, P.y.numerator
+    Z = math.isqrt(P.x.denominator)
+    assert c.contains(Point(Fraction(X, Z * Z), Fraction(Y, Z ** 3)))
+    for x, y in [(Fraction(X, 2 * Z * Z), Fraction(Y, Z ** 3)),  # not a square
+                 (Fraction(X, Z * Z), Fraction(Y, 2 * Z ** 3)),  # not Z^3
+                 (Fraction(X, Z * Z), Fraction(Y + 1, Z ** 3)),
+                 (Fraction(X, Z * Z), Fraction(Y - 1, Z ** 3)),
+                 # 14 = isqrt(7)*7 and (25/2^2, 75/2^3) is on the curve,
+                 # but 7 is not a square
+                 (Fraction(25, 7), Fraction(75, 14))]:
+        assert not c.contains(Point(x, y))
+        assert not reference_contains(c, Point(x, y))
+
+
+# -- the group law ----------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(chain_index, multiple_index, multiple_index)
+def test_add_matches_reference_on_chains(i, j, k):
+    c, pts = chain(i)
+    P, Q = pts[j], pts[k]
+    for A, B in [(P, Q), (P, P), (P, c.negate(P)), (Q, c.negate(P)),
+                 (P, INFINITY), (INFINITY, Q)]:
+        assert c.add(A, B) == reference_add(c, A, B)
+
+
+def test_add_matches_reference_with_torsion_summands():
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        torsion = sorted(c.torsion_oracle(), key=repr)
+        for Q in pts[:12]:
+            for T in torsion:
+                assert c.add(Q, T) == reference_add(c, Q, T)
+                assert c.add(T, Q) == reference_add(c, T, Q)
+        for S in torsion:
+            for T in torsion:
+                assert c.add(S, T) == reference_add(c, S, T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300), st.data())
+def test_add_matches_reference_on_torsion(m, n, data):
+    if m == 0 or n == 0 or m == n:
+        return
+    c = Curve(m, n)
+    pts = sorted(c.torsion_oracle(), key=repr)
+    P = data.draw(st.sampled_from(pts))
+    Q = data.draw(st.sampled_from(pts))
+    assert c.add(P, Q) == reference_add(c, P, Q)
+    assert c.add(P, P) == reference_add(c, P, P)
+
+
+def test_add_rejects_denominators_off_every_curve():
+    c = Curve(-5, 5)
+    P = multiples(0)[0]
+    with pytest.raises(ValueError):
+        c.add(P, Point(Fraction(1, 2), Fraction(1, 8)))  # 2 is not a square
+    with pytest.raises(ValueError):
+        c.add(Point(Fraction(1, 4), Fraction(1, 4)), P)  # 4 is not 2^3
+
+
+def test_two_torsion_points_are_on_the_curve():
+    for m in range(-12, 13):
+        for n in range(-12, 13):
+            if m == 0 or n == 0 or m == n:
+                continue
+            c = Curve(m, n)
+            pts = c.two_torsion()
+            assert [P.x for P in pts] == [0, -m, -n]
+            assert all(P.y == 0 and c.contains(P)
+                       and reference_contains(c, P) for P in pts)
+            assert all(c.add(P, P) == INFINITY for P in pts)
+
+
+# -- quadric maps -----------------------------------------------------------
+
+
+def test_quadric_maps_match_reference_on_every_multiple():
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        for Q in (*pts, *map(c.negate, pts), *c.torsion_oracle()):
+            S = point_to_quadric(Q, c)
+            assert S == reference_point_to_quadric(Q, c)
+            assert quadric_to_point(S, c) == Q
+            assert concordant_form_map(S, c) == \
+                reference_degree_four_map(S, c, +1)
+            if c.m == -c.n:
+                assert right_triangle_map(S, c) == \
+                    reference_degree_four_map(S, c, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300))
+def test_point_to_quadric_matches_reference_on_torsion(m, n):
+    if m == 0 or n == 0 or m == n:
+        return
+    c = Curve(m, n)
+    for P in c.torsion_oracle():
+        S = point_to_quadric(P, c)
+        assert S == reference_point_to_quadric(P, c)
+        assert concordant_form_map(S, c) == reference_degree_four_map(S, c, 1)
+
+
+def test_point_to_quadric_rejects_points_off_the_curve():
+    c, pts = chain(0)
+    for P in (Point(pts[4].x, pts[4].y + 1), Point(Fraction(1, 2), 0)):
+        with pytest.raises(ValueError):
+            point_to_quadric(P, c)
+        with pytest.raises(ValueError):
+            reference_point_to_quadric(P, c)
+
+
+# -- progression and triangle validators ------------------------------------
+
+
+def _progression(i: int, k: int) -> tuple[APTriple, tuple[int, int]]:
+    c, pts = chain(i)
+    r, s, kk = CHAINS[i][2]
+    ct = congruent_to_concordant(CongruentTriple(r, s, kk))
+    return quadric_to_ap(point_to_quadric(pts[k], c), ct.p, ct.q, ct.k), (r, s)
+
+
+def test_validators_accept_every_multiple():
+    for i in range(len(CHAINS)):
+        for k in range(K):
+            ap, (r, s) = _progression(i, k)
+            args = (ap.alpha, ap.beta, ap.gamma, ap.step, ap.p, ap.q)
+            assert reference_ap_error(*args) is None
+            tri = ap_to_triangle(ap, r, s)
+            assert reference_triangle_error(tri.a, tri.b, tri.c, r, s) is None
+            assert tri.a * tri.b == 2 * tri.s * tri.area_coefficient()
+
+
+_AP_PERTURBATIONS = ["alpha+", "alpha-", "beta+", "gamma+", "gamma*2",
+                     "all/2", "step+1", "p+1", "q+1", "alpha<->gamma",
+                     "alpha=0", "alpha<0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_index, multiple_index, st.sampled_from(_AP_PERTURBATIONS))
+def test_ap_validator_matches_reference(i, k, how):
+    ap, _ = _progression(i, k)
+    alpha, beta, gamma = ap.alpha, ap.beta, ap.gamma
+    step, p, q = ap.step, ap.p, ap.q
+    tiny = Fraction(1, beta.denominator)
+    if how == "alpha+":
+        alpha += tiny
+    elif how == "alpha-":
+        alpha -= tiny
+    elif how == "beta+":
+        beta += tiny
+    elif how == "gamma+":
+        gamma += tiny
+    elif how == "gamma*2":
+        gamma *= 2
+    elif how == "all/2":
+        alpha, beta, gamma = alpha / 2, beta / 2, gamma / 2
+    elif how == "step+1":
+        step += 1
+    elif how == "p+1":
+        p += 1
+    elif how == "q+1":
+        q += 1
+    elif how == "alpha<->gamma":
+        alpha, gamma = gamma, alpha
+    elif how == "alpha=0":
+        alpha = Fraction(0)
+    else:
+        alpha = -alpha
+    want = reference_ap_error(alpha, beta, gamma, step, p, q)
+    got = _error(APTriple, alpha, beta, gamma, step, p, q)
+    assert got == (None if want is None else (ValueError, want))
+
+
+def test_ap_validator_matches_reference_on_small_progressions():
+    # 1, 25, 49 (step 24) and 49, 169, 289 (step 120), with perturbations
+    for a, b, g, step in [(1, 5, 7, 24), (7, 13, 17, 120)]:
+        for d in (1, 2, 3):
+            for da in (-1, 0, 1):
+                args = (Fraction(a + da, d), Fraction(b, d), Fraction(g, d),
+                        step // (d * d) if step % (d * d) == 0 else step,
+                        1, 1)
+                want = reference_ap_error(*args)
+                got = _error(APTriple, *args)
+                assert got == (None if want is None else (ValueError, want))
+
+
+_TRI_PERTURBATIONS = ["a+", "b+", "c+", "c*2", "swap", "r+1", "c=a+b",
+                      "c=a-b", "a/2", "s*2", "b=0", "b<0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_index, multiple_index, st.sampled_from(_TRI_PERTURBATIONS))
+def test_triangle_validator_matches_reference(i, k, how):
+    ap, (r, s) = _progression(i, k)
+    tri = ap_to_triangle(ap, r, s)
+    a, b, c = tri.a, tri.b, tri.c
+    tiny = Fraction(1, a.denominator * b.denominator)
+    if how == "a+":
+        a += tiny
+    elif how == "b+":
+        b += tiny
+    elif how == "c+":
+        c += tiny
+    elif how == "c*2":
+        c *= 2
+    elif how == "swap":
+        a, b = b, a
+    elif how == "r+1":
+        r = r + 1 if abs(r + 1) < s else r - 1
+    elif how == "c=a+b":
+        c = a + b
+    elif how == "c=a-b":
+        c = a - b
+    elif how == "a/2":
+        a /= 2
+    elif how == "s*2":
+        s *= 2
+    elif how == "b=0":
+        b = Fraction(0)
+    else:
+        b = -b
+    want = reference_triangle_error(a, b, c, r, s)
+    assert _error(Triangle, a, b, c, r, s) == want
+
+
+def test_triangle_validator_matches_reference_on_small_triangles():
+    third = Fraction(1, 3)
+    for a, b, c, r, s in [(3, 3, 2, 7, 9), (5, 3, 4, 0, 1), (5, 3, 7, -1, 2),
+                          (8, 5, 7, 1, 2), (8, 5, 7, 1, 3), (5, 3, 8, 0, 1),
+                          (3, 5, 4, 0, 1), (5, 3, 4, 2, 1),
+                          (5 * third, third, 2 * third * 2, 0, 1)]:
+        args = (Fraction(a), Fraction(b), Fraction(c), r, s)
+        assert _error(Triangle, *args) == reference_triangle_error(*args)
