@@ -57,6 +57,11 @@ def invocations() -> list[list[str]]:
         ["family", "order8", "--xi", "3", "--eta", "4", "--zeta", "5"],
         ["family", "order36", "--a", "-1", "--b", "3"],
         ["search", "--m", "-5", "--n", "5", "--bound", "2000"],
+        ["classify", "--m", "-20", "--n", "108"],
+        ["classify", "--m", "1", "--n", "4"],
+        ["convert", "to-congruent", "--p", "1", "--q", "3", "--k", "1"],
+        ["family", "order4", "--u", "1", "--v", "2"],
+        ["--format", "text", "selftest", "--pmax", "6"],
     ]
 
 
