@@ -4,7 +4,8 @@ Exit codes: 0 ok, 1 usage error, 2 failed verification, 3 internal
 invariant violation (a torsion certificate that does not check out, or
 the classifier disagreeing with the enumeration oracle).  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
-MAX_BOUND is refused as a usage error.
+MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX and more selftest
+workers (`--jobs`) than CPUs are refused as usage errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ EXIT_INTERNAL = 3
 # small m, n (E(-5,5) to E(-2310,221), one core of a 2-vCPU host); larger
 # bounds are refused rather than left to run for minutes.
 MAX_BOUND = 10 ** 7
+# The selftest oracle grid at p, q <= 60 (17,624 curves) takes about 8 s in
+# one process on a 2-vCPU host.
+MAX_PMAX = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,19 +49,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _bound(text: str) -> int:
-    """Type of --bound: an integer no larger than MAX_BOUND.  A digit
-    string too long for int() (over 4300 digits) is past the limit too."""
-    try:
-        value = int(text)
-    except ValueError:
-        if not text.strip().lstrip("+").isdigit():
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        value = MAX_BOUND + 1
-    if value > MAX_BOUND:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_BOUND}")
-    return value
+def _capped(limit: int):
+    """Argument type: an integer no larger than `limit`.  A digit string
+    too long for int() (over 4300 digits) is past the limit too."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            if not text.strip().lstrip("+").isdigit():
+                raise argparse.ArgumentTypeError(
+                    f"invalid int value: {text!r}") from None
+            value = limit + 1
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        return value
+    return parse
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -213,10 +219,9 @@ def _cmd_selftest(args) -> int:
 
     failures += family_sweep(limit=8)
 
-    quick = oracle_equivalence_sweep(p_max=args.pmax if args.deep else 6,
-                                     jobs=args.jobs)
-    if quick:
-        failures += quick
+    mismatches = oracle_equivalence_sweep(p_max=args.pmax, jobs=args.jobs)
+    if mismatches:
+        failures += mismatches
         oracle_mismatch = True
 
     payload = {"failures": failures, "passed": not failures}
@@ -249,13 +254,13 @@ def build_parser() -> _Parser:
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--q", type=int, required=True)
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--bound", type=_bound)
+    pc.add_argument("--bound", type=_capped(MAX_BOUND))
     pc.set_defaults(func=_cmd_solve)
     pt = solve_sub.add_parser("theta")
     pt.add_argument("--r", type=int, required=True)
     pt.add_argument("--s", type=int, required=True)
     pt.add_argument("--k", type=int, required=True)
-    pt.add_argument("--bound", type=_bound)
+    pt.add_argument("--bound", type=_capped(MAX_BOUND))
     pt.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("convert", help="triple encodings and object chains")
@@ -293,7 +298,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="height-bounded point search")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=_bound, required=True)
+    p.add_argument("--bound", type=_capped(MAX_BOUND), required=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("family", help="torsion-solution family generators")
@@ -313,10 +318,9 @@ def build_parser() -> _Parser:
     f36.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
-    p.add_argument("--deep", action="store_true",
-                   help="include the full oracle-equivalence grid")
-    p.add_argument("--pmax", type=int, default=30)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--pmax", type=_capped(MAX_PMAX), default=6,
+                   help="oracle-equivalence grid p, q <= PMAX")
+    p.add_argument("--jobs", type=_capped(os.cpu_count() or 1), default=1)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

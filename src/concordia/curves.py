@@ -38,16 +38,6 @@ def isqrt_exact(v: int) -> Optional[int]:
     return r if r * r == v else None
 
 
-def iroot4_exact(v: int) -> Optional[int]:
-    if v < 0:
-        return None
-    r = round(v ** 0.25) if v < 1 << 50 else math.isqrt(math.isqrt(v))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** 4 == v:
-            return c
-    return None
-
-
 # -- factoring ----------------------------------------------------------
 
 _SMALL_PRIMES = [p for p in range(2, 1000)
@@ -678,36 +668,6 @@ def _squarefree_products(primes: list[int], limit: int):
             stack.append((e, j + 1))
 
 
-@dataclass(frozen=True)
-class NormalizedParams:
-    """Decomposition m = -p*k*d^2, n = q*k*d^2 with gcd(p,q)=1, k squarefree."""
-
-    p: int
-    q: int
-    k: int
-    d: int
-
-
-def squarefree_decompose(v: int) -> tuple[int, int]:
-    """v = k * d^2 with k squarefree and d maximal; returns (k, d)."""
-    if v <= 0:
-        raise ValueError("positive integer required")
-    k, d = 1, 1
-    for prime, exp in factorint(v).items():
-        d *= prime ** (exp // 2)
-        if exp % 2:
-            k *= prime
-    return k, d
-
-
-def normalize_params(m: int, n: int) -> NormalizedParams:
-    if not (m < 0 < n):
-        raise ValueError("normalization requires m < 0 < n")
-    g = math.gcd(-m, n)
-    k, d = squarefree_decompose(g)
-    return NormalizedParams(p=-m // g, q=n // g, k=k, d=d)
-
-
 def canonical_model(c: Curve) -> tuple[Curve, int, int]:
     """Reduce E(m,n) to an isomorphic model E(m0,n0) with m0 < 0 < n0 and
     squarefree coefficient gcd.
@@ -721,8 +681,9 @@ def canonical_model(c: Curve) -> tuple[Curve, int, int]:
     roots = sorted((0, -c.m, -c.n))
     e = roots[1]
     m1, n1 = e - roots[2], e - roots[0]
-    nc = normalize_params(m1, n1)
-    d = nc.d
+    d = 1
+    for prime, exp in factorint(math.gcd(-m1, n1)).items():
+        d *= prime ** (exp // 2)
     return Curve(m1 // (d * d), n1 // (d * d)), e, d
 
 
@@ -730,9 +691,3 @@ def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
     if P.is_infinity:
         return P
     return Point(scale * scale * P.x + shift, scale ** 3 * P.y)
-
-
-def map_to_canonical(P: Point, shift: int, scale: int) -> Point:
-    if P.is_infinity:
-        return P
-    return Point((P.x - shift) / (scale * scale), P.y / scale ** 3)

@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadrics import QuadricPoint
+from .quadrics import QuadricPoint, _Coprime
 from .serialize import frac_str
 from .triples import CongruentTriple, congruent_to_concordant
 
 
 class DegenerateTriangleError(ValueError):
-    """A conversion produced a zero side or a tight triangle inequality."""
+    """A triangle with a zero side or a tight triangle inequality."""
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,15 @@ class Triangle:
 
 
 def quadric_to_ap(S: QuadricPoint, p: int, q: int, step: int) -> APTriple:
-    """Magnitudes |X2/X1|, |X0/X1|, |X3/X1| of a nontrivial quadric point."""
+    """Magnitudes |X2/X1|, |X0/X1|, |X3/X1| of a nontrivial quadric point,
+    built without a gcd: on Q(-p*step, q*step), which `APTriple` checks,
+    x1 is coprime to x0, x2 and x3 (see `quadrics._degree_four_map`)."""
     if S.is_trivial:
         raise ValueError("trivial quadric points carry no progression")
     x1 = abs(S.x1)
-    return APTriple(alpha=Fraction(abs(S.x2), x1),
-                    beta=Fraction(abs(S.x0), x1),
-                    gamma=Fraction(abs(S.x3), x1),
+    return APTriple(alpha=Fraction(_Coprime(abs(S.x2), x1)),
+                    beta=Fraction(_Coprime(abs(S.x0), x1)),
+                    gamma=Fraction(_Coprime(abs(S.x3), x1)),
                     step=step, p=p, q=q)
 
 
@@ -124,12 +126,12 @@ def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
 
     alpha, beta and gamma share one denominator (`APTriple` checks it),
     a >= b since alpha >= 0, and the area coefficient ab/(2s) is
-    ((p+q)*step)/(2s), because ab = gamma^2 - alpha^2 = (p+q)*step.
+    ((p+q)*step)/(2s), because ab = gamma^2 - alpha^2 = (p+q)*step.  So
+    b > 0, and alpha < beta < gamma gives the triangle inequalities: a
+    valid progression never yields a degenerate triangle.
     """
     d = t.beta.denominator
-    al, be, ga = t.alpha.numerator, t.beta.numerator, t.gamma.numerator
-    if ga + al <= 0 or ga - al <= 0 or be <= 0:
-        raise DegenerateTriangleError("progression collapses to a zero side")
+    al, ga = t.alpha.numerator, t.gamma.numerator
     a, b, c = Fraction(ga + al, d), Fraction(ga - al, d), 2 * t.beta
     k = Fraction((t.p + t.q) * t.step, 2 * s)
     if k.denominator != 1:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import Curve, Point, point_sort_key
-from .geometry import (APTriple, DegenerateTriangleError, Triangle,
-                       ap_to_triangle, quadric_to_ap)
+from .geometry import APTriple, Triangle, ap_to_triangle, quadric_to_ap
 from .quadrics import QuadricPoint, point_to_quadric, quadric_to_point
 from .serialize import frac_str, point_json
 from .torsion import (CertificateMismatch, TorsionClass, classify_torsion,
@@ -29,7 +28,6 @@ class SolutionEntry:
     quadric: QuadricPoint
     ap: APTriple
     triangle: Optional[Triangle]
-    degenerate_reason: Optional[str]
     provenance: str  # "torsion" or "search"
 
     def to_json(self) -> dict:
@@ -41,9 +39,6 @@ class SolutionEntry:
         }
         if self.triangle is not None:
             out["triangle"] = self.triangle.to_json()
-        elif self.degenerate_reason is not None:
-            out["triangle"] = None
-            out["degenerate_reason"] = self.degenerate_reason
         return out
 
 
@@ -97,16 +92,9 @@ def _entries(c: Curve, points, ct: ConcordantTriple, provenance: str,
     for P in sorted(points, key=point_sort_key):
         S = point_to_quadric(P, c)
         ap = quadric_to_ap(S, ct.p, ct.q, ct.k)
-        triangle = None
-        reason = None
-        if angle is not None:
-            try:
-                triangle = ap_to_triangle(ap, *angle)
-            except DegenerateTriangleError as exc:
-                reason = str(exc)
+        triangle = None if angle is None else ap_to_triangle(ap, *angle)
         entries.append(SolutionEntry(point=P, quadric=S, ap=ap,
                                      triangle=triangle,
-                                     degenerate_reason=reason,
                                      provenance=provenance))
     return entries
 
@@ -174,33 +162,34 @@ class FamilyRecord:
         }
 
 
-def _congruent_variant(m: int, n: int, scale_k: int
-                       ) -> tuple[CongruentTriple, tuple[int, int], str]:
-    """Congruent triple attached to a torsion solution of E(m,n).
+def _family_record(family: str, params: tuple, m: int, n: int,
+                   k: int = 1) -> FamilyRecord:
+    """Record of the family curve E(m,n) = E(-p*k, q*k).
 
-    When m and n are both odd the triple lives on E(m,n) itself; with
-    unequal parities it lives on E(4m,4n) with a doubled number k.  Both
-    routes go through the inverse bijection, never hand-ordered pairs.
+    The congruent triple attached to its torsion solutions lives on E(m,n)
+    itself when m and n are both odd; with unequal parities it lives on
+    E(4m,4n) with a doubled number k.  Both routes go through the inverse
+    bijection, never hand-ordered pairs.
     """
-    p, q = -m // scale_k, n // scale_k
+    concordant = ConcordantTriple(-m // k, n // k, k)
     if m % 2 != 0 and n % 2 != 0:
-        t = concordant_to_congruent(ConcordantTriple(p, q, scale_k))
-        return t, (m, n), "m,n odd"
-    t = concordant_to_congruent(ConcordantTriple(p, q, 4 * scale_k))
-    return t, (4 * m, 4 * n), "m,n of unequal parity"
+        congruent = concordant_to_congruent(concordant)
+        cc, case = (m, n), "m,n odd"
+    else:
+        congruent = concordant_to_congruent(
+            ConcordantTriple(concordant.p, concordant.q, 4 * k))
+        cc, case = (4 * m, 4 * n), "m,n of unequal parity"
+    return FamilyRecord(family=family, params=params, m=m, n=n,
+                        concordant=concordant, congruent=congruent,
+                        congruent_curve=cc, parity_case=case,
+                        torsion_tag=classify_torsion(Curve(m, n)).tag)
 
 
 def gen_order4_family(u: int, v: int) -> FamilyRecord:
     """Curves E(-u^2, v^2-u^2) whose torsion contains points of order 4."""
     if not (0 < u < v) or math.gcd(u, v) != 1:
         raise ValueError("coprime 0 < u < v required")
-    m, n = -u * u, v * v - u * u
-    congruent, cc, case = _congruent_variant(m, n, 1)
-    return FamilyRecord(family="order4", params=(u, v), m=m, n=n,
-                        concordant=ConcordantTriple(-m, n, 1),
-                        congruent=congruent, congruent_curve=cc,
-                        parity_case=case,
-                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+    return _family_record("order4", (u, v), -u * u, v * v - u * u)
 
 
 def gen_order8_family(xi: int, eta: int, zeta: int) -> FamilyRecord:
@@ -210,13 +199,8 @@ def gen_order8_family(xi: int, eta: int, zeta: int) -> FamilyRecord:
         raise ValueError("not a Pythagorean triple")
     if math.gcd(xi, eta) != 1 or not (0 < xi < eta):
         raise ValueError("primitive triple with xi < eta required")
-    m, n = -xi ** 4, eta ** 4 - xi ** 4
-    congruent, cc, case = _congruent_variant(m, n, 1)
-    return FamilyRecord(family="order8", params=(xi, eta, zeta), m=m, n=n,
-                        concordant=ConcordantTriple(-m, n, 1),
-                        congruent=congruent, congruent_curve=cc,
-                        parity_case=case,
-                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+    return _family_record("order8", (xi, eta, zeta), -xi ** 4,
+                          eta ** 4 - xi ** 4)
 
 
 def gen_order36_family(a: int, b: int) -> FamilyRecord:
@@ -225,17 +209,11 @@ def gen_order36_family(a: int, b: int) -> FamilyRecord:
         raise ValueError("a and b must be coprime")
     if not (a < 0 < b) or a + 2 * b <= 0 or 2 * a + b <= 0 or a + b == 0:
         raise ValueError("need a < 0 < b with a+2b > 0, 2a+b > 0, a+b != 0")
-    m, n = a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b)
     shared = math.gcd(a + 2 * b, 2 * a + b)
     if shared not in (1, 3):
         raise CertificateMismatch("gcd(a+2b, 2a+b) can only be 1 or 3")
-    congruent, cc, case = _congruent_variant(m, n, shared)
-    return FamilyRecord(family="order36", params=(a, b), m=m, n=n,
-                        concordant=ConcordantTriple(-m // shared, n // shared,
-                                                    shared),
-                        congruent=congruent, congruent_curve=cc,
-                        parity_case=case,
-                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+    return _family_record("order36", (a, b), a ** 3 * (a + 2 * b),
+                          b ** 3 * (2 * a + b), shared)
 
 
 # ---------------------------------------------------------------------------

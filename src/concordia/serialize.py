@@ -24,12 +24,3 @@ def point_json(P):
     if P.is_infinity:
         return "O"
     return [frac_str(P.x), frac_str(P.y)]
-
-
-def parse_point(obj):
-    from .curves import INFINITY, Point
-
-    if obj == "O":
-        return INFINITY
-    x, y = obj
-    return Point(parse_frac(x), parse_frac(y))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from .curves import Curve, normalize_params
+from .curves import Curve
 from .problems import FamilyRecord, gen_order4_family, gen_order8_family, \
     gen_order36_family
 from .torsion import check_k_constraint, torsion_subgroup
@@ -52,7 +52,7 @@ def check_curve_against_oracle(pqk: tuple[int, int, int]) -> list[str]:
     if max_order != cls.max_order():
         problems.append(f"{label}: oracle max order {max_order}, "
                         f"class {cls.tag} implies {cls.max_order()}")
-    if not check_k_constraint(normalize_params(c.m, c.n), cls):
+    if not check_k_constraint(cls):
         problems.append(f"{label}: squarefree step k={k} violates the "
                         f"torsion constraint for {cls.tag}")
     return problems

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import (Curve, INFINITY, NormalizedParams, Point,
-                     canonical_model, iroot4_exact, isqrt_exact,
-                     map_from_canonical, point_sort_key)
+from .curves import (Curve, INFINITY, Point, canonical_model, isqrt_exact,
+                     map_from_canonical)
 
 Z2xZ2 = "Z2xZ2"
 Z2xZ4 = "Z2xZ4"
@@ -64,20 +63,17 @@ class TorsionClass:
             out["scale"] = self.scale
         return out
 
-    def reconstruct_mn(self) -> frozenset[int]:
-        """Rebuild {m, n} of the classified curve from base, scale and shift."""
-        d2 = self.scale * self.scale
-        roots = {r * d2 + self.shift for r in (0, -self.base.m, -self.base.n)}
-        if 0 not in roots:
-            raise CertificateMismatch("shift does not restore the origin root")
-        return frozenset(-r for r in roots if r != 0)
+
+def _iroot4_exact(v: int) -> Optional[int]:
+    r = isqrt_exact(v)
+    return None if r is None else isqrt_exact(r)
 
 
 def _detect_order8(m: int, n: int) -> Optional[tuple]:
-    xi = iroot4_exact(-m)
+    xi = _iroot4_exact(-m)
     if xi is None or xi == 0:
         return None
-    eta = iroot4_exact(n - m)
+    eta = _iroot4_exact(n - m)
     if eta is None:
         return None
     zeta = isqrt_exact(xi * xi + eta * eta)
@@ -234,10 +230,12 @@ def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
     return cls, frozenset(mapped)
 
 
-def check_k_constraint(nc: NormalizedParams, t: TorsionClass) -> bool:
-    """Consistency of the squarefree step k with the torsion type."""
+def check_k_constraint(t: TorsionClass) -> bool:
+    """Consistency of the squarefree step k = gcd(-m0, n0) of the reduced
+    model with the torsion type."""
+    k = math.gcd(-t.base.m, t.base.n)
     if t.tag in (Z2xZ4, Z2xZ8):
-        return nc.k == 1
+        return k == 1
     if t.tag == Z2xZ6:
-        return nc.k in (1, 3)
+        return k in (1, 3)
     return True

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from concordia.cli import main
+from concordia.cli import build_parser, main
 from concordia.torsion import CertificateMismatch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -176,6 +176,29 @@ def test_selftest_shallow(capsys):
     code, out = run(capsys, "--format", "text", "selftest", "--pmax", "6")
     assert code == 0
     assert "PASS" in out or "ok" in out.lower()
+
+
+def test_selftest_pmax_picks_the_grid(monkeypatch, capsys):
+    grids = []
+    monkeypatch.setattr("concordia.cli.oracle_equivalence_sweep",
+                        lambda p_max, jobs: grids.append((p_max, jobs)) or [])
+    assert main(["selftest"]) == 0
+    assert main(["selftest", "--pmax", "9", "--jobs", "1"]) == 0
+    assert grids == [(6, 1), (9, 1)]
+
+
+@pytest.mark.parametrize("flag,limit", [("--pmax", 60),
+                                        ("--jobs", os.cpu_count() or 1)])
+def test_selftest_caps_are_refused_by_the_parser(flag, limit, capsys):
+    # Parse only, so a cap that let a value through could start no Pool.
+    parser = build_parser()
+    args = parser.parse_args(["selftest", flag, str(limit)])
+    assert getattr(args, flag[2:]) == limit
+    for value in (str(limit + 1), "9" * 5000):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["selftest", flag, value])
+        assert exc.value.code == 1
+        assert f"{flag}: must be at most {limit}" in capsys.readouterr().err
 
 
 def test_classify_huge_m_needs_no_divisors(capsys):

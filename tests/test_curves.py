@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from concordia.curves import (Curve, INFINITY, Point, canonical_model,
                               is_square_fraction, map_from_canonical,
-                              map_to_canonical,
-                              normalize_params, point_sort_key,
+                              point_sort_key,
                               sqrt_fraction, _cubic_peak,
                               _integer_cubic_roots)
 
@@ -133,15 +132,12 @@ def test_search_rejects_bad_bound():
         Curve(-1, 3).search(0)
 
 
-def test_normalize_params():
-    nc = normalize_params(-1, 3)
-    assert (nc.p, nc.q, nc.k, nc.d) == (1, 3, 1, 1)
-    nc = normalize_params(-20, 108)
-    assert (nc.p, nc.q, nc.k, nc.d) == (5, 27, 1, 2)
-    nc = normalize_params(-96, 1029)
-    assert (nc.p, nc.q, nc.k, nc.d) == (32, 343, 3, 1)
-    with pytest.raises(ValueError):
-        normalize_params(1, 3)
+def test_canonical_model_strips_square_factors():
+    # (m, n) -> reduced (m0, n0) and scale d; the shift is 0 for m < 0 < n
+    for mn, base, d in (((-1, 3), (-1, 3), 1), ((-20, 108), (-5, 27), 2),
+                        ((-96, 1029), (-96, 1029), 1),
+                        ((-360, 72), (-10, 2), 6)):
+        assert canonical_model(Curve(*mn)) == (Curve(*base), 0, d)
 
 
 def test_rescaling_isomorphism_preserves_orders():
@@ -155,7 +151,6 @@ def test_rescaling_isomorphism_preserves_orders():
     for P in small_pts:
         Q = map_from_canonical(P, shift, scale)
         assert big.order_of(Q) == small.order_of(P)
-        assert map_to_canonical(Q, shift, scale) == P
 
 
 def test_canonical_model_translates_sign_patterns():

@@ -111,6 +111,13 @@ def test_quadric_ap_roundtrip():
     assert ap_to_quadric(ap) == S
 
 
+def test_quadric_to_ap_refuses_points_off_the_quadric():
+    # Not on Q(-6, 6), and x1 = 2 shares a factor with x0: the terms are
+    # built unreduced, and the gap check refuses them.
+    with pytest.raises(ValueError, match="gap mismatch"):
+        quadric_to_ap(QuadricPoint(4, 2, 1, 7), 1, 1, 6)
+
+
 def test_ap_to_triangle_equilateral():
     ap = APTriple(alpha=Fraction(0), beta=Fraction(1), gamma=Fraction(2),
                   step=1, p=1, q=3)

@@ -5,6 +5,7 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,10 +109,41 @@ def test_prime_factors_up_to_matches_reference(base, extra, limit):
         reference_prime_factors_up_to(v, limit)
 
 
+class TooManyReductions(Exception):
+    pass
+
+
+class CountingInt(int):
+    """An int that counts the reductions (% and //) made of it and raises
+    TooManyReductions past CAP of them; // keeps the type, so the count
+    follows v as it is divided down."""
+
+    CAP = 50
+    reductions = 0
+
+    def _count(self):
+        CountingInt.reductions += 1
+        if CountingInt.reductions > CountingInt.CAP:
+            raise TooManyReductions
+
+    def __mod__(self, other):
+        self._count()
+        return int.__mod__(self, other)
+
+    def __floordiv__(self, other):
+        self._count()
+        return CountingInt(int.__floordiv__(self, other))
+
+
 def test_prime_factors_up_to_large_v_is_fast():
-    # A 4001-digit v: reducing it once per candidate up to 10^6 took about
-    # 1.7 s; the blocked gcd takes about 0.25 s.
+    # A 4001-digit v: the blocked gcd reduces it 8 times in all, where
+    # reducing it once per candidate up to 10^6 takes 500,006 reductions.
+    # Counting them, not timing them, keeps the test independent of the
+    # host's load.
     v = 3 * (2 ** 13289 - 1)
-    t0 = time.perf_counter()
-    assert _prime_factors_up_to(v, 10 ** 6) == [3, 11447]
-    assert time.perf_counter() - t0 < 0.5
+    CountingInt.reductions = 0
+    assert _prime_factors_up_to(CountingInt(v), 10 ** 6) == [3, 11447]
+    assert CountingInt.reductions <= CountingInt.CAP
+    CountingInt.reductions = 0
+    with pytest.raises(TooManyReductions):
+        reference_prime_factors_up_to(CountingInt(v), 10 ** 6)

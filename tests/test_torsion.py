@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import Curve
-from concordia.torsion import (CertificateMismatch, TorsionClass,
+from concordia.curves import Curve, map_from_canonical
+from concordia.sweeps import check_curve_against_oracle
+from concordia.torsion import (CertificateMismatch,
                                _detect_order3, check_k_constraint, classify_torsion,
                                eight_torsion_points, four_torsion_points,
                                three_six_torsion_points, torsion_subgroup)
@@ -51,17 +54,17 @@ def test_group_size_and_max_order():
 
 
 def test_certificate_reconstructs_curve():
+    # base, shift and scale carry the reduced model's 2-torsion onto the
+    # input curve's, so they determine {m, n}
     for mn in CLASSIFIED:
-        tc = classify_torsion(Curve(*mn))
-        assert tc.reconstruct_mn() == frozenset(mn)
+        c = Curve(*mn)
+        tc = classify_torsion(c)
+        mapped = {map_from_canonical(P, tc.shift, tc.scale)
+                  for P in tc.base.two_torsion()}
+        assert mapped == set(c.two_torsion())
 
 
 def test_certificate_mismatch_detected():
-    good = classify_torsion(Curve(-1, 3))
-    bad = TorsionClass(tag=good.tag, certificate=good.certificate,
-                       base=good.base, shift=5, scale=good.scale)
-    with pytest.raises(CertificateMismatch):
-        bad.reconstruct_mn()
     with pytest.raises(CertificateMismatch):
         four_torsion_points(1, 5, Curve(-1, 3))
     with pytest.raises(CertificateMismatch):
@@ -124,19 +127,27 @@ def test_torsion_subgroup_on_scaled_curve():
 
 
 def test_check_k_constraint():
-    from concordia.curves import normalize_params
-
     # (-96, 1029) = (-32*3, 343*3): k=3 is allowed for Z2xZ6
     tc = classify_torsion(Curve(-96, 1029))
-    assert check_k_constraint(normalize_params(-96, 1029), tc)
-    # but k=2 would not be: borrow the class tag onto a k=2 scaling
-    nc2 = normalize_params(-10, 54)
-    assert nc2.k == 2
-    assert not check_k_constraint(nc2, tc)
-    tc6 = classify_torsion(Curve(-5, 27))
-    assert check_k_constraint(normalize_params(-5, 27), tc6)
-    tc4 = classify_torsion(Curve(-1, 3))
-    assert check_k_constraint(normalize_params(-1, 3), tc4)
+    assert check_k_constraint(tc)
+    # but k=2 would not be: borrow the class tag onto the k=2 model
+    # E(-10, 54) = E(-5*2, 27*2)
+    assert classify_torsion(Curve(-10, 54)).base == Curve(-10, 54)
+    assert not check_k_constraint(replace(tc, base=Curve(-10, 54)))
+    # the step is read off the reduced model: E(-20, 108) has k = 1
+    assert check_k_constraint(classify_torsion(Curve(-20, 108)))
+    assert check_k_constraint(classify_torsion(Curve(-5, 27)))
+    assert check_k_constraint(classify_torsion(Curve(-1, 3)))
+
+
+def test_oracle_check_runs_the_k_constraint(monkeypatch):
+    seen = []
+    monkeypatch.setattr("concordia.sweeps.check_k_constraint",
+                        lambda cls: seen.append(cls) or False)
+    assert check_curve_against_oracle((5, 27, 2)) == [
+        "E(-10,54): squarefree step k=2 violates the torsion constraint "
+        "for Z2xZ2"]
+    assert [cls.base for cls in seen] == [Curve(-10, 54)]
 
 
 @settings(max_examples=50, deadline=None)
