@@ -4,8 +4,10 @@ Exit codes: 0 ok, 1 usage error, 2 failed verification, 3 internal
 invariant violation (a torsion certificate that does not check out, or
 the classifier disagreeing with the enumeration oracle).  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
-MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX and more selftest
-workers (`--jobs`) than CPUs are refused as usage errors.
+MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
+workers (`--jobs`) than CPUs, any of these three below 1, and a
+`convert chain` input or result with an integer of more than MAX_DIGITS
+digits are refused as usage errors.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .curves import Curve, point_sort_key
@@ -41,6 +44,16 @@ MAX_BOUND = 10 ** 7
 # The selftest oracle grid at p, q <= 60 (17,624 curves) takes about 8 s in
 # one process on a 2-vCPU host.
 MAX_PMAX = 60
+# Python refuses int<->str conversions of more than 4300 digits by default
+# (sys.get_int_max_str_digits()).  `convert chain` refuses such a number
+# itself, in --x/--y and in every integer of its result, before printing
+# anything, with a message that names the size; the interpreter's own
+# limit is left as it is.
+MAX_DIGITS = 4300
+
+
+class DigitLimitError(ValueError):
+    """A number with more than MAX_DIGITS decimal digits."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,20 +63,63 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _capped(limit: int):
-    """Argument type: an integer no larger than `limit`.  A digit string
-    too long for int() (over 4300 digits) is past the limit too."""
+    """Argument type: an integer from 1 to `limit`.  A digit string too
+    long for int() (over 4300 digits) is outside that range too."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            if not text.strip().lstrip("+").isdigit():
+            body = text.strip()
+            sign = body[:1] if body[:1] in ("+", "-") else ""
+            if not body[len(sign):].isdigit():
                 raise argparse.ArgumentTypeError(
                     f"invalid int value: {text!r}") from None
-            value = limit + 1
+            value = 0 if sign == "-" else limit + 1
+        if value < 1:
+            raise argparse.ArgumentTypeError("must be at least 1")
         if value > limit:
             raise argparse.ArgumentTypeError(f"must be at most {limit}")
         return value
     return parse
+
+
+def _digits(v: int) -> int:
+    """Decimal digits of |v| >= 1, without an int->str conversion."""
+    v = abs(v)
+    # at most the digits of 2^(bits-1), as 0.30102 < log10(2)
+    d = (v.bit_length() - 1) * 30102 // 100000 + 1
+    while 10 ** d <= v:
+        d += 1
+    return d
+
+
+def _parse_rational(flag: str, text: str):
+    """parse_frac(text), or DigitLimitError if an integer written in it
+    has more than MAX_DIGITS digits, or a decimal exponent would make
+    one (Fraction expands "1e999999999" in full)."""
+    plain = text.replace("_", "")
+    longest = max(map(len, re.findall(r"\d+", plain)), default=0)
+    if longest > MAX_DIGITS:
+        raise DigitLimitError(f"{flag} has a {longest}-digit integer; the "
+                              f"limit is {MAX_DIGITS} digits")
+    exponent = re.search(r"[eE][+-]?(\d+)", plain)
+    if exponent and int(exponent[1]) >= MAX_DIGITS:
+        raise DigitLimitError(f"{flag} has a decimal exponent of "
+                              f"{exponent[1]}; the limit is {MAX_DIGITS} "
+                              f"digits")
+    return parse_frac(text)
+
+
+def _check_digits(values) -> None:
+    """DigitLimitError if the numerator or denominator of one of `values`
+    (ints or Fractions) has more than MAX_DIGITS digits."""
+    too_big = 10 ** MAX_DIGITS
+    for v in values:
+        for part in (v.numerator, v.denominator):
+            if abs(part) >= too_big:
+                raise DigitLimitError(
+                    f"the result has a {_digits(part)}-digit integer; the "
+                    f"limit is {MAX_DIGITS} digits")
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -141,20 +197,31 @@ def _cmd_convert(args) -> int:
         lines = [f"(r,s,k) = ({t.r},{t.s},{t.k})"]
     else:  # chain
         c = Curve(args.m, args.n)
-        P = c.point(parse_frac(args.x), parse_frac(args.y))
+        P = c.point(_parse_rational("--x", args.x),
+                    _parse_rational("--y", args.y))
         S = point_to_quadric(P, c)
-        payload = {"point": point_json(P), "quadric": list(S.coords())}
-        lines = [f"point {P}", f"quadric {S.coords()}"]
+        ap = tri = None
         if not S.is_trivial and c.m < 0 < c.n:
             step = math.gcd(-c.m, c.n)
             ap = quadric_to_ap(S, -c.m // step, c.n // step, step)
+            if args.r is not None and args.s is not None:
+                tri = ap_to_triangle(ap, args.r, args.s)
+        shown = [P.x, P.y, *S.coords()]
+        if ap is not None:
+            shown += (ap.squares() if args.format == "text"
+                      else (ap.alpha, ap.beta, ap.gamma))
+        if tri is not None:
+            shown += tri.sides()
+        _check_digits(shown)
+        payload = {"point": point_json(P), "quadric": list(S.coords())}
+        lines = [f"point {P}", f"quadric {S.coords()}"]
+        if ap is not None:
             payload["ap"] = ap.to_json()
             lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
                          f"step {ap.step} gaps ({ap.p},{ap.q})")
-            if args.r is not None and args.s is not None:
-                tri = ap_to_triangle(ap, args.r, args.s)
-                payload["triangle"] = tri.to_json()
-                lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
+        if tri is not None:
+            payload["triangle"] = tri.to_json()
+            lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
     _emit(payload, args.format, lines)
     return EXIT_OK
 

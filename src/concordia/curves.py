@@ -5,8 +5,12 @@ coordinates, but the kernels run in integers: a rational point of this
 integral model is x = X/Z^2, y = Y/Z^3 in lowest terms, so membership
 is one integer identity in (X, Y, Z), and the group law is the
 chord-tangent construction on the expanded model
-y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates,
-with one reduction per result coordinate.  The torsion oracle is a
+y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
+A sum comes out as (X3, Y3, Z3) = (lam^2 X, lam^3 Y, lam Z) for its
+lowest-terms (X, Y, Z): the chord finds lam^2 with one gcd, the tangent
+over the primes of mn(m-n) alone (`_smooth_gcd`), and both divide
+exactly and build the result through `_Coprime`, with no gcd in
+`Fraction`.  The torsion oracle is a
 Nagell-Lutz enumeration that is independent of the closed-form torsion
 classifier in `concordia.torsion`.  The integer helpers the package
 needs (exact roots, `factorint`, `divisors`) live here too.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -247,6 +252,65 @@ class Point:
 INFINITY = Point(None, None)
 
 
+class _Coprime:
+    """n/d with gcd(n, d) = 1 and d > 0.  Registered as a
+    `numbers.Rational`, whose numerator and denominator are in lowest
+    terms by contract, so `Fraction(_Coprime(n, d))` takes them as they
+    are instead of spending a gcd to find the common factor 1."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator, self.denominator = n, d
+
+
+numbers.Rational.register(_Coprime)
+
+
+def _smooth_gcd(N: int, *vals: int) -> int:
+    """gcd(*vals) for values, not all zero, whose common prime factors
+    all divide N != 0.
+
+    Repeats d = gcd(N, *vals), which costs one long division of each
+    value by the small N, divides d out of the values and multiplies it
+    into the result, until d = 1.  Stopping there is exact: a prime left
+    common to the reduced values divides the original gcd, so it divides
+    N and therefore d.
+    """
+    g = 1
+    d = math.gcd(N, *vals)
+    while d > 1:
+        g *= d
+        vals = [v // d for v in vals]
+        d = math.gcd(N, *vals)
+    return g
+
+
+def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
+    """The point X3/Z3^2, Y3/Z3^3 of an integral model of
+    y^2 = x(x+m)(x+n), given lam2 = gcd(X3, Z3^2).
+
+    In lowest terms the point is X/Z^2, Y/Z^3 with Z >= 1 (see
+    `Curve.contains`), so Z3 = lam*Z for an integer lam, X3 = lam^2*X,
+    Y3 = lam^3*Y and gcd(X3, Z3^2) = lam^2 * gcd(X, Z^2) = lam^2.  Every
+    coordinate comes out of an exact division, and gcd(Y, Z) = 1 follows
+    from gcd(X, Z) = 1 and the curve equation.  ArithmeticError, an
+    internal fault and not a usage error, when lam2 is not a square or a
+    division is not exact.
+    """
+    lam = math.isqrt(lam2)
+    X, r = divmod(X3, lam2)
+    Y, s = divmod(Y3, lam2 * lam)
+    if r or s or lam * lam != lam2:
+        raise ArithmeticError(
+            "group law: the common factor of the sum is not lam^2, lam^3")
+    Z = Z3 // lam
+    if Z < 0:
+        Z, Y = -Z, -Y
+    Zs = Z * Z
+    return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
+
+
 def _weighted(P: Point) -> Optional[tuple[int, int, int]]:
     """(X, Y, Z) with x = X/Z^2 and y = Y/Z^3 for an affine P, or None
     when the lowest-terms denominators of x and y are not Z^2 and Z^3 for
@@ -361,11 +425,13 @@ class Curve:
         """(X, Y, Z) with x = X/Z^2, y = Y/Z^3 for an affine point P on
         the curve, None if P is not on it (see `contains`)."""
         w = _weighted(P)
-        if w is None:
-            return None
-        X, Y, Z = w
+        return w if w is not None and self.satisfies(*w) else None
+
+    def satisfies(self, X: int, Y: int, Z: int) -> bool:
+        """Y^2 = X(X + mZ^2)(X + nZ^2): for coprime X and Z >= 1, is
+        (X/Z^2, Y/Z^3) on the curve?"""
         b = Z * Z
-        return w if Y * Y == X * (X + self.m * b) * (X + self.n * b) else None
+        return Y * Y == X * (X + self.m * b) * (X + self.n * b)
 
     def point(self, x, y) -> Point:
         P = Point(Fraction(x), Fraction(y))
@@ -384,34 +450,51 @@ class Curve:
     def add(self, P: Point, Q: Point) -> Point:
         """P + Q by the chord-tangent law on y^2 = x^3 + Ax^2 + Bx,
         A = m+n, B = mn, in the weighted projective coordinates
-        x = X/Z^2, y = Y/Z^3 of `_weighted` (Jacobian coordinates;
-        Silverman-Tate I.4, Cohen 7.1).  The slope is R/(H*Z1*Z2) for the
-        chord, with R and H first divided by gcd(R, H), which is about as
-        long as Z1 when P and Q are multiples of one point, and M/(2*Y1*Z1)
-        for the tangent.  The sum is X3/Z3^2, Y3/Z3^3: one reduction per
-        coordinate.  ValueError for a denominator no point of the curve
-        can have.
+        x = X/Z^2, y = Y/Z^3 of `weighted` (Jacobian coordinates;
+        Silverman-Tate I.4, Cohen 7.1).  ValueError unless both P and Q
+        are on the curve, checked by the identity of `satisfies`.
+
+        The slope is R/(H*Z1*Z2) for the chord, with R and H first
+        divided by gcd(R, H), which is about as long as Z1 when P and Q
+        are multiples of one point, and M/(2*Y1*Z1) for the tangent.  The
+        sum is X3/Z3^2, Y3/Z3^3, and `_reduced_point` divides out
+        lam^2 = gcd(X3, Z3^2).  The chord takes that gcd; on chains of
+        multiples lam is about as long as Z1.
+
+        The tangent needs no full-size gcd.  Lemma: a prime p dividing
+        both X3 and Z3 = 2*Y1*Z1 divides N = mn(m-n), so
+        lam^2 = _smooth_gcd(N, X3, Z3^2).  Proof, for P in lowest terms
+        with Y1 != 0, where M = Z1^4 f'(x1), Y1^2 = Z1^6 f(x1) and
+        f(x) = x(x+m)(x+n):
+        - p = 2 divides N: m, n and m-n are never all odd.
+        - p | Z1: then p does not divide X1, M = 3X1^2 and Y1^2 = X1^3
+          mod p, so X3 = M^2 - 8X1*Y1^2 = X1^4 is not 0 mod p.
+        - p odd, p | Y1, p not dividing Z1: X3 = M^2 mod p, so p | M.
+          Then X1/Z1^2 is a double root of f mod p, and p divides the
+          discriminant of f, (mn(m-n))^2.
         """
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
-        if P.x == Q.x and P.y == -Q.y:
-            return INFINITY
-        p, q = _weighted(P), _weighted(Q)
+        p = self.weighted(P)
+        q = p if Q == P else self.weighted(Q)
         if p is None or q is None:
             raise ValueError(f"{P if p is None else Q} is not on "
                              f"E({self.m},{self.n})")
+        if P.x == Q.x and P.y == -Q.y:
+            return INFINITY
         A = self.m + self.n
         X1, Y1, Z1 = p
         Z1s = Z1 * Z1
-        if P.x == Q.x:
+        if P.x == Q.x:  # then Q = P: both are on the curve
             M = (3 * X1 + 2 * A * Z1s) * X1 + self.m * self.n * Z1s * Z1s
             Z3 = 2 * Y1 * Z1
             Y1s = Y1 * Y1
             V = 4 * X1 * Y1s  # x1 * Z3^2
             X3 = M * M - A * Z3 * Z3 - 2 * V
             Y3 = M * (V - X3) - 8 * Y1s * Y1s
+            lam2 = _smooth_gcd(self.discriminant_root(), X3, Z3 * Z3)
         else:
             X2, Y2, Z2 = q
             Z2s = Z2 * Z2
@@ -425,8 +508,8 @@ class Curve:
             V = U1 * H2  # x1 * Z3^2
             X3 = R * R - A * Z3 * Z3 - V - U2 * H2
             Y3 = R * (V - X3) - S1 * H2 * H
-        Z3s = Z3 * Z3
-        return Point(Fraction(X3, Z3s), Fraction(Y3, Z3s * Z3))
+            lam2 = math.gcd(X3, Z3 * Z3)
+        return _reduced_point(X3, Y3, Z3, lam2)
 
     def negate(self, P: Point) -> Point:
         if P.is_infinity:

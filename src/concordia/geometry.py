@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadrics import QuadricPoint, _Coprime
+from .curves import _Coprime
+from .quadrics import QuadricPoint
 from .serialize import frac_str
 from .triples import CongruentTriple, congruent_to_concordant
 

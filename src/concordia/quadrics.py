@@ -15,11 +15,10 @@ sign, which the test suite checks exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import Curve, INFINITY, Point
+from .curves import INFINITY, Curve, Point, _Coprime, _smooth_gcd
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,20 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
     -(x^2 + 2nx + mn)): the classical quartics
     (-(x+m)(y^2 - m(x+n)^2) : 2y(x+m)(x+n) : ...) with the common factor
     (x+m)(x+n) taken out, using y^2 = x(x+m)(x+n).  With x = X/Z^2 and
-    y = Y/Z^3 this is Z^4 times it, a polynomial in (X, Y, Z), reduced
-    by one gcd.  It holds at the 2-torsion points too; infinity goes to
-    the trivial base point (1:0:1:1).
+    y = Y/Z^3 this is Z^4 times it, a polynomial in (X, Y, Z).  It holds
+    at the 2-torsion points too; infinity goes to the trivial base point
+    (1:0:1:1).
+
+    Lemma: a prime p dividing all four coordinates divides
+    N = mn(m-n), so their gcd is _smooth_gcd(N, ...).  Proof, for P in
+    lowest terms:
+    - p | Z: the tuple is (-X^2, 0, -X^2, -X^2) mod p and p does not
+      divide X, so p divides no coordinate but the second.
+    - p = 2 divides N: m, n and m-n are never all odd.
+    - p odd, p not dividing Z: p | 2YZ gives p | Y, so p divides X,
+      X + mZ^2 or X + nZ^2.  If p | X, the first coordinate gives
+      p | mn.  If p | X + mZ^2 and not X, it reads mZ^4(n - m) = 0 mod p
+      with p not dividing m, so p | m - n; X + nZ^2 likewise.
     """
     if P.is_infinity:
         return TRIVIAL_BASE
@@ -114,41 +124,30 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
     X2, mnZ4 = X * X, c.m * c.n * Z2 * Z2
     coords = [mnZ4 - X2, 2 * Y * Z, -(X2 + 2 * c.m * X * Z2 + mnZ4),
               -(X2 + 2 * c.n * X * Z2 + mnZ4)]
-    g = math.gcd(*coords)
+    g = _smooth_gcd(c.discriminant_root(), *coords)
     if coords[0] < 0 or coords[0] == 0 and coords[1] < 0:
         g = -g
     return QuadricPoint(*(v // g for v in coords))
-
-
-class _Coprime:
-    """n/d with gcd(n, d) = 1 and d > 0.  Registered as a
-    `numbers.Rational`, whose numerator and denominator are in lowest
-    terms by contract, so `Fraction(_Coprime(n, d))` takes them as they
-    are instead of spending a gcd to find the common factor 1."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, n: int, d: int):
-        self.numerator, self.denominator = n, d
-
-
-numbers.Rational.register(_Coprime)
 
 
 def _degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
     """(x0/x1)^2, sign*x0*x2*x3/x1^3, built in lowest terms without a
     gcd: on a primitive point of Q(m,n), gcd(x0, x1) = gcd(x2, x1) =
     gcd(x3, x1) = 1, since a prime dividing x1 and one of x0, x2, x3
-    divides all four."""
+    divides all four.  The image is checked on the curve with
+    `Curve.satisfies` at Z = |x1|, which needs no square root."""
     if not S.on_quadric(c):
         raise ValueError(f"{S} is not on Q({c.m},{c.n})")
     if S.x1 == 0:
         return INFINITY
-    x1 = S.x1
-    if x1 < 0:
-        x1, sign = -x1, -sign
-    return c.point(Fraction(_Coprime(S.x0 * S.x0, x1 * x1)),
-                   Fraction(_Coprime(sign * S.x0 * S.x2 * S.x3, x1 * x1 * x1)))
+    Z = S.x1
+    if Z < 0:
+        Z, sign = -Z, -sign
+    X, Y = S.x0 * S.x0, sign * S.x0 * S.x2 * S.x3
+    if not c.satisfies(X, Y, Z):
+        raise ValueError(f"degree-4 image not on E({c.m},{c.n})")
+    Zs = Z * Z
+    return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
 
 
 def right_triangle_map(S: QuadricPoint, c: Curve) -> Point:

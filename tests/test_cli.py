@@ -2,13 +2,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from concordia.cli import build_parser, main
+from concordia.curves import Curve
 from concordia.torsion import CertificateMismatch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -128,11 +128,17 @@ def test_search_is_repeatable_and_writes_no_file(tmp_path):
     ["solve", "theta", "--r", "0", "--s", "1", "--k", "5"],
 ])
 @pytest.mark.parametrize("bound", [str(10 ** 7 + 1), "1" + "0" * 5000])
-def test_bound_over_limit_is_refused_at_once(argv, bound, capsys):
-    t0 = time.perf_counter()
+def test_bound_over_limit_is_refused_at_once(argv, bound, monkeypatch,
+                                             capsys):
+    # Refused at the parser: the search and the solvers are never reached.
+    def unreachable(*args):
+        raise AssertionError("a refused bound reached the search")
+
+    monkeypatch.setattr("concordia.curves.Curve.search", unreachable)
+    monkeypatch.setattr("concordia.cli.solve_concordant", unreachable)
+    monkeypatch.setattr("concordia.cli.solve_theta_congruent", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--bound", bound])
-    assert time.perf_counter() - t0 < 1.0
     assert exc.value.code == 1
     assert "--bound: must be at most 10000000" in capsys.readouterr().err
 
@@ -199,6 +205,40 @@ def test_selftest_caps_are_refused_by_the_parser(flag, limit, capsys):
             parser.parse_args(["selftest", flag, value])
         assert exc.value.code == 1
         assert f"{flag}: must be at most {limit}" in capsys.readouterr().err
+    for value in ("0", "-5", "-" + "9" * 5000):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["selftest", flag, value])
+        assert exc.value.code == 1
+        assert f"{flag}: must be at least 1" in capsys.readouterr().err
+
+
+def test_chain_over_digit_limit_is_refused(capsys):
+    # 52P of (-4, 6) on E(-5,5) has a 2231-digit x numerator, and its
+    # quadric coordinates have 4462 digits: past Python's int->str limit.
+    c = Curve(-5, 5)
+    P = c.multiply(c.point(-4, 6), 52)
+    for fmt in ("json", "text"):
+        assert main(["--format", fmt, "convert", "chain", "--m", "-5",
+                     "--n", "5", "--x", str(P.x), "--y", str(P.y)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the result has a 4462-digit integer; "
+                       "the limit is 4300 digits\n")
+    for x in ("1/1" + "0" * 4300, "1_" * 4300 + "1"):
+        assert main(["convert", "chain", "--m", "-5", "--n", "5",
+                     "--x", x, "--y", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --x has a 4301-digit integer; the limit is " \
+                      "4300 digits\n"
+    # Fraction would expand the exponent into a 2000001-digit integer first.
+    for y, exponent in (("1e2000000", "2000000"), ("1E-4300", "4300")):
+        assert main(["convert", "chain", "--m", "-5", "--n", "5",
+                     "--x", "1", "--y", y]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --y has a decimal exponent of {exponent}; " \
+                      "the limit is 4300 digits\n"
 
 
 def test_classify_huge_m_needs_no_divisors(capsys):

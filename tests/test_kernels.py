@@ -7,10 +7,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import INFINITY, Curve, Point
+from concordia.curves import INFINITY, Curve, Point, _smooth_gcd, factorint
 from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
                                 ap_to_triangle, quadric_to_ap)
 from concordia.quadrics import (QuadricPoint, concordant_form_map,
@@ -279,6 +279,84 @@ def test_add_rejects_denominators_off_every_curve():
         c.add(P, Point(Fraction(1, 2), Fraction(1, 8)))  # 2 is not a square
     with pytest.raises(ValueError):
         c.add(Point(Fraction(1, 4), Fraction(1, 4)), P)  # 4 is not 2^3
+    # Denominators 2^2 and 2^3 that a point can have, but off the curve:
+    # (25/4, 75/8) is on it.
+    off = Point(Fraction(25, 4), Fraction(77, 8))
+    for A, B in [(off, off), (off, P), (P, off), (off, c.negate(off))]:
+        with pytest.raises(ValueError):
+            c.add(A, B)
+
+
+def _assert_lowest_terms(R: Point):
+    if not R.is_infinity:
+        assert math.gcd(R.x.numerator, R.x.denominator) == 1
+        assert math.gcd(R.y.numerator, R.y.denominator) == 1
+
+
+nonzero = st.integers(-1000, 1000).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero, nonzero, st.data())
+def test_add_results_are_reduced_on_random_curves(m, n, data):
+    # The kernels build their results through _Coprime, which skips
+    # Fraction's own reduction: an unreduced result would only show as a
+    # wrong ==.  So the coordinates are checked for lowest terms as well.
+    assume(m != n)
+    c = Curve(m, n)
+    pts = sorted(c.search(60) | c.torsion_oracle(), key=repr)
+    P = data.draw(st.sampled_from(pts))
+    Q = data.draw(st.sampled_from(pts))
+    kP = P
+    for _ in range(data.draw(st.integers(0, 11))):
+        kP = reference_add(c, kP, P)
+    for A, B in [(kP, Q), (Q, kP), (kP, kP), (Q, Q), (kP, P)]:
+        R = c.add(A, B)
+        assert R == reference_add(c, A, B)
+        _assert_lowest_terms(R)
+        assert point_to_quadric(R, c) == reference_point_to_quadric(R, c)
+
+
+def test_double_divides_out_a_prime_of_m_minus_n():
+    # 7 divides y = 35 and m - n = -42 but not m or n, so the tangent's X3
+    # and Z3 = 2*Y1*Z1 share 7^2 (lam^2 = 35^2).
+    c = Curve(-30, 12)
+    P = c.point(-5, 35)
+    D = c.add(P, P)
+    assert D == reference_add(c, P, P) == Point(Fraction(121, 4),
+                                                Fraction(143, 8))
+    _assert_lowest_terms(D)
+
+
+# X3 = 35^2 * 121 and Y3 = 35^3 * 143: 9 does not divide X3, 11^3 does not
+# divide Y3, and 5^2 * 7 is not a square.
+@pytest.mark.parametrize("lam2", [9, 11 * 11, 5 * 5 * 7])
+def test_wrong_common_factor_is_an_internal_fault(lam2, monkeypatch):
+    # lam^2 = 35^2 here.  A wrong one is never divided out silently, and
+    # the fault is not a ValueError, which the CLI reports as a usage error.
+    monkeypatch.setattr("concordia.curves._smooth_gcd", lambda *v: lam2)
+    c = Curve(-30, 12)
+    P = c.point(-5, 35)
+    with pytest.raises(ArithmeticError):
+        c.add(P, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6), st.booleans(), st.data())
+def test_smooth_gcd_matches_gcd(N, negative, data):
+    primes = list(factorint(N))
+    size = data.draw(st.integers(1, 4))
+    zero = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    assume(not all(zero))
+    powers = [math.prod(p ** data.draw(st.integers(0, 60)) for p in primes)
+              * data.draw(st.sampled_from([1, -1])) for _ in range(size)]
+    cofactors = [data.draw(st.integers(1, 10 ** 30).filter(
+        lambda v: math.gcd(v, N) == 1)) for _ in range(size)]
+    # No common prime outside N: divide out what the cofactors share.
+    g = math.gcd(*(f for f, z in zip(cofactors, zero) if not z))
+    vals = [0 if z else p * f // g
+            for p, f, z in zip(powers, cofactors, zero)]
+    assert _smooth_gcd(-N if negative else N, *vals) == math.gcd(*vals)
 
 
 def test_two_torsion_points_are_on_the_curve():

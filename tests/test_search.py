@@ -2,7 +2,6 @@
 plain scan of every |u| <= H it replaced."""
 
 import math
-import time
 from fractions import Fraction
 
 import pytest
@@ -60,19 +59,56 @@ def test_search_matches_reference_many_small_primes():
         assert c.search(10 ** 4) == reference_search(c, 10 ** 4)
 
 
+class TooManyReductions(Exception):
+    pass
+
+
+class CountingInt(int):
+    """An int that counts the reductions (% and //) made of it and raises
+    TooManyReductions past CAP of them.  // keeps the type, so the count
+    follows v as it is divided down, and so do * and abs(), so that it
+    follows m and n into |mn|."""
+
+    CAP = 50
+    reductions = 0
+
+    def _count(self):
+        CountingInt.reductions += 1
+        if CountingInt.reductions > CountingInt.CAP:
+            raise TooManyReductions
+
+    def __mod__(self, other):
+        self._count()
+        return int.__mod__(self, other)
+
+    def __floordiv__(self, other):
+        self._count()
+        return CountingInt(int.__floordiv__(self, other))
+
+    def __mul__(self, other):
+        product = int.__mul__(self, other)
+        return product if product is NotImplemented else CountingInt(product)
+
+    def __abs__(self):
+        return CountingInt(int.__abs__(self))
+
+
 def test_search_does_not_factor_mn(monkeypatch):
     # |mn| is about 10^210 with the primes 2^607 - 1 and 2^89 - 1, far past
-    # the height bound and past what Pollard rho splits; search only
-    # trial-divides up to H.
+    # the height bound and past what Pollard rho splits.  search only
+    # trial-divides up to H: it reduces |mn| 11 times in all, where one
+    # reduction per candidate up to H = 10^4 takes 5009.  Counting them,
+    # not timing them, keeps the test independent of the host's load.
     def refuse(v):
         raise AssertionError("search must not factor")
 
     monkeypatch.setattr("concordia.curves.factorint", refuse)
     monkeypatch.setattr("concordia.curves.divisors", refuse)
-    c = Curve(-6 * (2 ** 607 - 1), 5 * (2 ** 89 - 1))
-    t0 = time.perf_counter()
+    c = Curve(CountingInt(-6 * (2 ** 607 - 1)),
+              CountingInt(5 * (2 ** 89 - 1)))
+    CountingInt.reductions = 0
     found = c.search(10 ** 4)
-    assert time.perf_counter() - t0 < 1.0
+    assert CountingInt.reductions <= CountingInt.CAP
     assert c.search(300) == reference_search(c, 300)
     assert reference_search(c, 300) <= found
 
@@ -107,32 +143,6 @@ def test_prime_factors_up_to_matches_reference(base, extra, limit):
     v = base * math.prod(extra)
     assert _prime_factors_up_to(v, limit) == \
         reference_prime_factors_up_to(v, limit)
-
-
-class TooManyReductions(Exception):
-    pass
-
-
-class CountingInt(int):
-    """An int that counts the reductions (% and //) made of it and raises
-    TooManyReductions past CAP of them; // keeps the type, so the count
-    follows v as it is divided down."""
-
-    CAP = 50
-    reductions = 0
-
-    def _count(self):
-        CountingInt.reductions += 1
-        if CountingInt.reductions > CountingInt.CAP:
-            raise TooManyReductions
-
-    def __mod__(self, other):
-        self._count()
-        return int.__mod__(self, other)
-
-    def __floordiv__(self, other):
-        self._count()
-        return CountingInt(int.__floordiv__(self, other))
 
 
 def test_prime_factors_up_to_large_v_is_fast():
