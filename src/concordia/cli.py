@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .curves import Curve, point_sort_key
 from .geometry import ap_to_triangle, quadric_to_ap
@@ -26,7 +27,7 @@ from .problems import (four_torsion_counterexamples, gen_order4_family,
                        solve_concordant, solve_theta_congruent,
                        verify_concordant_solution)
 from .quadrics import point_to_quadric
-from .serialize import frac_str, parse_frac, point_json
+from .serialize import frac_str, point_json
 from .sweeps import family_sweep, oracle_equivalence_sweep
 from .torsion import CertificateMismatch, torsion_subgroup
 from .triples import (ConcordantTriple, CongruentTriple,
@@ -94,9 +95,10 @@ def _digits(v: int) -> int:
 
 
 def _parse_rational(flag: str, text: str):
-    """parse_frac(text), or DigitLimitError if an integer written in it
+    """Fraction(text), or DigitLimitError if an integer written in it
     has more than MAX_DIGITS digits, or a decimal exponent would make
-    one (Fraction expands "1e999999999" in full)."""
+    one (Fraction expands "1e999999999" in full), or ValueError for a
+    zero denominator."""
     plain = text.replace("_", "")
     longest = max(map(len, re.findall(r"\d+", plain)), default=0)
     if longest > MAX_DIGITS:
@@ -107,7 +109,10 @@ def _parse_rational(flag: str, text: str):
         raise DigitLimitError(f"{flag} has a decimal exponent of "
                               f"{exponent[1]}; the limit is {MAX_DIGITS} "
                               f"digits")
-    return parse_frac(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator") from None
 
 
 def _check_digits(values) -> None:
@@ -148,7 +153,8 @@ def _curve_from_args(args) -> Curve:
     return ConcordantTriple(args.p, args.q, args.k).curve()
 
 
-def _cmd_classify(args) -> int:
+# Each handler returns (JSON payload, text lines, exit code); `main` prints.
+def _cmd_classify(args):
     c = _curve_from_args(args)
     cls, pts = torsion_subgroup(c)
     ordered = sorted(pts, key=point_sort_key)
@@ -160,18 +166,16 @@ def _cmd_classify(args) -> int:
     lines = [f"E({c.m},{c.n}): torsion {cls.tag}",
              f"certificate: {cls.to_json()}",
              "points: " + ", ".join(map(str, ordered))]
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     if args.problem == "concordant":
         report = solve_concordant(ConcordantTriple(args.p, args.q, args.k),
                                   args.bound)
     else:
         report = solve_theta_congruent(CongruentTriple(args.r, args.s, args.k),
                                        args.bound)
-    payload = report.to_json()
     lines = [f"{report.problem} {report.triple} on "
              f"E({report.curve.m},{report.curve.n}): "
              f"{len(report.solutions)} solution(s), torsion "
@@ -182,61 +186,59 @@ def _cmd_solve(args) -> int:
     for tri, pts in report.triangles():
         lines.append("  triangle " + "/".join(frac_str(v) for v in tri.sides())
                      + f" from {len(pts)} point(s)")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return report.to_json(), lines, EXIT_OK
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args):
     if args.conversion == "to-concordant":
         t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
-        payload = {"concordant": [t.p, t.q, t.k]}
-        lines = [f"(p,q,k) = ({t.p},{t.q},{t.k})"]
-    elif args.conversion == "to-congruent":
+        return ({"concordant": [t.p, t.q, t.k]},
+                [f"(p,q,k) = ({t.p},{t.q},{t.k})"], EXIT_OK)
+    if args.conversion == "to-congruent":
         t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
-        payload = {"congruent": [t.r, t.s, t.k]}
-        lines = [f"(r,s,k) = ({t.r},{t.s},{t.k})"]
-    else:  # chain
-        c = Curve(args.m, args.n)
-        P = c.point(_parse_rational("--x", args.x),
-                    _parse_rational("--y", args.y))
-        S = point_to_quadric(P, c)
-        ap = tri = None
-        if not S.is_trivial and c.m < 0 < c.n:
-            step = math.gcd(-c.m, c.n)
-            ap = quadric_to_ap(S, -c.m // step, c.n // step, step)
-            if args.r is not None and args.s is not None:
-                tri = ap_to_triangle(ap, args.r, args.s)
-        shown = [P.x, P.y, *S.coords()]
-        if ap is not None:
-            shown += (ap.squares() if args.format == "text"
-                      else (ap.alpha, ap.beta, ap.gamma))
-        if tri is not None:
-            shown += tri.sides()
-        _check_digits(shown)
-        payload = {"point": point_json(P), "quadric": list(S.coords())}
-        lines = [f"point {P}", f"quadric {S.coords()}"]
-        if ap is not None:
-            payload["ap"] = ap.to_json()
-            lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
-                         f"step {ap.step} gaps ({ap.p},{ap.q})")
-        if tri is not None:
-            payload["triangle"] = tri.to_json()
-            lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+        return ({"congruent": [t.r, t.s, t.k]},
+                [f"(r,s,k) = ({t.r},{t.s},{t.k})"], EXIT_OK)
+    if (args.r is None) != (args.s is None):
+        raise ValueError("--r and --s must be given together")
+    c = Curve(args.m, args.n)
+    P = c.point(_parse_rational("--x", args.x),
+                _parse_rational("--y", args.y))
+    S = point_to_quadric(P, c)
+    ap = tri = None
+    if not S.is_trivial and c.m < 0 < c.n:
+        step = math.gcd(-c.m, c.n)
+        ap = quadric_to_ap(S, -c.m // step, c.n // step, step)
+        if args.r is not None:
+            tri = ap_to_triangle(ap, args.r, args.s)
+    shown = [P.x, P.y, *S.coords()]
+    if ap is not None:
+        shown += (ap.squares() if args.format == "text"
+                  else (ap.alpha, ap.beta, ap.gamma))
+    if tri is not None:
+        shown += tri.sides()
+    _check_digits(shown)
+    payload = {"point": point_json(P), "quadric": list(S.coords())}
+    lines = [f"point {P}", f"quadric {S.coords()}"]
+    if ap is not None:
+        payload["ap"] = ap.to_json()
+        lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
+                     f"step {ap.step} gaps ({ap.p},{ap.q})")
+    if tri is not None:
+        payload["triangle"] = tri.to_json()
+        lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
+    return payload, lines, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     verdict = verify_concordant_solution(args.m, args.n, args.x, args.y,
                                          args.z, args.w)
     payload = {"verdict": verdict,
                "solution": [args.x, args.y, args.z, args.w],
                "curve": {"m": args.m, "n": args.n}}
-    _emit(payload, args.format, [verdict])
-    return EXIT_OK if verdict != "invalid" else EXIT_VERIFY
+    return payload, [verdict], EXIT_OK if verdict != "invalid" else EXIT_VERIFY
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     c = Curve(args.m, args.n)
     pts = sorted(c.search(args.bound), key=point_sort_key)
     rows = []
@@ -252,18 +254,16 @@ def _cmd_search(args) -> int:
     for row in rows:
         lines.append(f"  {row['point']} order={row['order']} "
                      f"double={row['is_double']}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args):
     if args.family == "order4":
         rec = gen_order4_family(args.u, args.v)
     elif args.family == "order8":
         rec = gen_order8_family(args.xi, args.eta, args.zeta)
     else:
         rec = gen_order36_family(args.a, args.b)
-    payload = rec.to_json()
     lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
              f"torsion {rec.torsion_tag}",
              f"concordant (p,q,k) = "
@@ -271,11 +271,10 @@ def _cmd_family(args) -> int:
              f"congruent (r,s,k) = "
              f"({rec.congruent.r},{rec.congruent.s},{rec.congruent.k}) "
              f"on E{rec.congruent_curve} [{rec.parity_case}]"]
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return rec.to_json(), lines, EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     failures = []
     oracle_mismatch = False
 
@@ -294,10 +293,24 @@ def _cmd_selftest(args) -> int:
     payload = {"failures": failures, "passed": not failures}
     lines = [f"selftest: {'PASS' if not failures else 'FAIL'}"] + \
         [f"  {line}" for line in failures]
-    _emit(payload, args.format, lines)
     if oracle_mismatch:
-        return EXIT_INTERNAL
-    return EXIT_OK if not failures else EXIT_VERIFY
+        return payload, lines, EXIT_INTERNAL
+    return payload, lines, EXIT_OK if not failures else EXIT_VERIFY
+
+
+def _leaf(sub, name, func, required="", optional="", extra=(), **kw):
+    """Add the subcommand `name`, run by `func`, with an integer flag
+    --WORD for each word of `required` (required) and of `optional` (not
+    required), and the (flag, add_argument keywords) pairs of `extra`
+    between the two; `kw` (help=) goes to add_parser."""
+    p = sub.add_parser(name, **kw)
+    for word in required.split():
+        p.add_argument(f"--{word}", type=int, required=True)
+    for flag, spec in extra:
+        p.add_argument(flag, **spec)
+    for word in optional.split():
+        p.add_argument(f"--{word}", type=int)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> _Parser:
@@ -306,104 +319,51 @@ def build_parser() -> _Parser:
                                  "and torsion on E(m,n), in exact arithmetic")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    bound = ("--bound", {"type": _capped(MAX_BOUND)})
 
-    p = sub.add_parser("classify", help="torsion class and full torsion list")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=_cmd_classify)
-
+    _leaf(sub, "classify", _cmd_classify, optional="m n p q k",
+          help="torsion class and full torsion list")
     p = sub.add_parser("solve", help="solution pipelines")
-    solve_sub = p.add_subparsers(dest="problem", required=True)
-    pc = solve_sub.add_parser("concordant")
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--q", type=int, required=True)
-    pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--bound", type=_capped(MAX_BOUND))
-    pc.set_defaults(func=_cmd_solve)
-    pt = solve_sub.add_parser("theta")
-    pt.add_argument("--r", type=int, required=True)
-    pt.add_argument("--s", type=int, required=True)
-    pt.add_argument("--k", type=int, required=True)
-    pt.add_argument("--bound", type=_capped(MAX_BOUND))
-    pt.set_defaults(func=_cmd_solve)
-
+    solve = p.add_subparsers(dest="problem", required=True)
+    _leaf(solve, "concordant", _cmd_solve, "p q k", extra=[bound])
+    _leaf(solve, "theta", _cmd_solve, "r s k", extra=[bound])
     p = sub.add_parser("convert", help="triple encodings and object chains")
-    conv_sub = p.add_subparsers(dest="conversion", required=True)
-    c1 = conv_sub.add_parser("to-concordant")
-    c1.add_argument("--r", type=int, required=True)
-    c1.add_argument("--s", type=int, required=True)
-    c1.add_argument("--k", type=int, required=True)
-    c1.set_defaults(func=_cmd_convert)
-    c2 = conv_sub.add_parser("to-congruent")
-    c2.add_argument("--p", type=int, required=True)
-    c2.add_argument("--q", type=int, required=True)
-    c2.add_argument("--k", type=int, required=True)
-    c2.set_defaults(func=_cmd_convert)
-    c3 = conv_sub.add_parser("chain")
-    c3.add_argument("--m", type=int, required=True)
-    c3.add_argument("--n", type=int, required=True)
-    c3.add_argument("--x", required=True)
-    c3.add_argument("--y", required=True)
-    c3.add_argument("--r", type=int)
-    c3.add_argument("--s", type=int)
-    c3.set_defaults(func=_cmd_convert)
-
+    conv = p.add_subparsers(dest="conversion", required=True)
+    _leaf(conv, "to-concordant", _cmd_convert, "r s k")
+    _leaf(conv, "to-congruent", _cmd_convert, "p q k")
+    _leaf(conv, "chain", _cmd_convert, "m n", "r s",
+          extra=[("--x", {"required": True}), ("--y", {"required": True})])
     p = sub.add_parser("verify", help="check a concordant-form solution")
-    verify_sub = p.add_subparsers(dest="target", required=True)
-    vc = verify_sub.add_parser("concordant")
-    vc.add_argument("--m", type=int, required=True)
-    vc.add_argument("--n", type=int, required=True)
-    vc.add_argument("--x", type=int, required=True)
-    vc.add_argument("--y", type=int, required=True)
-    vc.add_argument("--z", type=int, required=True)
-    vc.add_argument("--w", type=int, required=True)
-    vc.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("search", help="height-bounded point search")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=_capped(MAX_BOUND), required=True)
-    p.set_defaults(func=_cmd_search)
-
+    verify = p.add_subparsers(dest="target", required=True)
+    _leaf(verify, "concordant", _cmd_verify, "m n x y z w")
+    _leaf(sub, "search", _cmd_search, "m n",
+          extra=[("--bound", {"type": _capped(MAX_BOUND), "required": True})],
+          help="height-bounded point search")
     p = sub.add_parser("family", help="torsion-solution family generators")
-    fam_sub = p.add_subparsers(dest="family", required=True)
-    f4 = fam_sub.add_parser("order4")
-    f4.add_argument("--u", type=int, required=True)
-    f4.add_argument("--v", type=int, required=True)
-    f4.set_defaults(func=_cmd_family)
-    f8 = fam_sub.add_parser("order8")
-    f8.add_argument("--xi", type=int, required=True)
-    f8.add_argument("--eta", type=int, required=True)
-    f8.add_argument("--zeta", type=int, required=True)
-    f8.set_defaults(func=_cmd_family)
-    f36 = fam_sub.add_parser("order36")
-    f36.add_argument("--a", type=int, required=True)
-    f36.add_argument("--b", type=int, required=True)
-    f36.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("selftest", help="run the invariant suites")
-    p.add_argument("--pmax", type=_capped(MAX_PMAX), default=6,
-                   help="oracle-equivalence grid p, q <= PMAX")
-    p.add_argument("--jobs", type=_capped(os.cpu_count() or 1), default=1)
-    p.set_defaults(func=_cmd_selftest)
-
+    family = p.add_subparsers(dest="family", required=True)
+    _leaf(family, "order4", _cmd_family, "u v")
+    _leaf(family, "order8", _cmd_family, "xi eta zeta")
+    _leaf(family, "order36", _cmd_family, "a b")
+    _leaf(sub, "selftest", _cmd_selftest, help="run the invariant suites",
+          extra=[("--pmax", {"type": _capped(MAX_PMAX), "default": 6,
+                             "help": "oracle-equivalence grid p, q <= PMAX"}),
+                 ("--jobs", {"type": _capped(os.cpu_count() or 1),
+                             "default": 1})])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except CertificateMismatch as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(payload, args.format, lines)
+    return code
 
 
 if __name__ == "__main__":

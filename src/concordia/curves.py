@@ -311,18 +311,6 @@ def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
     return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
 
 
-def _weighted(P: Point) -> Optional[tuple[int, int, int]]:
-    """(X, Y, Z) with x = X/Z^2 and y = Y/Z^3 for an affine P, or None
-    when the lowest-terms denominators of x and y are not Z^2 and Z^3 for
-    one Z >= 1 (no point of an integral model y^2 = x(x+m)(x+n) has
-    other denominators: see `Curve.contains`)."""
-    b, e = P.x.denominator, P.y.denominator
-    Z = math.isqrt(b)
-    if b != Z * Z or e != Z * b:
-        return None
-    return P.x.numerator, P.y.numerator, Z
-
-
 def point_sort_key(P: Point):
     """Canonical ordering: infinity first, then (x num, x den, y)."""
     if P.is_infinity:
@@ -423,9 +411,14 @@ class Curve:
 
     def weighted(self, P: Point) -> Optional[tuple[int, int, int]]:
         """(X, Y, Z) with x = X/Z^2, y = Y/Z^3 for an affine point P on
-        the curve, None if P is not on it (see `contains`)."""
-        w = _weighted(P)
-        return w if w is not None and self.satisfies(*w) else None
+        the curve, None if P is not on it (see `contains`): its
+        lowest-terms denominators must be Z^2 and Z^3 for one Z >= 1."""
+        b, e = P.x.denominator, P.y.denominator
+        Z = math.isqrt(b)
+        if b != Z * Z or e != Z * b:
+            return None
+        X, Y = P.x.numerator, P.y.numerator
+        return (X, Y, Z) if self.satisfies(X, Y, Z) else None
 
     def satisfies(self, X: int, Y: int, Z: int) -> bool:
         """Y^2 = X(X + mZ^2)(X + nZ^2): for coprime X and Z >= 1, is

@@ -131,6 +131,8 @@ def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
     b > 0, and alpha < beta < gamma gives the triangle inequalities: a
     valid progression never yields a degenerate triangle.
     """
+    if s < 1:
+        raise ValueError("s must be positive")
     d = t.beta.denominator
     al, ga = t.alpha.numerator, t.gamma.numerator
     a, b, c = Fraction(ga + al, d), Fraction(ga - al, d), 2 * t.beta

@@ -104,11 +104,11 @@ def _solve(problem: str, triple_fields: tuple, ct: ConcordantTriple,
            search_bound: Optional[int]) -> SolutionReport:
     c = ct.curve()
     cls, torsion = torsion_subgroup(c)
-    interesting = {P for P in torsion if (c.order_of(P) or 13) > 2}
+    interesting = {P for P in torsion if not P.is_infinity and P.y != 0}
     entries = _entries(c, interesting, ct, "torsion", angle)
     if search_bound is not None:
-        hits = {P for P in c.search(search_bound)
-                if P not in torsion and not P.is_infinity and P.y != 0}
+        # torsion holds O and the three points of order 2
+        hits = {P for P in c.search(search_bound) if P not in torsion}
         entries += _entries(c, hits, ct, "search", angle)
     return SolutionReport(problem=problem, triple=triple_fields, curve=c,
                           torsion_class=cls, solutions=tuple(entries),

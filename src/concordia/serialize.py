@@ -16,10 +16,6 @@ def frac_str(v) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def point_json(P):
     if P.is_infinity:
         return "O"

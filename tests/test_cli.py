@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from concordia.cli import build_parser, main
+from concordia.cli import _parse_rational, build_parser, main
 from concordia.curves import Curve
 from concordia.torsion import CertificateMismatch
 
@@ -241,6 +242,25 @@ def test_chain_over_digit_limit_is_refused(capsys):
                       "the limit is 4300 digits\n"
 
 
+def test_parse_rational_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match="--y has a zero denominator"):
+        _parse_rational("--y", " 0/0 ")
+
+
+@pytest.mark.parametrize("extra,err", [
+    (["--x", "1/0", "--y", "1"], "--x has a zero denominator"),
+    (["--x", "-4", "--y", "6", "--r", "0", "--s", "0"], "s must be positive"),
+    (["--x", "-4", "--y", "6", "--r", "0"],
+     "--r and --s must be given together"),
+    (["--x", "-4", "--y", "6", "--s", "1"],
+     "--r and --s must be given together"),
+])
+def test_chain_bad_input_is_a_usage_error(extra, err):
+    proc = cli("convert", "chain", "--m", "-5", "--n", "5", *extra)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"error: {err}\n"  # and no traceback
+
+
 def test_classify_huge_m_needs_no_divisors(capsys):
     # |m| = 10^2200 has about 4.8M divisors; the 3-torsion test walks none.
     code, payload = run_json(capsys, "classify", "--m", str(-10 ** 2200),
@@ -289,3 +309,44 @@ def test_unfactorable_gcd_is_a_usage_error(monkeypatch, capsys):
     assert main(["classify", "--m", str(-BIG_SEMIPRIME),
                  "--n", str(2 * BIG_SEMIPRIME)]) == 1
     assert "cannot factor a 150-bit integer" in capsys.readouterr().err
+
+
+USAGES = [
+    "usage: concordia [-h] [--format {json,text}]\n"
+    "                 {classify,solve,convert,verify,search,family,selftest}"
+    " ...\n",
+    "usage: concordia classify [-h] [--m M] [--n N] [--p P] [--q Q] [--k K]\n",
+    "usage: concordia solve [-h] {concordant,theta} ...\n",
+    "usage: concordia solve concordant [-h] --p P --q Q --k K "
+    "[--bound BOUND]\n",
+    "usage: concordia solve theta [-h] --r R --s S --k K [--bound BOUND]\n",
+    "usage: concordia convert [-h] {to-concordant,to-congruent,chain} ...\n",
+    "usage: concordia convert to-concordant [-h] --r R --s S --k K\n",
+    "usage: concordia convert to-congruent [-h] --p P --q Q --k K\n",
+    "usage: concordia convert chain [-h] --m M --n N --x X --y Y [--r R] "
+    "[--s S]\n",
+    "usage: concordia verify [-h] {concordant} ...\n",
+    "usage: concordia verify concordant [-h] --m M --n N --x X --y Y --z Z "
+    "--w W\n",
+    "usage: concordia search [-h] --m M --n N --bound BOUND\n",
+    "usage: concordia family [-h] {order4,order8,order36} ...\n",
+    "usage: concordia family order4 [-h] --u U --v V\n",
+    "usage: concordia family order8 [-h] --xi XI --eta ETA --zeta ZETA\n",
+    "usage: concordia family order36 [-h] --a A --b B\n",
+    "usage: concordia selftest [-h] [--pmax PMAX] [--jobs JOBS]\n",
+]
+
+
+def test_usage_of_every_parser_is_pinned(monkeypatch):
+    # A dropped, renamed, reordered or newly optional flag changes a usage
+    # line.  argparse wraps at $COLUMNS, so pin it.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def walk(parser):
+        yield parser.format_usage()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    yield from walk(child)
+
+    assert list(walk(build_parser())) == USAGES

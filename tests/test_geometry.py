@@ -138,6 +138,13 @@ def test_ap_to_triangle_345_right_angle():
     assert triangle_to_ap(tri) == ap
 
 
+def test_ap_to_triangle_rejects_s_zero_before_dividing_by_it():
+    ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
+                  gamma=Fraction(7, 2), step=6, p=1, q=1)
+    with pytest.raises(ValueError, match="s must be positive"):
+        ap_to_triangle(ap, 0, 0)
+
+
 def test_ap_to_triangle_rejects_wrong_angle():
     ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
                   gamma=Fraction(7, 2), step=6, p=1, q=1)

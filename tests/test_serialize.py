@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from concordia.curves import INFINITY, Point
-from concordia.serialize import frac_str, parse_frac, point_json
+from concordia.serialize import frac_str, point_json
 
 
 def test_frac_str_examples():
@@ -22,10 +22,10 @@ def test_point_json_examples():
        st.integers(min_value=1, max_value=10 ** 6))
 def test_frac_roundtrip(num, den):
     v = Fraction(num, den)
-    assert parse_frac(frac_str(v)) == v
+    assert Fraction(frac_str(v)) == v
 
 
 @given(st.fractions(), st.fractions())
 def test_point_roundtrip(x, y):
     P = Point(x, y)
-    assert Point(*map(parse_frac, point_json(P))) == P
+    assert Point(*map(Fraction, point_json(P))) == P
