@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 usage error, 2 failed verification, 3 internal
-invariant violation (a torsion certificate that does not check out, or
-the classifier disagreeing with the enumeration oracle).  All numbers
+invariant violation (a torsion certificate that does not check out, the
+classifier disagreeing with the enumeration oracle, or an exact-arithmetic
+post-condition of a kernel, an ArithmeticError).  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
 MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
 workers (`--jobs`) than CPUs, any of these three below 1, and a
@@ -210,6 +211,10 @@ def _cmd_convert(args):
         ap = quadric_to_ap(S, -c.m // step, c.n // step, step)
         if args.r is not None:
             tri = ap_to_triangle(ap, args.r, args.s)
+    elif args.r is not None:
+        raise ValueError("--r/--s need a progression, and " + (
+            "there is none unless m < 0 < n" if not c.m < 0 < c.n
+            else "the point's quadric image is trivial"))
     shown = [P.x, P.y, *S.coords()]
     if ap is not None:
         shown += (ap.squares() if args.format == "text"
@@ -356,7 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines, code = args.func(args)
-    except CertificateMismatch as exc:
+    except (CertificateMismatch, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -9,7 +9,8 @@ y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
 A sum comes out as (X3, Y3, Z3) = (lam^2 X, lam^3 Y, lam Z) for its
 lowest-terms (X, Y, Z): the chord finds lam^2 with one gcd, the tangent
 over the primes of mn(m-n) alone (`_smooth_gcd`), and both divide
-exactly and build the result through `_Coprime`, with no gcd in
+exactly.  Every kernel, here and in `concordia.quadrics`, builds a point
+from coprime weighted integers through `_point`, with no gcd in
 `Fraction`.  The torsion oracle is a
 Nagell-Lutz enumeration that is independent of the closed-form torsion
 classifier in `concordia.torsion`.  The integer helpers the package
@@ -286,29 +287,31 @@ def _smooth_gcd(N: int, *vals: int) -> int:
     return g
 
 
-def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
-    """The point X3/Z3^2, Y3/Z3^3 of an integral model of
-    y^2 = x(x+m)(x+n), given lam2 = gcd(X3, Z3^2).
+def _point(X: int, Y: int, Z: int) -> Point:
+    """The point X/Z^2, Y/Z^3 of y^2 = x(x+m)(x+n), for gcd(X, Z) = 1
+    and Z != 0, in lowest terms and without a gcd (a prime dividing Y and
+    Z divides X^3 by the curve equation).  Every kernel builds its points
+    from weighted integers here."""
+    if Z < 0:
+        Z, Y = -Z, -Y
+    Zs = Z * Z
+    return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
 
-    In lowest terms the point is X/Z^2, Y/Z^3 with Z >= 1 (see
-    `Curve.contains`), so Z3 = lam*Z for an integer lam, X3 = lam^2*X,
-    Y3 = lam^3*Y and gcd(X3, Z3^2) = lam^2 * gcd(X, Z^2) = lam^2.  Every
-    coordinate comes out of an exact division, and gcd(Y, Z) = 1 follows
-    from gcd(X, Z) = 1 and the curve equation.  ArithmeticError, an
-    internal fault and not a usage error, when lam2 is not a square or a
-    division is not exact.
-    """
+
+def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
+    """The point X3/Z3^2, Y3/Z3^3 of y^2 = x(x+m)(x+n), given
+    lam2 = gcd(X3, Z3^2).  In lowest terms it is X/Z^2, Y/Z^3 (see
+    `Curve.contains`), so Z3 = lam*Z, X3 = lam^2*X, Y3 = lam^3*Y and
+    lam2 = lam^2 * gcd(X, Z^2) = lam^2: each coordinate is an exact
+    division.  ArithmeticError, an internal fault and not a usage error,
+    when lam2 is not a square or a division is not exact."""
     lam = math.isqrt(lam2)
     X, r = divmod(X3, lam2)
     Y, s = divmod(Y3, lam2 * lam)
     if r or s or lam * lam != lam2:
         raise ArithmeticError(
             "group law: the common factor of the sum is not lam^2, lam^3")
-    Z = Z3 // lam
-    if Z < 0:
-        Z, Y = -Z, -Y
-    Zs = Z * Z
-    return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
+    return _point(X, Y, Z3 // lam)
 
 
 def point_sort_key(P: Point):
@@ -396,9 +399,6 @@ class Curve:
 
     # -- basic point handling -------------------------------------------
 
-    def rhs(self, x: Fraction) -> Fraction:
-        return x * (x + self.m) * (x + self.n)
-
     def contains(self, P: Point) -> bool:
         """Is P on the curve?  Exact, in integers.
 
@@ -412,10 +412,10 @@ class Curve:
     def weighted(self, P: Point) -> Optional[tuple[int, int, int]]:
         """(X, Y, Z) with x = X/Z^2, y = Y/Z^3 for an affine point P on
         the curve, None if P is not on it (see `contains`): its
-        lowest-terms denominators must be Z^2 and Z^3 for one Z >= 1."""
-        b, e = P.x.denominator, P.y.denominator
-        Z = math.isqrt(b)
-        if b != Z * Z or e != Z * b:
+        lowest-terms denominators must be Z^2 and Z^3, Z their quotient."""
+        b = P.x.denominator
+        Z, r = divmod(P.y.denominator, b)
+        if r or Z * Z != b:
             return None
         X, Y = P.x.numerator, P.y.numerator
         return (X, Y, Z) if self.satisfies(X, Y, Z) else None
@@ -569,16 +569,14 @@ class Curve:
         """All rational Q with 2Q = P (empty when P is not a double)."""
         if P.is_infinity:
             return [INFINITY] + self.two_torsion()
-        if not self.is_double(P):
+        a0, a1, a2 = (sqrt_fraction(P.x + e) for e in (0, self.m, self.n))
+        if None in (a0, a1, a2):  # P is not a double
             return []
-        a0 = sqrt_fraction(P.x)
-        a1 = sqrt_fraction(P.x + self.m)
-        a2 = sqrt_fraction(P.x + self.n)
         out = []
         for s1 in (1, -1):
             for s2 in (1, -1):
                 xh = P.x + s1 * a0 * a1 + s2 * a0 * a2 + s1 * s2 * a1 * a2
-                yh = sqrt_fraction(self.rhs(xh))
+                yh = sqrt_fraction(xh * (xh + self.m) * (xh + self.n))
                 if yh is None:
                     continue
                 for Q in (Point(xh, yh), Point(xh, -yh)):
@@ -629,7 +627,7 @@ class Curve:
         Either way p | mn, and p <= |d| <= |u| <= H.  So the search
         trial-divides mn up to H and factors nothing.  It also skips the a
         for which N < 0.  The cost is about H * sum(d^-1/2) cells, not
-        2H^1.5.
+        2H^1.5.  Every cell tried has gcd(u, w) = 1, as `_point` needs.
         """
         if height < 1:
             raise ValueError("height bound must be >= 1")
@@ -646,7 +644,6 @@ class Curve:
                 if gcd(d, w) != 1:
                     continue
                 w2 = w * w
-                w3 = w2 * w
                 mw, nw = m * w2, n * w2
                 for s in (1, -1):
                     sd = s * d
@@ -655,22 +652,14 @@ class Curve:
                             continue
                         u = sd * a * a
                         N = u * (u + mw) * (u + nw)
-                        if N == 0:
-                            pts.add(Point(Fraction(u, w2), Fraction(0)))
-                            continue
-                        ok = True
                         for mod, flags in filters:
                             if not flags[N % mod]:
-                                ok = False
                                 break
-                        if not ok:
-                            continue
-                        r = isqrt(N)
-                        if r * r == N:
-                            x = Fraction(u, w2)
-                            y = Fraction(r, w3)
-                            pts.add(Point(x, y))
-                            pts.add(Point(x, -y))
+                        else:
+                            r = isqrt(N)
+                            if r * r == N:
+                                pts.add(_point(u, r, w))
+                                pts.add(_point(u, -r, w))
         return frozenset(pts)
 
 

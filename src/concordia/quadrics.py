@@ -9,7 +9,8 @@ isomorphisms between Q(m,n) and E(m,n).  The two degree-4 maps used in
 the classical congruent-number literature are provided as
 `right_triangle_map` (second coordinate negated, defined on Q(-n,n))
 and `concordant_form_map`; they equal doubling-after-isomorphism up to
-sign, which the test suite checks exactly.
+sign, which the test suite checks exactly.  All three build their image
+through `curves._point`, and only `quadric_to_point` takes a gcd.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import INFINITY, Curve, Point, _Coprime, _smooth_gcd
+from .curves import INFINITY, Curve, Point, _point, _smooth_gcd
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,11 @@ TRIVIAL_BASE = QuadricPoint(1, 0, 1, 1)
 
 
 def quadric_to_point(S: QuadricPoint, c: Curve) -> Point:
-    """Isomorphism Q(m,n) -> E(m,n); (1:0:1:1) goes to infinity."""
+    """Isomorphism Q(m,n) -> E(m,n); (1:0:1:1) goes to infinity.
+
+    X/T, Y/T is x = (X/g)/Z^2, y = (Y*Z/g)/Z^3 for g = gcd(X, T) signed
+    like T and Z^2 = T/g.  ArithmeticError, an internal fault, if T/g is
+    not a square, g does not divide Y*Z or the curve identity fails."""
     if not S.on_quadric(c):
         raise ValueError(f"{S} is not on Q({c.m},{c.n})")
     m, n = c.m, c.n
@@ -87,9 +92,17 @@ def quadric_to_point(S: QuadricPoint, c: Curve) -> Point:
     Y = m * n * (m - n) * S.x1
     if T == 0:
         if X != 0:
-            raise ValueError("projective image misses the curve")
+            raise ArithmeticError("projective image misses the curve")
         return INFINITY
-    return c.point(Fraction(X, T), Fraction(Y, T))
+    g = math.gcd(X, T) if T > 0 else -math.gcd(X, T)
+    Zs = T // g
+    Z = math.isqrt(Zs)
+    X //= g
+    Y, r = divmod(Y * Z, g)
+    if r or Z * Z != Zs or not c.satisfies(X, Y, Z):
+        raise ArithmeticError(f"the image of {S} is not a point of "
+                              f"E({m},{n}) in lowest terms")
+    return _point(X, Y, Z)
 
 
 def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
@@ -131,23 +144,16 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
 
 
 def _degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
-    """(x0/x1)^2, sign*x0*x2*x3/x1^3, built in lowest terms without a
-    gcd: on a primitive point of Q(m,n), gcd(x0, x1) = gcd(x2, x1) =
+    """(x0/x1)^2, sign*x0*x2*x3/x1^3, built by `_point` without a gcd:
+    on a primitive point of Q(m,n), gcd(x0, x1) = gcd(x2, x1) =
     gcd(x3, x1) = 1, since a prime dividing x1 and one of x0, x2, x3
-    divides all four.  The image is checked on the curve with
-    `Curve.satisfies` at Z = |x1|, which needs no square root."""
+    divides all four.  No curve check is needed: `on_quadric` gives
+    x0^2 + m*x1^2 = x2^2 and x0^2 + n*x1^2 = x3^2, so y^2 = x(x+m)(x+n)."""
     if not S.on_quadric(c):
         raise ValueError(f"{S} is not on Q({c.m},{c.n})")
     if S.x1 == 0:
         return INFINITY
-    Z = S.x1
-    if Z < 0:
-        Z, sign = -Z, -sign
-    X, Y = S.x0 * S.x0, sign * S.x0 * S.x2 * S.x3
-    if not c.satisfies(X, Y, Z):
-        raise ValueError(f"degree-4 image not on E({c.m},{c.n})")
-    Zs = Z * Z
-    return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
+    return _point(S.x0 * S.x0, sign * S.x0 * S.x2 * S.x3, S.x1)
 
 
 def right_triangle_map(S: QuadricPoint, c: Curve) -> Point:

@@ -28,7 +28,6 @@ Z2xZ4 = "Z2xZ4"
 Z2xZ6 = "Z2xZ6"
 Z2xZ8 = "Z2xZ8"
 
-_GROUP_SIZE = {Z2xZ2: 4, Z2xZ4: 8, Z2xZ6: 12, Z2xZ8: 16}
 _MAX_ORDER = {Z2xZ2: 2, Z2xZ4: 4, Z2xZ6: 6, Z2xZ8: 8}
 
 
@@ -45,7 +44,7 @@ class TorsionClass:
     scale: int
 
     def group_size(self) -> int:
-        return _GROUP_SIZE[self.tag]
+        return 2 * self.max_order()  # Z2xZ2k has 4k points
 
     def max_order(self) -> int:
         return _MAX_ORDER[self.tag]

@@ -261,6 +261,20 @@ def test_chain_bad_input_is_a_usage_error(extra, err):
     assert proc.stderr.decode() == f"error: {err}\n"  # and no traceback
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--m", "-5", "--n", "5", "--x", "0", "--y", "0"],
+     "the point's quadric image is trivial"),
+    (["--m", "1", "--n", "4", "--x", "2", "--y", "6"],
+     "there is none unless m < 0 < n"),
+])
+def test_chain_angle_without_progression_is_refused(argv, err):
+    proc = cli("convert", "chain", *argv, "--r", "0", "--s", "1")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"error: --r/--s need a progression, " \
+                                   f"and {err}\n"
+    assert cli("convert", "chain", *argv).returncode == 0
+
+
 def test_classify_huge_m_needs_no_divisors(capsys):
     # |m| = 10^2200 has about 4.8M divisors; the 3-torsion test walks none.
     code, payload = run_json(capsys, "classify", "--m", str(-10 ** 2200),
@@ -277,6 +291,28 @@ def test_certificate_mismatch_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("concordia.torsion.four_torsion_points", broken)
     assert main(["classify", "--m", "-1", "--n", "3"]) == 3
     assert "simulated invariant break" in capsys.readouterr().err
+
+
+def test_arithmetic_post_condition_exits_3(monkeypatch, capsys):
+    # selftest maps (0,1,1,k) to E(1,k^2) with quadric_to_point, whose
+    # last check is the curve identity.
+    monkeypatch.setattr(Curve, "satisfies", lambda *args: False)
+    assert main(["selftest", "--pmax", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: the image of QuadricPoint(x0=0, x1=1, " \
+                  "x2=1, x3=2) is not a point of E(1,4) in lowest terms\n"
+
+
+def test_zero_division_is_an_internal_error(monkeypatch, capsys):
+    def broken(*args):
+        return 1 // 0
+
+    monkeypatch.setattr("concordia.cli.torsion_subgroup", broken)
+    assert main(["classify", "--m", "-1", "--n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal error: integer division or modulo "
+                              "by zero\n")
 
 
 def test_order36_invariant_break_exits_3(monkeypatch, capsys):

@@ -5,6 +5,7 @@ Fraction code they replaced, kept here as references."""
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -226,11 +227,18 @@ def test_contains_rejects_wrong_denominators():
                  (Fraction(X, Z * Z), Fraction(Y, 2 * Z ** 3)),  # not Z^3
                  (Fraction(X, Z * Z), Fraction(Y + 1, Z ** 3)),
                  (Fraction(X, Z * Z), Fraction(Y - 1, Z ** 3)),
-                 # 14 = isqrt(7)*7 and (25/2^2, 75/2^3) is on the curve,
-                 # but 7 is not a square
-                 (Fraction(25, 7), Fraction(75, 14))]:
+                 # (25/2^2, 75/2^3) is on the curve.  14 = 2*7 and
+                 # 16 = 2*8 divide exactly, but 7 and 8 are not 2^2; 11 is
+                 # not 2*4 though 11 // 4 = 2 and 2^2 = 4.
+                 (Fraction(25, 7), Fraction(75, 14)),
+                 (Fraction(25, 8), Fraction(75, 16)),
+                 (Fraction(25, 4), Fraction(75, 11))]:
         assert not c.contains(Point(x, y))
         assert not reference_contains(c, Point(x, y))
+    # (-3, 9) is on E(-6,6); 4 = 1*4 divides exactly, but 4 is not 1^2.
+    c, P = Curve(-6, 6), Point(Fraction(-3, 4), Fraction(9, 4))
+    assert c.contains(Point(Fraction(-3), Fraction(9)))
+    assert not c.contains(P) and not reference_contains(c, P)
 
 
 # -- the group law ----------------------------------------------------------
@@ -289,6 +297,7 @@ def test_add_rejects_denominators_off_every_curve():
 
 def _assert_lowest_terms(R: Point):
     if not R.is_infinity:
+        assert R.x.denominator > 0 and R.y.denominator > 0
         assert math.gcd(R.x.numerator, R.x.denominator) == 1
         assert math.gcd(R.y.numerator, R.y.denominator) == 1
 
@@ -387,6 +396,52 @@ def test_quadric_maps_match_reference_on_every_multiple():
             if c.m == -c.n:
                 assert right_triangle_map(S, c) == \
                     reference_degree_four_map(S, c, -1)
+
+
+def test_quadric_map_images_are_in_lowest_terms():
+    # The maps build their images through _point, which skips Fraction's
+    # reduction: an unreduced image, or a 0/Z^2 with Z > 1, would only
+    # show as a wrong ==.
+    negative_x1 = negative_T = 0
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        for Q in (INFINITY, *c.two_torsion(), *pts, *map(c.negate, pts)):
+            S = point_to_quadric(Q, c)
+            negative_x1 += S.x1 < 0
+            negative_T += c.n * S.x2 - c.m * S.x3 + (c.m - c.n) * S.x0 < 0
+            images = [quadric_to_point(S, c), concordant_form_map(S, c)]
+            if c.m == -c.n:
+                images.append(right_triangle_map(S, c))
+            for R in images:
+                _assert_lowest_terms(R)
+    assert negative_x1 and negative_T  # both sign flips are exercised
+    for k in (2, 3, 13):  # a zero x0: (0, 1, 1, k) has x = k, y = -k(k+1)
+        c, S = Curve(1, k * k), QuadricPoint(0, 1, 1, k)
+        assert quadric_to_point(S, c) == Point(Fraction(k), -k * (k + 1))
+        assert concordant_form_map(S, c) == Point(Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize("fake_gcd", [
+    lambda g: g // 3,  # T/g = 27 is not a square; 30 divides Y*Z = 15000
+    lambda g: g * 9,   # T/g = 1 is a square; 810 does not divide Y*Z = 3000
+    None,              # the true gcd, and a curve identity that fails
+], ids=["square", "remainder", "identity"])
+def test_quadric_to_point_checks_its_image(fake_gcd, monkeypatch):
+    # The image of a point of Q(m,n) always passes these checks, so each
+    # is forced to fail here, on its own: a wrong gcd runs with a curve
+    # identity that always holds.  None of them is a ValueError, which the
+    # CLI reports as a usage error.
+    c, pts = chain(0)
+    S = point_to_quadric(pts[0], c)  # (-5/9, 100/27): gcd(X, T) = 90, Z = 3
+    assert quadric_to_point(S, c) == pts[0]
+    if fake_gcd is None:
+        monkeypatch.setattr(Curve, "satisfies", lambda *args: False)
+    else:
+        monkeypatch.setattr(Curve, "satisfies", lambda *args: True)
+        monkeypatch.setattr("concordia.quadrics.math", SimpleNamespace(
+            gcd=lambda a, b: fake_gcd(math.gcd(a, b)), isqrt=math.isqrt))
+    with pytest.raises(ArithmeticError):
+        quadric_to_point(S, c)
 
 
 @settings(max_examples=80, deadline=None)
