@@ -6,9 +6,10 @@ classifier disagreeing with the enumeration oracle, or an exact-arithmetic
 post-condition of a kernel, an ArithmeticError).  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
 MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
-workers (`--jobs`) than CPUs, any of these three below 1, and a
-`convert chain` input or result with an integer of more than MAX_DIGITS
-digits are refused as usage errors.
+workers (`--jobs`) than CPUs, any of these three below 1, a
+`convert chain` input with an integer of more than MAX_DIGITS digits,
+and a result of any subcommand with such an integer are refused as usage
+errors.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ EXIT_INTERNAL = 3
 # small m, n (E(-5,5) to E(-2310,221), one core of a 2-vCPU host); larger
 # bounds are refused rather than left to run for minutes.
 MAX_BOUND = 10 ** 7
-# The selftest oracle grid at p, q <= 60 (17,624 curves) takes about 8 s in
-# one process on a 2-vCPU host.
+# The whole selftest at p, q <= 60 (an oracle grid of 17,624 curves) takes
+# about 5 s (4.2-6.1 s over five runs) in one process on a 2-vCPU host.
 MAX_PMAX = 60
 # Python refuses int<->str conversions of more than 4300 digits by default
-# (sys.get_int_max_str_digits()).  `convert chain` refuses such a number
-# itself, in --x/--y and in every integer of its result, before printing
-# anything, with a message that names the size; the interpreter's own
-# limit is left as it is.
+# (sys.get_int_max_str_digits()).  The CLI refuses such a number itself,
+# in `convert chain`'s --x/--y and in every integer a result shows, before
+# printing anything, with a message that names the size; the interpreter's
+# own limit is left as it is.
 MAX_DIGITS = 4300
 
 
@@ -116,16 +117,31 @@ def _parse_rational(flag: str, text: str):
         raise ValueError(f"{flag} has a zero denominator") from None
 
 
-def _check_digits(values) -> None:
-    """DigitLimitError if the numerator or denominator of one of `values`
-    (ints or Fractions) has more than MAX_DIGITS digits."""
+def _integers(v):
+    """The ints in v: v itself, the parts of a Fraction, and the ints in
+    the fields of a dataclass (points, quadric points, reports, ...) and
+    in the items of a container."""
+    if isinstance(v, int):
+        yield v
+    elif isinstance(v, Fraction):
+        yield from (v.numerator, v.denominator)
+    elif isinstance(v, (tuple, list, set, frozenset)):
+        for item in v:
+            yield from _integers(item)
+    else:  # the fields of a dataclass instance, none for other objects
+        for name in getattr(v, "__dataclass_fields__", ()):
+            yield from _integers(getattr(v, name))
+
+
+def _check_digits(shown) -> None:
+    """DigitLimitError if an int in `shown` has more than MAX_DIGITS
+    digits."""
     too_big = 10 ** MAX_DIGITS
-    for v in values:
-        for part in (v.numerator, v.denominator):
-            if abs(part) >= too_big:
-                raise DigitLimitError(
-                    f"the result has a {_digits(part)}-digit integer; the "
-                    f"limit is {MAX_DIGITS} digits")
+    for v in _integers(shown):
+        if abs(v) >= too_big:
+            raise DigitLimitError(
+                f"the result has a {_digits(v)}-digit integer; the limit is "
+                f"{MAX_DIGITS} digits")
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -154,20 +170,25 @@ def _curve_from_args(args) -> Curve:
     return ConcordantTriple(args.p, args.q, args.k).curve()
 
 
-# Each handler returns (JSON payload, text lines, exit code); `main` prints.
+# Each handler returns (the values its result shows, a renderer, exit
+# code); the renderer gives (JSON payload, text lines).  `main` checks the
+# values against MAX_DIGITS before it renders and prints.
 def _cmd_classify(args):
     c = _curve_from_args(args)
     cls, pts = torsion_subgroup(c)
     ordered = sorted(pts, key=point_sort_key)
-    payload = {
-        "curve": {"m": c.m, "n": c.n},
-        "torsion": cls.to_json(),
-        "points": [point_json(P) for P in ordered],
-    }
-    lines = [f"E({c.m},{c.n}): torsion {cls.tag}",
-             f"certificate: {cls.to_json()}",
-             "points: " + ", ".join(map(str, ordered))]
-    return payload, lines, EXIT_OK
+
+    def render():
+        payload = {
+            "curve": {"m": c.m, "n": c.n},
+            "torsion": cls.to_json(),
+            "points": [point_json(P) for P in ordered],
+        }
+        lines = [f"E({c.m},{c.n}): torsion {cls.tag}",
+                 f"certificate: {cls.to_json()}",
+                 "points: " + ", ".join(map(str, ordered))]
+        return payload, lines
+    return (c, cls, ordered), render, EXIT_OK
 
 
 def _cmd_solve(args):
@@ -177,28 +198,32 @@ def _cmd_solve(args):
     else:
         report = solve_theta_congruent(CongruentTriple(args.r, args.s, args.k),
                                        args.bound)
-    lines = [f"{report.problem} {report.triple} on "
-             f"E({report.curve.m},{report.curve.n}): "
-             f"{len(report.solutions)} solution(s), torsion "
-             f"{report.torsion_class.tag}"]
-    for entry in report.solutions:
-        lines.append(f"  {entry.point} -> {entry.quadric.coords()} "
-                     f"[{entry.provenance}]")
-    for tri, pts in report.triangles():
-        lines.append("  triangle " + "/".join(frac_str(v) for v in tri.sides())
-                     + f" from {len(pts)} point(s)")
-    return report.to_json(), lines, EXIT_OK
+
+    def render():
+        lines = [f"{report.problem} {report.triple} on "
+                 f"E({report.curve.m},{report.curve.n}): "
+                 f"{len(report.solutions)} solution(s), torsion "
+                 f"{report.torsion_class.tag}"]
+        for entry in report.solutions:
+            lines.append(f"  {entry.point} -> {entry.quadric.coords()} "
+                         f"[{entry.provenance}]")
+        for tri, pts in report.triangles():
+            lines.append("  triangle "
+                         + "/".join(frac_str(v) for v in tri.sides())
+                         + f" from {len(pts)} point(s)")
+        return report.to_json(), lines
+    return report, render, EXIT_OK
 
 
 def _cmd_convert(args):
     if args.conversion == "to-concordant":
         t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
-        return ({"concordant": [t.p, t.q, t.k]},
-                [f"(p,q,k) = ({t.p},{t.q},{t.k})"], EXIT_OK)
+        return t, lambda: ({"concordant": [t.p, t.q, t.k]},
+                           [f"(p,q,k) = ({t.p},{t.q},{t.k})"]), EXIT_OK
     if args.conversion == "to-congruent":
         t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
-        return ({"congruent": [t.r, t.s, t.k]},
-                [f"(r,s,k) = ({t.r},{t.s},{t.k})"], EXIT_OK)
+        return t, lambda: ({"congruent": [t.r, t.s, t.k]},
+                           [f"(r,s,k) = ({t.r},{t.s},{t.k})"]), EXIT_OK
     if (args.r is None) != (args.s is None):
         raise ValueError("--r and --s must be given together")
     c = Curve(args.m, args.n)
@@ -215,51 +240,54 @@ def _cmd_convert(args):
         raise ValueError("--r/--s need a progression, and " + (
             "there is none unless m < 0 < n" if not c.m < 0 < c.n
             else "the point's quadric image is trivial"))
-    shown = [P.x, P.y, *S.coords()]
-    if ap is not None:
-        shown += (ap.squares() if args.format == "text"
-                  else (ap.alpha, ap.beta, ap.gamma))
-    if tri is not None:
-        shown += tri.sides()
-    _check_digits(shown)
-    payload = {"point": point_json(P), "quadric": list(S.coords())}
-    lines = [f"point {P}", f"quadric {S.coords()}"]
-    if ap is not None:
-        payload["ap"] = ap.to_json()
-        lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
-                     f"step {ap.step} gaps ({ap.p},{ap.q})")
-    if tri is not None:
-        payload["triangle"] = tri.to_json()
-        lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
-    return payload, lines, EXIT_OK
+    shown = [P, S, ap, tri]
+    if ap is not None and args.format == "text":
+        shown.append(ap.squares())  # the text shows the squares
+
+    def render():
+        payload = {"point": point_json(P), "quadric": S.to_json()}
+        lines = [f"point {P}", f"quadric {S.coords()}"]
+        if ap is not None:
+            payload["ap"] = ap.to_json()
+            lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
+                         f"step {ap.step} gaps ({ap.p},{ap.q})")
+        if tri is not None:
+            payload["triangle"] = tri.to_json()
+            lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
+        return payload, lines
+    return shown, render, EXIT_OK
 
 
 def _cmd_verify(args):
     verdict = verify_concordant_solution(args.m, args.n, args.x, args.y,
                                          args.z, args.w)
-    payload = {"verdict": verdict,
-               "solution": [args.x, args.y, args.z, args.w],
+    solution = [args.x, args.y, args.z, args.w]
+    payload = {"verdict": verdict, "solution": solution,
                "curve": {"m": args.m, "n": args.n}}
-    return payload, [verdict], EXIT_OK if verdict != "invalid" else EXIT_VERIFY
+    return ((args.m, args.n, solution), lambda: (payload, [verdict]),
+            EXIT_OK if verdict != "invalid" else EXIT_VERIFY)
 
 
 def _cmd_search(args):
     c = Curve(args.m, args.n)
     pts = sorted(c.search(args.bound), key=point_sort_key)
-    rows = []
-    for P in pts:
-        order = c.order_of(P)
-        rows.append({"point": point_json(P),
-                     "order": order if order is not None else "infinite",
-                     "is_double": c.is_double(P)})
-    payload = {"curve": {"m": c.m, "n": c.n}, "bound": args.bound,
-               "points": rows}
-    lines = [f"E({c.m},{c.n}), height bound {args.bound}: "
-             f"{len(rows)} point(s)"]
-    for row in rows:
-        lines.append(f"  {row['point']} order={row['order']} "
-                     f"double={row['is_double']}")
-    return payload, lines, EXIT_OK
+
+    def render():
+        rows = []
+        for P in pts:
+            order = c.order_of(P)
+            rows.append({"point": point_json(P),
+                         "order": order if order is not None else "infinite",
+                         "is_double": c.is_double(P)})
+        payload = {"curve": {"m": c.m, "n": c.n}, "bound": args.bound,
+                   "points": rows}
+        lines = [f"E({c.m},{c.n}), height bound {args.bound}: "
+                 f"{len(rows)} point(s)"]
+        for row in rows:
+            lines.append(f"  {row['point']} order={row['order']} "
+                         f"double={row['is_double']}")
+        return payload, lines
+    return (c, pts), render, EXIT_OK
 
 
 def _cmd_family(args):
@@ -269,14 +297,17 @@ def _cmd_family(args):
         rec = gen_order8_family(args.xi, args.eta, args.zeta)
     else:
         rec = gen_order36_family(args.a, args.b)
-    lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
-             f"torsion {rec.torsion_tag}",
-             f"concordant (p,q,k) = "
-             f"({rec.concordant.p},{rec.concordant.q},{rec.concordant.k})",
-             f"congruent (r,s,k) = "
-             f"({rec.congruent.r},{rec.congruent.s},{rec.congruent.k}) "
-             f"on E{rec.congruent_curve} [{rec.parity_case}]"]
-    return rec.to_json(), lines, EXIT_OK
+
+    def render():
+        lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
+                 f"torsion {rec.torsion_tag}",
+                 f"concordant (p,q,k) = "
+                 f"({rec.concordant.p},{rec.concordant.q},{rec.concordant.k})",
+                 f"congruent (r,s,k) = "
+                 f"({rec.congruent.r},{rec.congruent.s},{rec.congruent.k}) "
+                 f"on E{rec.congruent_curve} [{rec.parity_case}]"]
+        return rec.to_json(), lines
+    return rec, render, EXIT_OK
 
 
 def _cmd_selftest(args):
@@ -298,9 +329,9 @@ def _cmd_selftest(args):
     payload = {"failures": failures, "passed": not failures}
     lines = [f"selftest: {'PASS' if not failures else 'FAIL'}"] + \
         [f"  {line}" for line in failures]
-    if oracle_mismatch:
-        return payload, lines, EXIT_INTERNAL
-    return payload, lines, EXIT_OK if not failures else EXIT_VERIFY
+    code = (EXIT_INTERNAL if oracle_mismatch
+            else EXIT_OK if not failures else EXIT_VERIFY)
+    return (), lambda: (payload, lines), code
 
 
 def _leaf(sub, name, func, required="", optional="", extra=(), **kw):
@@ -360,7 +391,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, lines, code = args.func(args)
+        shown, render, code = args.func(args)
+        _check_digits(shown)
+        payload, lines = render()
     except (CertificateMismatch, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

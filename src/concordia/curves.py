@@ -35,6 +35,10 @@ for _mod in (64, 63, 65, 11):
         _flags[_i * _i % _mod] = 1
     _SQ_FILTERS.append((_mod, bytes(_flags)))
 
+# Moduli at which `Curve.torsion_oracle` checks that a candidate y^2 is a
+# value of x(x+m)(x+n) before it searches for the integer roots x.
+_ORACLE_MODULI = (32, 27, 25, 7, 11, 13)
+
 
 def isqrt_exact(v: int) -> Optional[int]:
     """Integer square root of v, or None if v is not a perfect square."""
@@ -336,6 +340,19 @@ def _cubic_peak(e1: int, e2: int, e3: int) -> tuple[int, int]:
                for x in range(max(e1, k - 1), min(e2, k + 1) + 1))
 
 
+def _cubic_value_tables(m: int, n: int) -> list[tuple[int, bytearray]]:
+    """(M, flags) for each M in _ORACLE_MODULI, with flags[r] = 1 iff
+    r = x(x+m)(x+n) mod M for some integer x."""
+    tables = []
+    for M in _ORACLE_MODULI:
+        a, b = m % M, n % M
+        flags = bytearray(M)
+        for x in range(M):
+            flags[x * (x + a) * (x + b) % M] = 1
+        tables.append((M, flags))
+    return tables
+
+
 def _integer_cubic_roots(e1: int, e2: int, e3: int, peak: tuple[int, int],
                          y2: int) -> list[int]:
     """All integer roots, ascending, of g(x) = (x-e1)(x-e2)(x-e3) - y2 for
@@ -597,17 +614,29 @@ class Curve:
         y^2 divides the discriminant); integer x values are recovered as
         roots of x(x+m)(x+n) - y^2, located from the known roots 0, -m,
         -n of x(x+m)(x+n), then filtered by order.
+
+        A y is dropped before the root search when y^2 mod M is not a
+        value of f(x) = x(x+m)(x+n) mod M, for one of _ORACLE_MODULI.
+        That is exact: an integer x with f(x) = y^2 gives
+        y^2 = f(x mod M) mod M.  The tables of values depend on m and n
+        alone, so the oracle stays independent of the classifier.
         """
         pts = {INFINITY}
         pts.update(self.two_torsion())
         e1, e2, e3 = sorted((0, -self.m, -self.n))
         peak = _cubic_peak(e1, e2, e3)
+        tables = _cubic_value_tables(self.m, self.n)
         for y in divisors(self.discriminant_root()):
-            for x in _integer_cubic_roots(e1, e2, e3, peak, y * y):
-                P = Point(Fraction(x), Fraction(y))
-                if self.order_of(P) is not None:
-                    pts.add(P)
-                    pts.add(Point(Fraction(x), Fraction(-y)))
+            y2 = y * y
+            for M, flags in tables:
+                if not flags[y2 % M]:
+                    break
+            else:
+                for x in _integer_cubic_roots(e1, e2, e3, peak, y2):
+                    P = Point(Fraction(x), Fraction(y))
+                    if self.order_of(P) is not None:
+                        pts.add(P)
+                        pts.add(Point(Fraction(x), Fraction(-y)))
         return frozenset(pts)
 
     # -- bounded-height point search ------------------------------------

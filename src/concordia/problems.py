@@ -33,7 +33,7 @@ class SolutionEntry:
     def to_json(self) -> dict:
         out = {
             "point": point_json(self.point),
-            "quadric": list(self.quadric.coords()),
+            "quadric": self.quadric.to_json(),
             "ap": self.ap.to_json(),
             "provenance": self.provenance,
         }

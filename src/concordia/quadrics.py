@@ -63,6 +63,9 @@ class QuadricPoint:
     def coords(self) -> tuple[int, int, int, int]:
         return (self.x0, self.x1, self.x2, self.x3)
 
+    def to_json(self) -> list[int]:
+        return list(self.coords())
+
     @property
     def is_trivial(self) -> bool:
         """Trivial tuples (1:0:+-1:+-1) solve the system for every (m,n)."""

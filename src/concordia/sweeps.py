@@ -6,8 +6,11 @@ E(-p*k, q*k); any disagreement is reported as a discrepancy string.
 Both sides compare full point sets.  The oracle works in integers only:
 its x candidates are located from the known roots 0, -m, -n, and its
 orders come from a multiple chain that stops at the first inexact
-division (`Curve.torsion_oracle`, `Curve.order_of`).  The sweeps are
-embarrassingly parallel over parameter tuples.
+division (`Curve.torsion_oracle`, `Curve.order_of`).  Before it searches
+for the x of a candidate y, the oracle drops every y whose y^2 is not a
+value of x(x+m)(x+n) modulo a few small prime powers; that is exact,
+since an integer point reduces to a solution modulo each of them.  The
+sweeps are embarrassingly parallel over parameter tuples.
 """
 
 from __future__ import annotations

@@ -242,6 +242,26 @@ def test_chain_over_digit_limit_is_refused(capsys):
                       "the limit is 4300 digits\n"
 
 
+def test_every_result_over_digit_limit_is_refused(capsys):
+    # The order-4 points of E(-u^2, v^2 - u^2) have 4351-digit integers,
+    # though m has 2901 digits and n 1451.
+    u, v = 10 ** 1450 + 7, 10 ** 1450 + 9
+    for fmt in ("json", "text"):
+        assert main(["--format", fmt, "classify", "--m", str(-u * u),
+                     "--n", str(v * v - u * u)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the result has a 4351-digit integer; "
+                       "the limit is 4300 digits\n")
+    # m = -u^2 of the order-4 family has 8599 digits.
+    assert main(["family", "order4", "--u", str(10 ** 4299),
+                 "--v", str(10 ** 4299 + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the result has a 8599-digit integer; "
+                   "the limit is 4300 digits\n")
+
+
 def test_parse_rational_refuses_a_zero_denominator():
     with pytest.raises(ValueError, match="--y has a zero denominator"):
         _parse_rational("--y", " 0/0 ")

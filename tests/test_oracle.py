@@ -1,6 +1,6 @@
 """Differential tests: the integer Nagell-Lutz kernels of the torsion
 oracle against the bisection root finder and the Fraction multiple
-chain they replaced."""
+chain they replaced, and guards for the oracle's residue filter."""
 
 import math
 from fractions import Fraction
@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concordia import curves
 from concordia.curves import (INFINITY, Curve, Point, _cubic_peak,
-                              _integer_cubic_roots, divisors)
+                              _cubic_value_tables, _integer_cubic_roots,
+                              divisors)
 from concordia.problems import (gen_order4_family, gen_order8_family,
                                 gen_order36_family)
 from concordia.torsion import torsion_subgroup
@@ -159,3 +161,27 @@ def test_order_of_rejects_non_integral_points():
     c = Curve(-5, 5)
     P = c.point(Fraction(25, 4), Fraction(75, 8))
     assert c.order_of(P) is None and reference_order_of(c, P) is None
+
+
+def test_residue_filter_skips_most_root_searches(monkeypatch):
+    # E(-420,330) has 480 candidate y | mn(m-n); 49 of them pass the
+    # tables, and every one would reach the root search without them.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _integer_cubic_roots(*args)
+
+    monkeypatch.setattr(curves, "_integer_cubic_roots", counted)
+    c = Curve(-420, 330)
+    assert len(divisors(c.discriminant_root())) == 480
+    assert len(c.torsion_oracle()) == 4
+    assert len(calls) <= 60
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero, nonzero, st.integers(-10 ** 9, 10 ** 9))
+def test_residue_filter_passes_every_value_of_the_cubic(m, n, x):
+    y2 = x * (x + m) * (x + n)
+    for M, flags in _cubic_value_tables(m, n):
+        assert flags[y2 % M], (M, y2 % M)
