@@ -9,7 +9,8 @@ MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
 workers (`--jobs`) than CPUs, any of these three below 1, a
 `convert chain` input with an integer of more than MAX_DIGITS digits,
 and a result of any subcommand with such an integer are refused as usage
-errors.
+errors, as is a number to be factored (such as gcd(m, n)) that keeps
+more than 2048 bits after trial division (`concordia.arith.factorint`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import _Coprime
+from .arith import _Coprime
 from .quadrics import QuadricPoint
 from .serialize import frac_str
 from .triples import CongruentTriple, congruent_to_concordant

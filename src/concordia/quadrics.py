@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import INFINITY, Curve, Point, _point, _smooth_gcd
+from .arith import _smooth_gcd
+from .curves import INFINITY, Curve, Point, _point
 
 
 @dataclass(frozen=True)

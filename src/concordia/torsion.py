@@ -2,8 +2,9 @@
 
 Every curve in this family has full rational 2-torsion, so the torsion
 subgroup is Z2xZ2, Z2xZ4, Z2xZ6 or Z2xZ8.  The classifier works on the
-reduced model produced by `canonical_model` (m < 0 < n, squarefree
-coefficient gcd) and carries a certificate witnessing the class:
+reduced model of `canonical_model` (m < 0 < n, squarefree coefficient
+gcd: the only factoring it does) and carries a certificate witnessing
+the class:
 
   Z2xZ4:  (u, v)          with -m = u^2, n = v^2 - u^2
   Z2xZ8:  (xi, eta, zeta) with xi^2 + eta^2 = zeta^2, m = -xi^4,
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import (Curve, INFINITY, Point, canonical_model, isqrt_exact,
-                     map_from_canonical)
+from .arith import factorint, iroot_exact, isqrt_exact
+from .curves import INFINITY, Curve, Point
 
 Z2xZ2 = "Z2xZ2"
 Z2xZ4 = "Z2xZ4"
@@ -63,16 +64,36 @@ class TorsionClass:
         return out
 
 
-def _iroot4_exact(v: int) -> Optional[int]:
-    r = isqrt_exact(v)
-    return None if r is None else isqrt_exact(r)
+def canonical_model(c: Curve) -> tuple[Curve, int, int]:
+    """Reduce E(m,n) to an isomorphic model E(m0,n0) with m0 < 0 < n0 and
+    squarefree coefficient gcd.
+
+    Returns (reduced curve, shift e, scale d): a reduced point (x,y) maps
+    to (d^2*x + e, d^3*y) on the original curve.  The shift moves the
+    origin of the 2-torsion to the middle root of x(x+m)(x+n); the scale
+    is the (x,y) -> (d^2 x, d^3 y) isomorphism that strips square factors
+    from gcd(-m, n).
+    """
+    roots = sorted((0, -c.m, -c.n))
+    e = roots[1]
+    m1, n1 = e - roots[2], e - roots[0]
+    d = 1
+    for prime, exp in factorint(math.gcd(-m1, n1)).items():
+        d *= prime ** (exp // 2)
+    return Curve(m1 // (d * d), n1 // (d * d)), e, d
+
+
+def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
+    if P.is_infinity:
+        return P
+    return Point(scale * scale * P.x + shift, scale ** 3 * P.y)
 
 
 def _detect_order8(m: int, n: int) -> Optional[tuple]:
-    xi = _iroot4_exact(-m)
+    xi = iroot_exact(-m, 4)
     if xi is None or xi == 0:
         return None
-    eta = _iroot4_exact(n - m)
+    eta = iroot_exact(n - m, 4)
     if eta is None:
         return None
     zeta = isqrt_exact(xi * xi + eta * eta)

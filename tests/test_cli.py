@@ -361,7 +361,7 @@ def test_classify_smooth_m_semiprime_n(capsys):
 def test_unfactorable_gcd_is_a_usage_error(monkeypatch, capsys):
     # The reduced model needs the square part of gcd(m, n) = BIG_SEMIPRIME;
     # rho gives up at its step cap (lowered here to keep the test fast).
-    monkeypatch.setattr("concordia.curves._RHO_STEP_LIMIT", 1 << 12)
+    monkeypatch.setattr("concordia.arith._RHO_STEP_LIMIT", 1 << 12)
     assert main(["classify", "--m", str(-BIG_SEMIPRIME),
                  "--n", str(2 * BIG_SEMIPRIME)]) == 1
     assert "cannot factor a 150-bit integer" in capsys.readouterr().err

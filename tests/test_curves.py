@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import (Curve, INFINITY, Point, canonical_model,
-                              is_square_fraction, map_from_canonical,
-                              point_sort_key,
-                              sqrt_fraction, _cubic_peak,
-                              _integer_cubic_roots)
+from concordia.arith import is_square_fraction, sqrt_fraction
+from concordia.curves import (Curve, INFINITY, Point, point_sort_key,
+                              _cubic_peak, _integer_cubic_roots)
+from concordia.torsion import canonical_model, map_from_canonical
 
 
 def test_curve_rejects_degenerate():

@@ -1,4 +1,4 @@
-"""The integer kernel in `concordia.curves` against sympy, the reference
+"""The integer kernel in `concordia.arith` against sympy, the reference
 it replaced.  sympy is a test-only dependency; the package itself must
 not import it."""
 
@@ -8,11 +8,12 @@ import sys
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import concordia
-from concordia.curves import _is_prime, divisors, factorint
+from concordia.arith import _is_prime, divisors, factorint, iroot_exact
+from concordia.cli import main
 
 # Known primes above the deterministic Miller-Rabin range (3.3e24), so
 # that primality of the large cofactor is decided by BPSW.
@@ -88,7 +89,7 @@ def test_factorint_rejects_nonpositive():
 
 
 def test_rho_step_cap_raises(monkeypatch):
-    monkeypatch.setattr("concordia.curves._RHO_STEP_LIMIT", 1 << 12)
+    monkeypatch.setattr("concordia.arith._RHO_STEP_LIMIT", 1 << 12)
     with pytest.raises(ValueError, match="no factor in 4096 steps"):
         factorint((2 ** 61 - 1) * (2 ** 89 - 1))
     # a 5-digit prime factor is still found well inside the lowered cap
@@ -102,3 +103,43 @@ def test_cli_import_leaves_sympy_out():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_oversized_part_is_refused_before_primality(monkeypatch, capsys):
+    # 10^4299 + 1 keeps about 14,000 bits after trial division; one
+    # Miller-Rabin round alone would take seconds at that size.
+    def unreachable(*args):
+        raise AssertionError("primality test or rho ran")
+
+    monkeypatch.setattr("concordia.arith._is_prime", unreachable)
+    monkeypatch.setattr("concordia.arith._pollard_brent", unreachable)
+    with pytest.raises(ValueError, match="cannot factor a 14272-bit integer"):
+        factorint(10 ** 4299 + 1)
+    assert main(["classify", "--p", str(10 ** 4299), "--q", "1",
+                 "--k", str(10 ** 4299 + 1)]) == 1
+    assert "cannot factor a" in capsys.readouterr().err
+    # the limit applies to what trial division leaves, not to n
+    assert factorint(10 ** 4299) == {2: 4299, 5: 4299}
+
+
+def agrees_with_integer_nthroot(v, k):
+    root, exact = sympy.integer_nthroot(v, k)
+    assert iroot_exact(v, k) == (root if exact else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 1000), st.integers(2 ** 126, 2 ** 600)),
+       st.integers(2, 8), st.sampled_from((-1, 0, 1)))
+def test_iroot_exact_near_powers(r, k, offset):
+    v = r ** k + offset
+    assume(v >= 0)
+    agrees_with_integer_nthroot(v, k)
+    if offset == 0:
+        assert iroot_exact(v, k) == r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 1200), st.integers(2, 8))
+def test_iroot_exact_random(v, k):
+    agrees_with_integer_nthroot(v, k)
+    assert iroot_exact(-v - 1, k) is None

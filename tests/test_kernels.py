@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import INFINITY, Curve, Point, _smooth_gcd, factorint
+from concordia.arith import _smooth_gcd, factorint
+from concordia.curves import INFINITY, Curve, Point
 from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
                                 ap_to_triangle, quadric_to_ap)
 from concordia.quadrics import (QuadricPoint, concordant_form_map,

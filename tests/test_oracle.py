@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concordia import curves
+from concordia.arith import divisors
 from concordia.curves import (INFINITY, Curve, Point, _cubic_peak,
-                              _cubic_value_tables, _integer_cubic_roots,
-                              divisors)
+                              _cubic_value_tables, _integer_cubic_roots)
 from concordia.problems import (gen_order4_family, gen_order8_family,
                                 gen_order36_family)
 from concordia.torsion import torsion_subgroup

@@ -6,7 +6,7 @@ from concordia.problems import (FamilyRecord, four_torsion_counterexamples,
                                 gen_order36_family, solve_concordant,
                                 solve_theta_congruent,
                                 verify_concordant_solution)
-from concordia.sweeps import family_sweep, oracle_equivalence_sweep
+from concordia.sweeps import curve_grid, family_sweep, oracle_equivalence_sweep
 from concordia.triples import ConcordantTriple, CongruentTriple
 
 
@@ -112,6 +112,21 @@ def test_four_torsion_counterexamples():
 
 def test_oracle_sweep_small():
     assert oracle_equivalence_sweep(p_max=6, k_values=(1, 2, 3)) == []
+
+
+def _label(pqk):
+    """Stand-in for check_curve_against_oracle; module-level, so that the
+    worker pool can pickle it."""
+    return [repr(pqk)]
+
+
+def test_parallel_sweep_keeps_grid_order(monkeypatch):
+    # 70 grid points: three chunks of 32 for the pool
+    monkeypatch.setattr("concordia.sweeps.check_curve_against_oracle", _label)
+    labels = [repr(pqk) for pqk in curve_grid(7, (1, 2))]
+    assert len(labels) > 64
+    assert oracle_equivalence_sweep(7, (1, 2), jobs=2) == labels
+    assert oracle_equivalence_sweep(7, (1, 2), jobs=1) == labels
 
 
 def test_family_sweep_small():

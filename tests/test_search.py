@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import _SQ_FILTERS, Curve, Point, _prime_factors_up_to
+from concordia.arith import _SQ_FILTERS, _prime_factors_up_to
+from concordia.curves import Curve, Point
 
 
 def reference_search(c: Curve, height: int) -> frozenset[Point]:
@@ -102,8 +103,8 @@ def test_search_does_not_factor_mn(monkeypatch):
     def refuse(v):
         raise AssertionError("search must not factor")
 
-    monkeypatch.setattr("concordia.curves.factorint", refuse)
-    monkeypatch.setattr("concordia.curves.divisors", refuse)
+    monkeypatch.setattr("concordia.arith.factorint", refuse)
+    monkeypatch.setattr("concordia.arith.divisors", refuse)
     c = Curve(CountingInt(-6 * (2 ** 607 - 1)),
               CountingInt(5 * (2 ** 89 - 1)))
     CountingInt.reductions = 0

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import Curve, map_from_canonical
+from concordia.curves import Curve
 from concordia.sweeps import check_curve_against_oracle
 from concordia.torsion import (CertificateMismatch,
                                _detect_order3, check_k_constraint, classify_torsion,
+                               map_from_canonical,
                                eight_torsion_points, four_torsion_points,
                                three_six_torsion_points, torsion_subgroup)
 
