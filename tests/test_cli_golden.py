@@ -62,6 +62,8 @@ def invocations() -> list[list[str]]:
         ["convert", "to-congruent", "--p", "1", "--q", "3", "--k", "1"],
         ["family", "order4", "--u", "1", "--v", "2"],
         ["--format", "text", "selftest", "--pmax", "6"],
+        ["classify", "--m", "81", "--n", "256"],
+        ["classify", "--m", "-8", "--n", "12"],
     ]
 
 
