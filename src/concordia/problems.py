@@ -223,7 +223,9 @@ def gen_order36_family(a: int, b: int) -> FamilyRecord:
 def verify_concordant_solution(m: int, n: int, X: int, Y: int, Z: int,
                                W: int) -> str:
     """Classify an integral 4-tuple as a solution of the concordant system:
-    returns "nontrivial", "trivial" or "invalid"."""
+    returns "nontrivial", "trivial" or "invalid".  Raises ValueError for
+    the degenerate m = 0, n = 0 or m = n, as `Curve` does."""
+    Curve(m, n)
     if (X, Y, Z, W) == (0, 0, 0, 0):
         return "invalid"
     if X * X + m * Y * Y != Z * Z or X * X + n * Y * Y != W * W:

@@ -11,8 +11,11 @@ the class:
                           n = eta^4 - xi^4
   Z2xZ6:  (a, b)          coprime, m = a^3(a+2b), n = b^3(2a+b)
 
-The generated torsion points are mapped back to the input curve through
-the shift/scale isomorphism recorded on the class.
+Detection is a ladder: the order-4 roots (u, v) first, refined to the
+order-8 certificate when u, v and u + v are squares; without (u, v), the
+order-3 search.  `_CLASSES` holds each class's order, certificate fields
+and allowed squarefree steps.  Torsion points are mapped back to the
+input curve through the shift/scale isomorphism recorded on the class.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import factorint, iroot_exact, isqrt_exact
+from .arith import factorint, isqrt_exact
 from .curves import INFINITY, Curve, Point
 
 Z2xZ2 = "Z2xZ2"
@@ -29,7 +32,11 @@ Z2xZ4 = "Z2xZ4"
 Z2xZ6 = "Z2xZ6"
 Z2xZ8 = "Z2xZ8"
 
-_MAX_ORDER = {Z2xZ2: 2, Z2xZ4: 4, Z2xZ6: 6, Z2xZ8: 8}
+# tag: (max order, certificate fields, allowed squarefree steps k or None)
+_CLASSES = {Z2xZ2: (2, (), None),
+            Z2xZ4: (4, ("u", "v"), {1}),
+            Z2xZ6: (6, ("a", "b"), {1, 3}),
+            Z2xZ8: (8, ("xi", "eta", "zeta"), {1})}
 
 
 class CertificateMismatch(ValueError):
@@ -48,16 +55,11 @@ class TorsionClass:
         return 2 * self.max_order()  # Z2xZ2k has 4k points
 
     def max_order(self) -> int:
-        return _MAX_ORDER[self.tag]
+        return _CLASSES[self.tag][0]
 
     def to_json(self) -> dict:
         out = {"class": self.tag}
-        if self.tag == Z2xZ4:
-            out["u"], out["v"] = self.certificate
-        elif self.tag == Z2xZ8:
-            out["xi"], out["eta"], out["zeta"] = self.certificate
-        elif self.tag == Z2xZ6:
-            out["a"], out["b"] = self.certificate
+        out.update(zip(_CLASSES[self.tag][1], self.certificate or ()))
         if self.shift != 0 or self.scale != 1:
             out["shift"] = self.shift
             out["scale"] = self.scale
@@ -89,19 +91,6 @@ def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
     return Point(scale * scale * P.x + shift, scale ** 3 * P.y)
 
 
-def _detect_order8(m: int, n: int) -> Optional[tuple]:
-    xi = iroot_exact(-m, 4)
-    if xi is None or xi == 0:
-        return None
-    eta = iroot_exact(n - m, 4)
-    if eta is None:
-        return None
-    zeta = isqrt_exact(xi * xi + eta * eta)
-    if zeta is None:
-        return None
-    return (xi, eta, zeta)
-
-
 def _detect_order4(m: int, n: int) -> Optional[tuple]:
     u = isqrt_exact(-m)
     if u is None or u == 0:
@@ -110,6 +99,13 @@ def _detect_order4(m: int, n: int) -> Optional[tuple]:
     if v is None:
         return None
     return (u, v)
+
+
+def _refine_order8(u: int, v: int) -> Optional[tuple]:
+    """(xi, eta, zeta) = (sqrt u, sqrt v, sqrt(u+v)) when all three are
+    integers: -m = xi^4, n - m = eta^4 and xi^2 + eta^2 = zeta^2."""
+    roots = tuple(isqrt_exact(w) for w in (u, v, u + v))
+    return None if None in roots else roots
 
 
 def _detect_order3(m: int, n: int) -> Optional[tuple]:
@@ -155,17 +151,14 @@ def classify_torsion(c: Curve) -> TorsionClass:
     squarefree gcd); torsion type is invariant under that isomorphism.
     """
     base, shift, scale = canonical_model(c)
-    m, n = base.m, base.n
-    cert = _detect_order8(m, n)
+    cert = _detect_order4(base.m, base.n)
     if cert is not None:
-        return TorsionClass(Z2xZ8, cert, base, shift, scale)
-    cert = _detect_order4(m, n)
-    if cert is not None:
-        return TorsionClass(Z2xZ4, cert, base, shift, scale)
-    cert = _detect_order3(m, n)
-    if cert is not None:
-        return TorsionClass(Z2xZ6, cert, base, shift, scale)
-    return TorsionClass(Z2xZ2, None, base, shift, scale)
+        cert8 = _refine_order8(*cert)
+        tag, cert = (Z2xZ4, cert) if cert8 is None else (Z2xZ8, cert8)
+    else:
+        cert = _detect_order3(base.m, base.n)
+        tag = Z2xZ2 if cert is None else Z2xZ6
+    return TorsionClass(tag, cert, base, shift, scale)
 
 
 def _checked(c: Curve, x: int, y: int, order: int) -> list[Point]:
@@ -253,9 +246,5 @@ def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
 def check_k_constraint(t: TorsionClass) -> bool:
     """Consistency of the squarefree step k = gcd(-m0, n0) of the reduced
     model with the torsion type."""
-    k = math.gcd(-t.base.m, t.base.n)
-    if t.tag in (Z2xZ4, Z2xZ8):
-        return k == 1
-    if t.tag == Z2xZ6:
-        return k in (1, 3)
-    return True
+    steps = _CLASSES[t.tag][2]
+    return steps is None or math.gcd(-t.base.m, t.base.n) in steps

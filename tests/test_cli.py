@@ -106,6 +106,17 @@ def test_verify_exit_codes(capsys):
                  "--y", "1", "--z", "1", "--w", "1"]) == 2
 
 
+@pytest.mark.parametrize("mn,xyzw", [
+    (("0", "0"), ("1", "1", "1", "1")), (("2", "2"), ("1", "2", "3", "3"))])
+def test_verify_refuses_degenerate_forms(mn, xyzw, capsys):
+    argv = ["verify", "concordant", "--m", mn[0], "--n", mn[1]]
+    for flag, value in zip(("--x", "--y", "--z", "--w"), xyzw):
+        argv += [flag, value]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "degenerate cubic" in err
+
+
 def cli(*argv, **env):
     return subprocess.run([sys.executable, "-m", "concordia.cli", *argv],
                           capture_output=True, timeout=60,

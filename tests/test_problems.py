@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from concordia.curves import Curve
 from concordia.problems import (FamilyRecord, four_torsion_counterexamples,
                                 gen_order4_family, gen_order8_family,
@@ -100,6 +102,13 @@ def test_verify_concordant_solution():
     assert verify_concordant_solution(1, 4, 3, 0, 3, 3) == "trivial"
     assert verify_concordant_solution(1, 4, 1, 1, 1, 1) == "invalid"
     assert verify_concordant_solution(1, 4, 0, 0, 0, 0) == "invalid"
+
+
+@pytest.mark.parametrize("m,n,xyzw", [
+    (0, 0, (1, 1, 1, 1)), (2, 2, (1, 2, 3, 3)), (0, 3, (1, 0, 1, 1))])
+def test_verify_concordant_solution_refuses_degenerate_forms(m, n, xyzw):
+    with pytest.raises(ValueError, match="degenerate cubic"):
+        verify_concordant_solution(m, n, *xyzw)
 
 
 def test_four_torsion_counterexamples():

@@ -1,13 +1,16 @@
 from dataclasses import replace
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from concordia.arith import iroot_exact, isqrt_exact
 from concordia.curves import Curve
 from concordia.sweeps import check_curve_against_oracle
-from concordia.torsion import (CertificateMismatch,
-                               _detect_order3, check_k_constraint, classify_torsion,
+from concordia.torsion import (CertificateMismatch, _detect_order3,
+                               _detect_order4, canonical_model,
+                               check_k_constraint, classify_torsion,
                                map_from_canonical,
                                eight_torsion_points, four_torsion_points,
                                three_six_torsion_points, torsion_subgroup)
@@ -244,3 +247,63 @@ def test_six_torsion_with_large_prime_parameters():
     c = Curve(a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b))
     tc = classify_torsion(c)
     assert tc.tag == "Z2xZ6" and tc.certificate == (a, b)
+
+
+def _order8_by_fourth_roots(m, n):
+    """The reference the order-8 refinement replaced: 4th roots of -m and
+    n - m, then the hypotenuse."""
+    xi = iroot_exact(-m, 4)
+    if xi is None or xi == 0:
+        return None
+    eta = iroot_exact(n - m, 4)
+    if eta is None:
+        return None
+    zeta = isqrt_exact(xi * xi + eta * eta)
+    return None if zeta is None else (xi, eta, zeta)
+
+
+def _classify_8_4_3(c):
+    """The old detector chain: order 8, then 4, then 3, on the reduced
+    model."""
+    base = canonical_model(c)[0]
+    for tag, detect in (("Z2xZ8", _order8_by_fourth_roots),
+                        ("Z2xZ4", _detect_order4), ("Z2xZ6", _detect_order3)):
+        cert = detect(base.m, base.n)
+        if cert is not None:
+            return tag, cert
+    return "Z2xZ2", None
+
+
+@st.composite
+def _ladder_uv(draw):
+    """Coprime (u, v) for the reduced model E(-u^2, v^2 - u^2): any pair,
+    the squared legs of a primitive Pythagorean triple, or a near miss
+    (u a square but v not; u, v squares but u + v not)."""
+    kind = draw(st.sampled_from(["pair", "triple", "u_square", "uv_square"]))
+    if kind == "triple":
+        s = draw(st.integers(min_value=2, max_value=12))
+        t = draw(st.integers(min_value=1, max_value=s - 1))
+        assume(gcd(s, t) == 1 and (s - t) % 2)
+        legs = [(s * s - t * t) ** 2, (2 * s * t) ** 2]
+        return tuple(draw(st.permutations(legs)))
+    a = draw(st.integers(min_value=1, max_value=40))
+    b = draw(st.integers(min_value=1, max_value=40))
+    u, v = {"pair": (a, b), "u_square": (a * a, b),
+            "uv_square": (a * a, b * b)}[kind]
+    assume(u != v and gcd(u, v) == 1)
+    if kind == "u_square":
+        assume(isqrt(v) ** 2 != v)
+    if kind == "uv_square":
+        assume(isqrt(u + v) ** 2 != u + v)
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ladder_uv())
+@example((1, 4))  # E(-1, 15): u, v squares, u + v = 5 is not
+@example((9, 16))  # E(-81, 175): the (3, 4, 5) triple
+def test_ladder_matches_the_8_4_3_chain(uv):
+    u, v = uv
+    c = Curve(-u * u, v * v - u * u)
+    tc = classify_torsion(c)
+    assert (tc.tag, tc.certificate) == _classify_8_4_3(c)
