@@ -106,13 +106,10 @@ def test_verify_exit_codes(capsys):
                  "--y", "1", "--z", "1", "--w", "1"]) == 2
 
 
-@pytest.mark.parametrize("mn,xyzw", [
-    (("0", "0"), ("1", "1", "1", "1")), (("2", "2"), ("1", "2", "3", "3"))])
-def test_verify_refuses_degenerate_forms(mn, xyzw, capsys):
-    argv = ["verify", "concordant", "--m", mn[0], "--n", mn[1]]
-    for flag, value in zip(("--x", "--y", "--z", "--w"), xyzw):
-        argv += [flag, value]
-    assert main(argv) == 1
+@pytest.mark.parametrize("args", ["--m 0 --n 0 --x 1 --y 1 --z 1 --w 1",
+                                  "--m 2 --n 2 --x 1 --y 2 --z 3 --w 3"])
+def test_verify_refuses_degenerate_forms(args, capsys):
+    assert main(["verify", "concordant", *args.split()]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "degenerate cubic" in err
 
