@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from concordia.arith import iroot_exact, isqrt_exact
 from concordia.curves import Curve
-from concordia.sweeps import check_curve_against_oracle
+from concordia.sweeps import check_curve_against_oracle, family_grid
 from concordia.torsion import (CertificateMismatch, _detect_order3,
                                _detect_order4, canonical_model,
                                check_k_constraint, classify_torsion,
@@ -128,6 +128,23 @@ def test_torsion_subgroup_on_scaled_curve():
     tc, pts = torsion_subgroup(c)
     assert len(pts) == 12
     assert pts == c.torsion_oracle()
+
+
+def _family_models(limit):
+    """Each family curve of `family_grid(limit)`, scaled by d = 1, 2, 3,
+    as (m, n), (n, m) and the shifted (-m, n - m)."""
+    for rec in family_grid(limit):
+        for d in (1, 2, 3):
+            m, n = rec.m * d * d, rec.n * d * d
+            yield from ((m, n), (n, m), (-m, n - m))
+
+
+def test_torsion_subgroup_matches_oracle_on_family_models():
+    models = list(_family_models(6))
+    assert len(models) == 153
+    for mn in models:
+        c = Curve(*mn)
+        assert torsion_subgroup(c)[1] == c.torsion_oracle(), mn
 
 
 def test_check_k_constraint():
