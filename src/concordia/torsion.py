@@ -13,15 +13,20 @@ the class:
 
 Detection is a ladder: the order-4 roots (u, v) first, refined to the
 order-8 certificate when u, v and u + v are squares; without (u, v), the
-order-3 search.  `_CLASSES` holds each class's order, certificate fields
-and allowed squarefree steps.  Torsion points are mapped back to the
-input curve through the shift/scale isomorphism recorded on the class.
+order-3 search.  `_CLASSES` holds each class's maximal order 2k,
+certificate fields, allowed squarefree steps, the reduced model the
+certificate fixes and one point G of order 2k on it.  The group is
+Z2 x <G>: `torsion_subgroup` maps G to the input curve through the
+shift/scale isomorphism recorded on the class and builds the rest by the
+group law, as the multiples of G and their sums with one 2-torsion
+point outside <G>.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .arith import factorint, isqrt_exact
@@ -32,11 +37,21 @@ Z2xZ4 = "Z2xZ4"
 Z2xZ6 = "Z2xZ6"
 Z2xZ8 = "Z2xZ8"
 
-# tag: (max order, certificate fields, allowed squarefree steps k or None)
-_CLASSES = {Z2xZ2: (2, (), None),
-            Z2xZ4: (4, ("u", "v"), {1}),
-            Z2xZ6: (6, ("a", "b"), {1, 3}),
-            Z2xZ8: (8, ("xi", "eta", "zeta"), {1})}
+# tag: (max order, certificate fields, allowed squarefree steps k or None,
+#       the reduced model (m0, n0) the certificate fixes (None: any),
+#       (x, s) for a point G = (x, s*x) of the max order on that model)
+_CLASSES = {
+    Z2xZ2: (2, (), None, lambda: None, lambda: (0, 0)),
+    Z2xZ4: (4, ("u", "v"), {1}, lambda u, v: (-u * u, v * v - u * u),
+            lambda u, v: (u * (u - v), v)),
+    Z2xZ6: (6, ("a", "b"), {1, 3},
+            lambda a, b: (a ** 3 * (a + 2 * b), b ** 3 * (2 * a + b)),
+            lambda a, b: (a * b * (a + 2 * b) * (b + 2 * a), (a + b) ** 2)),
+    Z2xZ8: (8, ("xi", "eta", "zeta"), {1},
+            lambda xi, eta, zeta: (-xi ** 4, eta ** 4 - xi ** 4),
+            lambda xi, eta, zeta: (xi * zeta * (xi + eta) * (zeta + eta),
+                                   eta * (zeta + xi))),
+}
 
 
 class CertificateMismatch(ValueError):
@@ -86,19 +101,18 @@ def canonical_model(c: Curve) -> tuple[Curve, int, int]:
 
 
 def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
+    """The image of a point of the reduced model, whose coordinates may
+    be ints, on the input curve, with Fraction coordinates."""
     if P.is_infinity:
         return P
-    return Point(scale * scale * P.x + shift, scale ** 3 * P.y)
+    return Point(Fraction(scale * scale * P.x + shift),
+                 Fraction(scale ** 3 * P.y))
 
 
 def _detect_order4(m: int, n: int) -> Optional[tuple]:
     u = isqrt_exact(-m)
-    if u is None or u == 0:
-        return None
-    v = isqrt_exact(n - m)
-    if v is None:
-        return None
-    return (u, v)
+    v = isqrt_exact(n - m) if u else None
+    return None if v is None else (u, v)
 
 
 def _refine_order8(u: int, v: int) -> Optional[tuple]:
@@ -161,86 +175,40 @@ def classify_torsion(c: Curve) -> TorsionClass:
     return TorsionClass(tag, cert, base, shift, scale)
 
 
-def _checked(c: Curve, x: int, y: int, order: int) -> list[Point]:
-    """Both points (x, +-y), verified on-curve and of the claimed order."""
-    P = c.point(x, y)
-    if c.order_of(P) != order:
-        raise CertificateMismatch(
-            f"({x},{y}) on E({c.m},{c.n}) does not have order {order}")
-    return [P, c.negate(P)]
-
-
-def four_torsion_points(u: int, v: int, c: Curve) -> frozenset[Point]:
-    """The four points of order 4 on E(-u^2, v^2-u^2)."""
-    if c.m != -u * u or c.n != v * v - u * u:
-        raise CertificateMismatch(f"(u,v)=({u},{v}) does not fit E({c.m},{c.n})")
-    pts = []
-    for x in (u * u - u * v, u * u + u * v):
-        pts += _checked(c, x, v * x, 4)
-    return frozenset(pts)
-
-
-def eight_torsion_points(xi: int, eta: int, zeta: int, c: Curve) -> frozenset[Point]:
-    """The eight points of order 8 on E(-xi^4, eta^4-xi^4)."""
-    if xi * xi + eta * eta != zeta * zeta:
-        raise CertificateMismatch("not a Pythagorean triple")
-    if c.m != -xi ** 4 or c.n != eta ** 4 - xi ** 4:
-        raise CertificateMismatch(
-            f"(xi,eta,zeta)=({xi},{eta},{zeta}) does not fit E({c.m},{c.n})")
-    pts = []
-    for e_sign in (1, -1):
-        for z_sign in (1, -1):
-            x = xi * zeta * (xi + e_sign * eta) * (zeta + z_sign * eta)
-            y = (xi * eta * zeta * (xi + e_sign * eta)
-                 * (zeta + e_sign * z_sign * xi) * (zeta + z_sign * eta))
-            pts += _checked(c, x, y, 8)
-    return frozenset(pts)
-
-
-def three_six_torsion_points(a: int, b: int, c: Curve
-                             ) -> tuple[frozenset[Point], frozenset[Point]]:
-    """Order-3 and order-6 points on E(a^3(a+2b), b^3(2a+b))."""
-    if c.m != a ** 3 * (a + 2 * b) or c.n != b ** 3 * (2 * a + b):
-        raise CertificateMismatch(f"(a,b)=({a},{b}) does not fit E({c.m},{c.n})")
-    x3 = a * a * b * b
-    pts3 = frozenset(_checked(c, x3, x3 * (a + b) ** 2, 3))
-    pts6 = []
-    for x, factor in (
-            (-a * a * b * (b + 2 * a), a * a - b * b),
-            (-a * b * b * (a + 2 * b), a * a - b * b),
-            (a * b * (a + 2 * b) * (b + 2 * a), (a + b) ** 2)):
-        pts6 += _checked(c, x, x * factor, 6)
-    return pts3, frozenset(pts6)
-
-
 def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
-    """Full rational torsion of E(m,n) from the closed-form certificates."""
+    """Full rational torsion of E(m,n), from the certified generator G.
+    A certificate that does not fit the reduced model, a G off the curve
+    or not of the class's maximal order, a point off the curve or a wrong
+    count raises CertificateMismatch."""
     cls = classify_torsion(c)
-    base = cls.base
-    pts = set()
-    if cls.tag == Z2xZ4:
-        u, v = cls.certificate
-        pts |= four_torsion_points(u, v, base)
-    elif cls.tag == Z2xZ8:
-        xi, eta, zeta = cls.certificate
-        pts |= four_torsion_points(xi * xi, eta * eta, base)
-        pts |= eight_torsion_points(xi, eta, zeta, base)
-    elif cls.tag == Z2xZ6:
-        a, b = cls.certificate
-        p3, p6 = three_six_torsion_points(a, b, base)
-        pts |= p3 | p6
-    mapped = {INFINITY}
-    mapped.update(c.two_torsion())
-    for P in pts:
-        Q = map_from_canonical(P, cls.shift, cls.scale)
-        if not c.contains(Q):
-            raise CertificateMismatch("rescaled torsion point left the curve")
-        mapped.add(Q)
-    if len(mapped) != cls.group_size():
+    order, _, _, model, generator = _CLASSES[cls.tag]
+    cert = cls.certificate or ()
+    if model(*cert) not in (None, (cls.base.m, cls.base.n)):
+        raise CertificateMismatch(f"{cls.tag} certificate {cert} does not "
+                                  f"fit E({cls.base.m},{cls.base.n})")
+    x, s = generator(*cert)
+    G = map_from_canonical(Point(x, s * x), cls.shift, cls.scale)
+    if not c.contains(G) or c.order_of(G) != order:
+        raise CertificateMismatch(
+            f"{G} is not a point of order {order} on E({c.m},{c.n})")
+    multiples = [G]
+    for _ in range(order - 2):
+        multiples.append(c.add(multiples[-1], G))
+    # (order/2)G is the one 2-torsion point in <G>, so T is not in <G>;
+    # T + O and T + (order/2)G are 2-torsion points, on the curve already
+    two = c.two_torsion()
+    half = multiples[order // 2 - 1].x
+    T = next(P for P in two if P.x != half)
+    high = [P for P in multiples if P.y]  # the multiples of order > 2
+    built = high + [c.add(T, P) for P in high]
+    if not all(map(c.contains, built)):
+        raise CertificateMismatch("a torsion point left the curve")
+    pts = frozenset([INFINITY, *two, *built])
+    if len(pts) != cls.group_size():
         raise CertificateMismatch(
             f"E({c.m},{c.n}): expected {cls.group_size()} torsion points, "
-            f"got {len(mapped)}")
-    return cls, frozenset(mapped)
+            f"got {len(pts)}")
+    return cls, pts
 
 
 def check_k_constraint(t: TorsionClass) -> bool:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 
 from concordia.cli import _parse_rational, build_parser, main
 from concordia.curves import Curve
-from concordia.torsion import CertificateMismatch
+from concordia.torsion import classify_torsion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -313,12 +314,15 @@ def test_classify_huge_m_needs_no_divisors(capsys):
 
 
 def test_certificate_mismatch_exits_3(monkeypatch, capsys):
-    def broken(*args):
-        raise CertificateMismatch("simulated invariant break")
-
-    monkeypatch.setattr("concordia.torsion.four_torsion_points", broken)
+    # a certificate that does not fit the reduced model E(-1, 3)
+    monkeypatch.setattr("concordia.torsion.classify_torsion",
+                        lambda c: replace(classify_torsion(c),
+                                          certificate=(1, 5)))
     assert main(["classify", "--m", "-1", "--n", "3"]) == 3
-    assert "simulated invariant break" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: Z2xZ4 certificate (1, 5) does not fit " \
+                  "E(-1,3)\n"
 
 
 def test_arithmetic_post_condition_exits_3(monkeypatch, capsys):

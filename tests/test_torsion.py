@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -6,14 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concordia.arith import iroot_exact, isqrt_exact
-from concordia.curves import Curve
+from concordia.curves import INFINITY, Curve, Point
 from concordia.sweeps import check_curve_against_oracle, family_grid
 from concordia.torsion import (CertificateMismatch, _detect_order3,
                                _detect_order4, canonical_model,
                                check_k_constraint, classify_torsion,
-                               map_from_canonical,
-                               eight_torsion_points, four_torsion_points,
-                               three_six_torsion_points, torsion_subgroup)
+                               map_from_canonical, torsion_subgroup)
 
 # (m, n) -> (tag, certificate tuple)
 CLASSIFIED = {
@@ -68,51 +67,66 @@ def test_certificate_reconstructs_curve():
         assert mapped == set(c.two_torsion())
 
 
-def test_certificate_mismatch_detected():
-    with pytest.raises(CertificateMismatch):
-        four_torsion_points(1, 5, Curve(-1, 3))
-    with pytest.raises(CertificateMismatch):
-        eight_torsion_points(3, 4, 5, Curve(-1, 3))
-    with pytest.raises(CertificateMismatch):
-        three_six_torsion_points(-1, 3, Curve(-1, 3))
+def test_certificate_mismatch_detected(monkeypatch):
+    # each check of torsion_subgroup, driven by a wrong certificate or a
+    # broken group law
+    def mismatch(mn, tag, cert, match, add=None):
+        with monkeypatch.context() as mp:
+            mp.setattr("concordia.torsion.classify_torsion",
+                       lambda c: replace(classify_torsion(c), tag=tag,
+                                         certificate=cert))
+            if add is not None:
+                mp.setattr(Curve, "add", add)
+            with pytest.raises(CertificateMismatch, match=match):
+                torsion_subgroup(Curve(*mn))
+
+    for tag, cert in (("Z2xZ4", (1, 5)), ("Z2xZ8", (3, 4, 5)),
+                      ("Z2xZ6", (-1, 3))):
+        mismatch((-1, 3), tag, cert, r"does not fit E\(-1,3\)")
+    # the model fits, but zeta is no hypotenuse: G is off the curve
+    assert not Curve(-81, 175).contains(Point(Fraction(1260),
+                                               Fraction(1260 * 36)))
+    mismatch((-81, 175), "Z2xZ8", (3, 4, 6), "not a point of order 8")
+    # the model fits, but zeta = 0 makes G = (0, 0), of order 2
+    mismatch((-1, 15), "Z2xZ8", (1, 2, 0), r"\(0, 0\) is not a point of "
+                                           r"order 8 on E\(-1,15\)")
+    off = Point(Fraction(1), Fraction(1))  # not on E(-1, 3)
+    mismatch((-1, 3), "Z2xZ4", (1, 2), "left the curve",
+             add=lambda self, P, Q: off)
+    mismatch((-1, 3), "Z2xZ4", (1, 2), "expected 8 torsion points, got 5",
+             add=lambda self, P, Q: INFINITY)
 
 
 def test_four_torsion_points_formulas():
-    c = Curve(-81, 175)
-    pts = four_torsion_points(9, 16, c)
-    assert c.point(-63, -1008) in pts and c.point(225, 3600) in pts
-    for P in pts:
-        assert c.order_of(P) == 4
-
-    c = Curve(-1, 8)
-    pts = four_torsion_points(1, 3, c)
-    assert c.point(-2, 6) in pts and c.point(4, 12) in pts
+    # order-4 points of the paper, in the subgroup built from one
+    # generator: of order 8 on E(-81, 175), of order 4 on E(-1, 8)
+    for mn, shown in (((-81, 175), [(-63, -1008), (225, 3600)]),
+                      ((-1, 8), [(-2, 6), (4, 12)])):
+        c = Curve(*mn)
+        pts = torsion_subgroup(c)[1]
+        four = {P for P in pts if c.order_of(P) == 4}
+        assert len(four) == 4
+        assert {c.point(*xy) for xy in shown} <= four
 
 
 def test_eight_torsion_points_formulas():
     c = Curve(-4096, 46529)
-    pts = eight_torsion_points(8, 15, 17, c)
-    assert len(pts) == 8
-    for P in pts:
-        assert c.order_of(P) == 8
+    assert sum(c.order_of(P) == 8 for P in torsion_subgroup(c)[1]) == 8
 
     c345 = Curve(-81, 175)
-    pts = eight_torsion_points(3, 4, 5, c345)
-    assert c345.point(945, 30240) in pts
-    assert c345.point(105, -840) in pts
-    assert c345.point(-135, 1080) in pts
-    assert c345.point(-15, -480) in pts
+    pts = torsion_subgroup(c345)[1]
+    for xy in ((945, 30240), (105, -840), (-135, 1080), (-15, -480)):
+        P = c345.point(*xy)
+        assert P in pts and c345.order_of(P) == 8
 
 
 def test_three_six_torsion_points_formulas():
     c = Curve(-5, 27)
-    pts3, pts6 = three_six_torsion_points(-1, 3, c)
-    assert len(pts3) == 2 and len(pts6) == 6
-    assert all(c.order_of(P) == 3 for P in pts3)
-    assert all(c.order_of(P) == 6 for P in pts6)
+    orders = [c.order_of(P) for P in torsion_subgroup(c)[1]]
+    assert orders.count(3) == 2 and orders.count(6) == 6
     c = Curve(-64, 125)
-    pts3, pts6 = three_six_torsion_points(-2, 5, c)
-    assert c.point(100, 900) in pts3
+    P = c.point(100, 900)
+    assert P in torsion_subgroup(c)[1] and c.order_of(P) == 3
 
 
 def test_torsion_subgroup_matches_oracle():
@@ -178,10 +192,13 @@ def test_four_torsion_family_property(u, v):
     if v <= u or (v * v - u * u) == u * u:
         return
     c = Curve(-u * u, v * v - u * u)
-    pts = four_torsion_points(u, v, c)
-    assert len(pts) == 4
-    for P in pts:
-        assert c.contains(P) and c.order_of(P) == 4
+    pts = torsion_subgroup(c)[1]
+    four = {P for P in pts if c.order_of(P) == 4}
+    assert len(four) == 4 and all(map(c.contains, four))
+    # the closed forms (u^2 -+ uv, v(u^2 -+ uv)) and their negatives
+    assert four == {c.point(x, sign * v * x) for x in (u * u - u * v,
+                                                       u * u + u * v)
+                    for sign in (1, -1)}
     tc = classify_torsion(c)
     assert tc.tag in ("Z2xZ4", "Z2xZ8")
 
@@ -190,7 +207,6 @@ def test_four_torsion_family_property(u, v):
 @given(st.integers(min_value=-6, max_value=6),
        st.integers(min_value=-6, max_value=6))
 def test_six_torsion_family_property(a, b):
-    from math import gcd
     if a == 0 or b == 0 or abs(gcd(a, b)) != 1:
         return
     m = a ** 3 * (a + 2 * b)
@@ -198,9 +214,19 @@ def test_six_torsion_family_property(a, b):
     if m == 0 or n == 0 or m == n:
         return
     c = Curve(m, n)
-    pts3, pts6 = three_six_torsion_points(a, b, c)
-    for P in pts3 | pts6:
-        assert c.contains(P) and c.order_of(P) in (3, 6)
+    pts = torsion_subgroup(c)[1]
+    assert all(c.contains(P) for P in pts)
+    orders = [c.order_of(P) for P in pts]
+    assert orders.count(3) == 2 and orders.count(6) == 6
+    # the closed forms of an order-3 point and of three order-6 points
+    x3 = a * a * b * b
+    P = c.point(x3, x3 * (a + b) ** 2)
+    assert P in pts and c.order_of(P) == 3
+    for x, factor in ((-a * a * b * (b + 2 * a), a * a - b * b),
+                      (-a * b * b * (a + 2 * b), a * a - b * b),
+                      (a * b * (a + 2 * b) * (b + 2 * a), (a + b) ** 2)):
+        P = c.point(x, x * factor)
+        assert P in pts and c.order_of(P) == 6
     assert classify_torsion(c).tag == "Z2xZ6"
 
 
