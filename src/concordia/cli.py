@@ -165,6 +165,8 @@ def _curve_from_args(args) -> Curve:
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
             raise ValueError("--m and --n must be given together")
+        if {args.p, args.q, args.k} != {None}:
+            raise ValueError("give either --m/--n or --p/--q/--k, not both")
         return Curve(args.m, args.n)
     if args.p is None or args.q is None or args.k is None:
         raise ValueError("give either --m/--n or --p/--q/--k")

@@ -197,8 +197,9 @@ def gen_order8_family(xi: int, eta: int, zeta: int) -> FamilyRecord:
     Pythagorean triple with xi < eta."""
     if xi * xi + eta * eta != zeta * zeta:
         raise ValueError("not a Pythagorean triple")
-    if math.gcd(xi, eta) != 1 or not (0 < xi < eta):
-        raise ValueError("primitive triple with xi < eta required")
+    if math.gcd(xi, eta) != 1 or not (0 < xi < eta) or zeta < 0:
+        raise ValueError("primitive triple with 0 < xi < eta, zeta > 0 "
+                         "required")
     return _family_record("order8", (xi, eta, zeta), -xi ** 4,
                           eta ** 4 - xi ** 4)
 

@@ -56,6 +56,15 @@ def test_classify_usage_errors(capsys):
     assert main(["classify", "--m", "-1"]) == 1
 
 
+@pytest.mark.parametrize("extra", [["--p", "1"], ["--k", "1"],
+                                   ["--p", "1", "--q", "3", "--k", "1"]])
+def test_classify_refuses_mn_with_pqk(capsys, extra):
+    assert main(["classify", "--m", "-1", "--n", "3", *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: give either --m/--n or --p/--q/--k, not both\n"
+
+
 def test_bad_flag_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--bogus", "1"])
@@ -186,6 +195,15 @@ def test_family_commands(capsys):
 def test_family_rejects_bad_params(capsys):
     assert main(["family", "order8", "--xi", "2", "--eta", "3",
                  "--zeta", "4"]) == 1
+
+
+def test_family_order8_rejects_negative_zeta(capsys):
+    assert main(["family", "order8", "--xi", "3", "--eta", "4",
+                 "--zeta", "-5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: primitive triple with 0 < xi < eta, zeta > 0 " \
+                  "required\n"
 
 
 def test_selftest_shallow(capsys):

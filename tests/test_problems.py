@@ -78,6 +78,8 @@ def test_gen_order8_family():
     assert rec.torsion_tag == "Z2xZ8"
     rec = gen_order8_family(3, 4, 5)
     assert (rec.m, rec.n) == (-81, 175)
+    with pytest.raises(ValueError, match="zeta > 0"):
+        gen_order8_family(3, 4, -5)
 
 
 def test_gen_order36_family():
