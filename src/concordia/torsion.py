@@ -13,13 +13,11 @@ the class:
 
 Detection is a ladder: the order-4 roots (u, v) first, refined to the
 order-8 certificate when u, v and u + v are squares; without (u, v), the
-order-3 search.  `_CLASSES` holds each class's maximal order 2k,
-certificate fields, allowed squarefree steps, the reduced model the
-certificate fixes and one point G of order 2k on it.  The group is
-Z2 x <G>: `torsion_subgroup` maps G to the input curve through the
-shift/scale isomorphism recorded on the class and builds the rest by the
-group law, as the multiples of G and their sums with one 2-torsion
-point outside <G>.
+order-3 search.  `_CLASSES` holds each class's order 2k, certificate
+fields, allowed squarefree steps, the reduced model the certificate fixes
+and a point G of order 2k on it.  The torsion is Z2 x <G>: G is mapped to
+the input curve through the shift/scale isomorphism recorded on the
+class, and the rest is built by the group law.
 """
 
 from __future__ import annotations
@@ -111,8 +109,12 @@ def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
 
 def _detect_order4(m: int, n: int) -> Optional[tuple]:
     u = isqrt_exact(-m)
-    v = isqrt_exact(n - m) if u else None
-    return None if v is None else (u, v)
+    if u is None or u == 0:
+        return None
+    v = isqrt_exact(n - m)
+    if v is None:
+        return None
+    return (u, v)
 
 
 def _refine_order8(u: int, v: int) -> Optional[tuple]:
