@@ -196,13 +196,11 @@ def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
     multiples = [G]
     for _ in range(order - 2):
         multiples.append(c.add(multiples[-1], G))
-    # (order/2)G is the one 2-torsion point in <G>, so T is not in <G>;
-    # T + O and T + (order/2)G are 2-torsion points, on the curve already
+    # the torsion is E[2] + <G>: O, the 2-torsion (on the curve by
+    # construction), the multiples of order > 2 and their sums with E[2]
     two = c.two_torsion()
-    half = multiples[order // 2 - 1].x
-    T = next(P for P in two if P.x != half)
-    high = [P for P in multiples if P.y]  # the multiples of order > 2
-    built = high + [c.add(T, P) for P in high]
+    high = [P for P in multiples if P.y]
+    built = high + [c.add(T, P) for T in two for P in high]
     if not all(map(c.contains, built)):
         raise CertificateMismatch("a torsion point left the curve")
     pts = frozenset([INFINITY, *two, *built])
