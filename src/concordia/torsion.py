@@ -99,8 +99,8 @@ def canonical_model(c: Curve) -> tuple[Curve, int, int]:
 
 
 def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
-    """The image of a point of the reduced model, whose coordinates may
-    be ints, on the input curve, with Fraction coordinates."""
+    """The image (scale^2 x + shift, scale^3 y) on the input curve of a
+    reduced-model point with int or Fraction coordinates, in Fractions."""
     if P.is_infinity:
         return P
     return Point(Fraction(scale * scale * P.x + shift),

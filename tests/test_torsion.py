@@ -99,7 +99,7 @@ def test_certificate_mismatch_detected(monkeypatch):
 
 def test_four_torsion_points_formulas():
     # order-4 points of the paper, in the subgroup built from one
-    # generator: of order 8 on E(-81, 175), of order 4 on E(-1, 8)
+    # generator of order 8 on E(-81, 175) and of order 4 on E(-1, 8)
     for mn, shown in (((-81, 175), [(-63, -1008), (225, 3600)]),
                       ((-1, 8), [(-2, 6), (4, 12)])):
         c = Curve(*mn)
