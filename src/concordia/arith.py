@@ -1,12 +1,11 @@
-"""The exact integer and rational kernel: square and k-th roots, square
-tests on rationals, primality, factoring and divisors, trial division up
-to a bound, and the gcd helpers (`_Coprime`, `_smooth_gcd`) of the group
-law and the quadric maps.  Nothing here knows about curves."""
+"""The exact integer kernel: square and k-th roots, primality, factoring
+and divisors, trial division up to a bound, and the gcd helpers
+(`_Coprime`, `_smooth_gcd`) of the group law and the quadric maps.
+Nothing here knows about curves."""
 
 import itertools
 import math
 import numbers
-from fractions import Fraction
 from typing import Optional
 
 # Quadratic-residue bitmasks used to reject non-squares cheaply before
@@ -208,21 +207,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorint(n).items():
         divs = [d * p ** k for k in range(e + 1) for d in divs]
     return sorted(divs)
-
-
-def sqrt_fraction(v: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root of a rational, or None."""
-    num = isqrt_exact(v.numerator)
-    if num is None:
-        return None
-    den = isqrt_exact(v.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
-def is_square_fraction(v: Fraction) -> bool:
-    return sqrt_fraction(Fraction(v)) is not None
 
 
 class _Coprime:

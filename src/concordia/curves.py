@@ -3,7 +3,9 @@
 Everything here is pure and exact.  Points carry `fractions.Fraction`
 coordinates, but the kernels run in integers: a rational point of this
 integral model is x = X/Z^2, y = Y/Z^3 in lowest terms, so membership
-is one integer identity in (X, Y, Z), and the group law is the
+is one integer identity in (X, Y, Z), checked by the one gate that every
+method reading a point passes, `Curve.weighted`; halving tests X,
+X + mZ^2 and X + nZ^2 for squares; and the group law is the
 chord-tangent construction on the expanded model
 y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
 A sum comes out as (X3, Y3, Z3) = (lam^2 X, lam^3 Y, lam Z) for its
@@ -25,8 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import (_SQ_FILTERS, _Coprime, _prime_factors_up_to,
-                    _smooth_gcd, _squarefree_products, divisors,
-                    is_square_fraction, sqrt_fraction)
+                    _smooth_gcd, _squarefree_products, divisors, isqrt_exact)
 
 # Moduli at which `Curve.torsion_oracle` checks that a candidate y^2 is a
 # value of x(x+m)(x+n) before it searches for the integer roots x.
@@ -67,7 +68,7 @@ def _point(X: int, Y: int, Z: int) -> Point:
 def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
     """The point X3/Z3^2, Y3/Z3^3 of y^2 = x(x+m)(x+n), given
     lam2 = gcd(X3, Z3^2).  In lowest terms it is X/Z^2, Y/Z^3 (see
-    `Curve.contains`), so Z3 = lam*Z, X3 = lam^2*X, Y3 = lam^3*Y and
+    `Curve.weighted`), so Z3 = lam*Z, X3 = lam^2*X, Y3 = lam^3*Y and
     lam2 = lam^2 * gcd(X, Z^2) = lam^2: each coordinate is an exact
     division.  ArithmeticError, an internal fault and not a usage error,
     when lam2 is not a square or a division is not exact."""
@@ -76,7 +77,7 @@ def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
     Y, s = divmod(Y3, lam2 * lam)
     if r or s or lam * lam != lam2:
         raise ArithmeticError(
-            "group law: the common factor of the sum is not lam^2, lam^3")
+            "weighted point: the common factor is not lam^2, lam^3")
     return _point(X, Y, Z3 // lam)
 
 
@@ -179,25 +180,31 @@ class Curve:
     # -- basic point handling -------------------------------------------
 
     def contains(self, P: Point) -> bool:
-        """Is P on the curve?  Exact, in integers.
+        """Is P on the curve?  The boolean form of `weighted`."""
+        try:
+            self.weighted(P)
+        except ValueError:
+            return False
+        return True
+
+    def weighted(self, P: Point) -> tuple[int, int, int]:
+        """(X, Y, Z) with x = X/Z^2, y = Y/Z^3, Z >= 1, for an affine P on
+        the curve, (1, 1, 0) for O, else ValueError "(x, y) is not on
+        E(m,n)": the gate through which every method reads a point.
 
         Let x = a/b and y = c/e in lowest terms.  At a prime p | b each
         factor of x(x+m)(x+n) has valuation -v_p(b), so 2v_p(e) = 3v_p(b):
         a point on the curve has b = Z^2 and e = Z^3, and then
-        y^2 = x(x+m)(x+n) reads c^2 = a(a+mb)(a+nb).
+        y^2 = x(x+m)(x+n) reads c^2 = a(a+mb)(a+nb) (`satisfies`).
         """
-        return P.is_infinity or self.weighted(P) is not None
-
-    def weighted(self, P: Point) -> Optional[tuple[int, int, int]]:
-        """(X, Y, Z) with x = X/Z^2, y = Y/Z^3 for an affine point P on
-        the curve, None if P is not on it (see `contains`): its
-        lowest-terms denominators must be Z^2 and Z^3, Z their quotient."""
+        if P.is_infinity:
+            return 1, 1, 0
         b = P.x.denominator
         Z, r = divmod(P.y.denominator, b)
-        if r or Z * Z != b:
-            return None
         X, Y = P.x.numerator, P.y.numerator
-        return (X, Y, Z) if self.satisfies(X, Y, Z) else None
+        if r or Z * Z != b or not self.satisfies(X, Y, Z):
+            raise ValueError(f"{P} is not on E({self.m},{self.n})")
+        return X, Y, Z
 
     def satisfies(self, X: int, Y: int, Z: int) -> bool:
         """Y^2 = X(X + mZ^2)(X + nZ^2): for coprime X and Z >= 1, is
@@ -207,8 +214,7 @@ class Curve:
 
     def point(self, x, y) -> Point:
         P = Point(Fraction(x), Fraction(y))
-        if not self.contains(P):
-            raise ValueError(f"({x}, {y}) is not on E({self.m},{self.n})")
+        self.weighted(P)
         return P
 
     def two_torsion(self) -> list[Point]:
@@ -223,8 +229,8 @@ class Curve:
         """P + Q by the chord-tangent law on y^2 = x^3 + Ax^2 + Bx,
         A = m+n, B = mn, in the weighted projective coordinates
         x = X/Z^2, y = Y/Z^3 of `weighted` (Jacobian coordinates;
-        Silverman-Tate I.4, Cohen 7.1).  ValueError unless both P and Q
-        are on the curve, checked by the identity of `satisfies`.
+        Silverman-Tate I.4, Cohen 7.1).  ValueError from `weighted` unless
+        both P and Q are on the curve, O included.
 
         The slope is R/(H*Z1*Z2) for the chord, with R and H first
         divided by gcd(R, H), which is about as long as Z1 when P and Q
@@ -245,15 +251,12 @@ class Curve:
           Then X1/Z1^2 is a double root of f mod p, and p divides the
           discriminant of f, (mn(m-n))^2.
         """
+        p = self.weighted(P)
+        q = p if Q == P else self.weighted(Q)
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
-        p = self.weighted(P)
-        q = p if Q == P else self.weighted(Q)
-        if p is None or q is None:
-            raise ValueError(f"{P if p is None else Q} is not on "
-                             f"E({self.m},{self.n})")
         if P.x == Q.x and P.y == -Q.y:
             return INFINITY
         A = self.m + self.n
@@ -284,6 +287,7 @@ class Curve:
         return _reduced_point(X3, Y3, Z3, lam2)
 
     def negate(self, P: Point) -> Point:
+        # Not gated: it computes nothing from the coordinates.
         if P.is_infinity:
             return P
         return Point(P.x, -P.y)
@@ -314,10 +318,10 @@ class Curve:
         """
         if P.is_infinity:
             return 1
-        if P.x.denominator != 1 or P.y.denominator != 1:
+        x1, y1, Z = self.weighted(P)
+        if Z != 1:
             return None
         A, B = self.m + self.n, self.m * self.n
-        x1, y1 = P.x.numerator, P.y.numerator
         x, y = x1, y1  # tP
         for t in range(1, 12):
             if x == x1:
@@ -336,31 +340,40 @@ class Curve:
         """True iff P = 2Q for some rational Q.
 
         With full rational 2-torsion this is the descent criterion: x, x+m
-        and x+n must all be rational squares.
+        and x+n must all be rational squares (Knapp IV.1): over the square
+        Z^2, their lowest-terms numerators X, X + mZ^2 and X + nZ^2 must be
+        integer squares (all are 1 at O).
         """
-        if P.is_infinity:
-            return True
-        return (is_square_fraction(P.x)
-                and is_square_fraction(P.x + self.m)
-                and is_square_fraction(P.x + self.n))
+        X, _, Z = self.weighted(P)
+        Zs = Z * Z
+        return all(isqrt_exact(X + e * Zs) is not None
+                   for e in (0, self.m, self.n))
 
     def halves(self, P: Point) -> list[Point]:
-        """All rational Q with 2Q = P (empty when P is not a double)."""
+        """All rational Q with 2Q = P, sorted (empty unless P is a double).
+
+        With signed roots r_i = a_i/Z of x, x+m, x+n, a half has
+        x = (r0+r1)(r0+r2) and y = +-(r0+r1)(r0+r2)(r1+r2), since x+m and
+        x+n are (r1+r0)(r1+r2) and (r2+r0)(r2+r1); r0 >= 0 leaves four
+        (r1, r2).  `_reduced_point` takes x = N/Z^2, y = W/Z^3 to lowest
+        terms, as a half's denominator divides P's (Silverman VII.2.2),
+        and `add` picks the sign of y.
+        """
         if P.is_infinity:
-            return [INFINITY] + self.two_torsion()
-        a0, a1, a2 = (sqrt_fraction(P.x + e) for e in (0, self.m, self.n))
+            return sorted([INFINITY, *self.two_torsion()], key=point_sort_key)
+        X, _, Z = self.weighted(P)
+        Zs = Z * Z
+        a0, a1, a2 = (isqrt_exact(X + e * Zs) for e in (0, self.m, self.n))
         if None in (a0, a1, a2):  # P is not a double
             return []
         out = []
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                xh = P.x + s1 * a0 * a1 + s2 * a0 * a2 + s1 * s2 * a1 * a2
-                yh = sqrt_fraction(xh * (xh + self.m) * (xh + self.n))
-                if yh is None:
-                    continue
-                for Q in (Point(xh, yh), Point(xh, -yh)):
-                    if self.multiply(Q, 2) == P and Q not in out:
-                        out.append(Q)
+        for b1, b2 in itertools.product((a1, -a1), (a2, -a2)):
+            N = (a0 + b1) * (a0 + b2)
+            W = N * (b1 + b2)
+            H = _reduced_point(N, W, Z, math.gcd(N, Zs))
+            for Q in (H, self.negate(H)):
+                if self.add(Q, Q) == P and Q not in out:
+                    out.append(Q)
         return sorted(out, key=point_sort_key)
 
     # -- exhaustive torsion oracle --------------------------------------

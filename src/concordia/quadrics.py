@@ -133,10 +133,7 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
     """
     if P.is_infinity:
         return TRIVIAL_BASE
-    w = c.weighted(P)
-    if w is None:
-        raise ValueError(f"{P} is not on E({c.m},{c.n})")
-    X, Y, Z = w
+    X, Y, Z = c.weighted(P)
     Z2 = Z * Z
     X2, mnZ4 = X * X, c.m * c.n * Z2 * Z2
     coords = [mnZ4 - X2, 2 * Y * Z, -(X2 + 2 * c.m * X * Z2 + mnZ4),

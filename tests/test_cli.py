@@ -221,6 +221,35 @@ def test_selftest_pmax_picks_the_grid(monkeypatch, capsys):
     assert grids == [(6, 1), (9, 1)]
 
 
+_TRIVIAL_ROW = {"k": 3, "verdict": "trivial", "order": 4}
+
+
+@pytest.mark.parametrize("oracle,family,rows,code,failures", [
+    (["E(-1,3): oracle max order 2"], [], None, 3,
+     ["E(-1,3): oracle max order 2"]),
+    ([], ["order8(3, 4, 5): congruent k=3"], None, 2,
+     ["order8(3, 4, 5): congruent k=3"]),
+    ([], [], [_TRIVIAL_ROW], 2, ["counterexample suite failed at k=3"]),
+    # an oracle mismatch outranks the other failures
+    (["E(-1,3): x"], ["order4(1, 2): y"], [_TRIVIAL_ROW], 3,
+     ["counterexample suite failed at k=3", "order4(1, 2): y",
+      "E(-1,3): x"]),
+], ids=["oracle", "family", "counterexample", "all"])
+def test_selftest_failures_set_the_exit_code(oracle, family, rows, code,
+                                             failures, monkeypatch, capsys):
+    monkeypatch.setattr("concordia.cli.oracle_equivalence_sweep",
+                        lambda p_max, jobs: list(oracle))
+    monkeypatch.setattr("concordia.cli.family_sweep",
+                        lambda limit: list(family))
+    if rows is not None:
+        monkeypatch.setattr("concordia.cli.four_torsion_counterexamples",
+                            lambda: rows)
+    assert run(capsys, "--format", "text", "selftest") == (
+        code, "selftest: FAIL\n" + "".join(f"  {f}\n" for f in failures))
+    assert run_json(capsys, "selftest") == (
+        code, {"failures": failures, "passed": False})
+
+
 @pytest.mark.parametrize("flag,limit", [("--pmax", 60),
                                         ("--jobs", os.cpu_count() or 1)])
 def test_selftest_caps_are_refused_by_the_parser(flag, limit, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.arith import is_square_fraction, sqrt_fraction
+from concordia.arith import isqrt_exact
 from concordia.curves import (Curve, INFINITY, Point, point_sort_key,
                               _cubic_peak, _integer_cubic_roots)
 from concordia.torsion import canonical_model, map_from_canonical
@@ -85,6 +85,43 @@ def test_halves_recover_preimages():
     for Q in halves:
         assert c.multiply(Q, 2) == c.point(1, 0)
     assert c.halves(c.point(0, 0)) == []
+
+
+# Points off their curves, and the message of the one membership gate,
+# `Curve.weighted`, that every method reading coordinates goes through.
+_OFF_17 = Point(Fraction(1), Fraction(7))  # x(x-1)(x+3) = 0 at x = 1
+_OFF_11 = Point(Fraction(1), Fraction(1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Curve(-6, 2).order_of(Point(Fraction(2), Fraction(4))),
+     "(2, 4) is not on E(-6,2)"),
+    (lambda: Curve(-1, 3).is_double(_OFF_17), "(1, 7) is not on E(-1,3)"),
+    (lambda: Curve(-1, 3).halves(_OFF_17), "(1, 7) is not on E(-1,3)"),
+    (lambda: Curve(-1, 3).add(INFINITY, _OFF_11), "(1, 1) is not on E(-1,3)"),
+    (lambda: Curve(-1, 3).add(_OFF_11, INFINITY), "(1, 1) is not on E(-1,3)"),
+    # the point as stored, in lowest terms, not as it was written
+    (lambda: Curve(-1, 3).point("2/4", "7"), "(1/2, 7) is not on E(-1,3)"),
+], ids=["order_of", "is_double", "halves", "add(O,P)", "add(P,O)", "point"])
+def test_methods_reject_points_off_the_curve(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_contains_is_the_boolean_form_of_the_gate():
+    c = Curve(-1, 3)
+    assert not c.contains(_OFF_17) and not c.contains(_OFF_11)
+    assert c.contains(INFINITY) and c.weighted(INFINITY) == (1, 1, 0)
+    c55 = Curve(-5, 5)
+    assert c55.weighted(c55.point(Fraction(25, 4), Fraction(-75, 8))) == \
+        (25, -75, 2)
+
+
+def test_halves_of_infinity_are_sorted():
+    c = Curve(-1, 3)
+    assert c.halves(INFINITY) == [INFINITY, c.point(-3, 0), c.point(0, 0),
+                                  c.point(1, 0)]
 
 
 def test_halves_of_search_doubles():
@@ -173,11 +210,11 @@ def test_integer_cubic_roots():
         [-2, -1, 3]
 
 
-def test_sqrt_helpers():
-    assert sqrt_fraction(Fraction(25, 4)) == Fraction(5, 2)
-    assert sqrt_fraction(Fraction(2)) is None
-    assert is_square_fraction(Fraction(0))
-    assert not is_square_fraction(Fraction(-4))
+def test_isqrt_exact():
+    assert isqrt_exact(25) == 5
+    assert isqrt_exact(2) is None
+    assert isqrt_exact(0) == 0
+    assert isqrt_exact(-4) is None
 
 
 SAMPLE_CURVES = [Curve(-1, 3), Curve(-5, 27), Curve(-81, 175), Curve(-2, 3),
@@ -215,6 +252,6 @@ def test_multiply_matches_repeated_addition(data, t):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 12))
 def test_square_detection_matches_construction(v):
-    assert is_square_fraction(Fraction(v * v))
-    root = sqrt_fraction(Fraction(v))
+    assert isqrt_exact(v * v) == v
+    root = isqrt_exact(v)
     assert (root is None) or root * root == v

@@ -1,6 +1,6 @@
 """Differential tests: the integer kernels for membership, the group law,
-the quadric maps and the progression/triangle validators against the
-Fraction code they replaced, kept here as references."""
+halving, the quadric maps and the progression/triangle validators against
+the Fraction code they replaced, kept here as references."""
 
 import math
 from fractions import Fraction
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concordia.arith import _smooth_gcd, factorint
-from concordia.curves import INFINITY, Curve, Point
+from concordia.arith import _smooth_gcd, factorint, isqrt_exact
+from concordia.curves import INFINITY, Curve, Point, point_sort_key
 from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
                                 ap_to_triangle, quadric_to_ap)
 from concordia.quadrics import (QuadricPoint, concordant_form_map,
@@ -87,6 +87,37 @@ def reference_degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
     if not reference_contains(c, P):
         raise ValueError(f"({P.x}, {P.y}) is not on E({c.m},{c.n})")
     return P
+
+
+def reference_sqrt(v: Fraction):
+    """Exact nonnegative square root of a rational, or None."""
+    num, den = isqrt_exact(v.numerator), isqrt_exact(v.denominator)
+    return None if num is None or den is None else Fraction(num, den)
+
+
+def reference_is_double(c: Curve, P: Point) -> bool:
+    if P.is_infinity:
+        return True
+    return all(reference_sqrt(P.x + e) is not None for e in (0, c.m, c.n))
+
+
+def reference_halves(c: Curve, P: Point) -> list[Point]:
+    if P.is_infinity:
+        return [INFINITY] + c.two_torsion()
+    a0, a1, a2 = (reference_sqrt(P.x + e) for e in (0, c.m, c.n))
+    if None in (a0, a1, a2):  # P is not a double
+        return []
+    out = []
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            xh = P.x + s1 * a0 * a1 + s2 * a0 * a2 + s1 * s2 * a1 * a2
+            yh = reference_sqrt(xh * (xh + c.m) * (xh + c.n))
+            if yh is None:
+                continue
+            for Q in (Point(xh, yh), Point(xh, -yh)):
+                if reference_add(c, Q, Q) == P and Q not in out:
+                    out.append(Q)
+    return sorted(out, key=point_sort_key)
 
 
 def reference_ap_error(alpha, beta, gamma, step, p, q):
@@ -380,6 +411,45 @@ def test_two_torsion_points_are_on_the_curve():
             assert all(P.y == 0 and c.contains(P)
                        and reference_contains(c, P) for P in pts)
             assert all(c.add(P, P) == INFINITY for P in pts)
+
+
+# -- halving ----------------------------------------------------------------
+
+# The curves of acceptance criterion 5: congruent and theta curves.
+CRITERION_5 = [(-n, n) for n in (5, 6, 7, 31)] + [
+    (-1, 3), (-2, 3), (-5, 27), (-1, 8), (-64, 125), (-96, 1029), (-5, 5),
+    (-6, 6), (1, 4), (-20, 108)]
+
+
+def _assert_halving_matches_reference(c: Curve, pts) -> int:
+    """Check is_double and halves on pts; the number of doubles."""
+    doubles = 0
+    for P in pts:
+        halves = c.halves(P)
+        assert c.is_double(P) == reference_is_double(c, P) == bool(halves)
+        assert halves == sorted(reference_halves(c, P), key=point_sort_key)
+        assert all(c.add(Q, Q) == P for Q in halves)
+        doubles += bool(halves)
+    return doubles
+
+
+def test_halving_matches_reference_on_search_points():
+    for mn in CRITERION_5:
+        c = Curve(*mn)
+        pts = sorted(c.search(10 ** 4), key=point_sort_key)
+        doubles = [reference_add(c, P, P) for P in pts]
+        _assert_halving_matches_reference(c, [INFINITY, *pts])
+        assert _assert_halving_matches_reference(c, doubles) == len(doubles)
+
+
+def test_halving_matches_reference_on_chains():
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        signed = [*pts, *map(c.negate, pts)]
+        assert any(P.x.denominator > 1 for P in signed)
+        assert any(P.x < 0 for P in signed)
+        # kP is a double for even k, and for odd k when P is one
+        assert _assert_halving_matches_reference(c, signed) >= K
 
 
 # -- quadric maps -----------------------------------------------------------

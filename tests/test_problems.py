@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+from concordia import sweeps
 
 from concordia.curves import Curve
 from concordia.problems import (FamilyRecord, four_torsion_counterexamples,
@@ -8,7 +11,8 @@ from concordia.problems import (FamilyRecord, four_torsion_counterexamples,
                                 gen_order36_family, solve_concordant,
                                 solve_theta_congruent,
                                 verify_concordant_solution)
-from concordia.sweeps import curve_grid, family_sweep, oracle_equivalence_sweep
+from concordia.sweeps import (check_curve_against_oracle, curve_grid,
+                              family_sweep, oracle_equivalence_sweep)
 from concordia.triples import ConcordantTriple, CongruentTriple
 
 
@@ -142,3 +146,53 @@ def test_parallel_sweep_keeps_grid_order(monkeypatch):
 
 def test_family_sweep_small():
     assert family_sweep(8) == []
+
+
+def _without(point_repr):
+    """A torsion_oracle that drops the points whose repr is in point_repr."""
+    oracle = Curve.torsion_oracle
+
+    def patched(c):
+        return frozenset(P for P in oracle(c) if repr(P) not in point_repr)
+    return patched
+
+
+def test_oracle_check_reports_a_point_the_classifier_lacks(monkeypatch):
+    closed_form = sweeps.torsion_subgroup
+    monkeypatch.setattr("concordia.sweeps.torsion_subgroup", lambda c: (
+        closed_form(c)[0], closed_form(c)[1] - {c.point(3, 6)}))
+    assert check_curve_against_oracle((1, 3, 1)) == [
+        "E(-1,3): point sets differ (oracle-only ['(3, 6)'], "
+        "classifier-only [])"]
+
+
+def test_oracle_check_reports_a_missing_point(monkeypatch):
+    monkeypatch.setattr(Curve, "torsion_oracle", _without({"(3, 6)"}))
+    assert check_curve_against_oracle((1, 3, 1)) == [
+        "E(-1,3): point sets differ (oracle-only [], "
+        "classifier-only ['(3, 6)'])",
+        "E(-1,3): oracle finds 7 points, class Z2xZ4 implies 8"]
+
+
+def test_oracle_check_reports_a_wrong_max_order(monkeypatch):
+    four = {"(-1, -2)", "(-1, 2)", "(3, -6)", "(3, 6)"}
+    monkeypatch.setattr(Curve, "torsion_oracle", _without(four))
+    assert check_curve_against_oracle((1, 3, 1)) == [
+        "E(-1,3): point sets differ (oracle-only [], classifier-only "
+        "['(-1, -2)', '(-1, 2)', '(3, -6)', '(3, 6)'])",
+        "E(-1,3): oracle finds 4 points, class Z2xZ4 implies 8",
+        "E(-1,3): oracle max order 2, class Z2xZ4 implies 4"]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("torsion_tag", "Z2xZ4", "classified Z2xZ4, expected {'Z2xZ8'}"),
+    ("concordant", ConcordantTriple(81, 175, 2), "concordant k=2"),
+    ("congruent", CongruentTriple(47, 128, 3), "congruent k=3"),
+    ("congruent_curve", (-1, 1), "parity case tag inconsistent"),
+])
+def test_family_sweep_reports_a_wrong_field(field, value, message,
+                                            monkeypatch):
+    rec = gen_order8_family(3, 4, 5)
+    monkeypatch.setattr("concordia.sweeps.family_grid", lambda limit: [
+        rec, replace(rec, **{field: value})])
+    assert family_sweep() == [f"order8(3, 4, 5): {message}"]
