@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .curves import Curve, point_sort_key
+from .curves import Curve, Point, point_sort_key
 from .geometry import ap_to_triangle, quadric_to_ap
 from .problems import (four_torsion_counterexamples, gen_order4_family,
                        gen_order8_family, gen_order36_family,
@@ -119,13 +119,15 @@ def _parse_rational(flag: str, text: str):
 
 
 def _integers(v):
-    """The ints in v: v itself, the parts of a Fraction, and the ints in
-    the fields of a dataclass (points, quadric points, reports, ...) and
-    in the items of a container."""
+    """The ints in v: v itself, the parts of a Fraction or of a Point's x
+    and y (Z^3, not Z), the ints in the fields of any other dataclass
+    (quadric points, reports, ...) and in the items of a container."""
     if isinstance(v, int):
         yield v
     elif isinstance(v, Fraction):
         yield from (v.numerator, v.denominator)
+    elif isinstance(v, Point):
+        yield from _integers((v.x, v.y))
     elif isinstance(v, (tuple, list, set, frozenset)):
         for item in v:
             yield from _integers(item)

@@ -1,19 +1,19 @@
 """Exact rational arithmetic on the elliptic curves y^2 = x(x+m)(x+n).
 
-Everything here is pure and exact.  Points carry `fractions.Fraction`
-coordinates, but the kernels run in integers: a rational point of this
-integral model is x = X/Z^2, y = Y/Z^3 in lowest terms, so membership
-is one integer identity in (X, Y, Z), checked by the one gate that every
-method reading a point passes, `Curve.weighted`; halving tests X,
-X + mZ^2 and X + nZ^2 for squares; and the group law is the
-chord-tangent construction on the expanded model
+Everything here is pure and exact, and the kernels run in integers.  A
+rational point of this integral model is x = X/Z^2, y = Y/Z^3 with
+gcd(X, Z) = 1 and Z >= 1, and `Point` stores that triple (X, Y, Z); O is
+(1, 1, 0).  `Curve.point` is the one place where a rational pair becomes
+a triple.  Membership is one integer identity in (X, Y, Z), checked by
+the one gate that every method reading a point passes, `Curve.weighted`;
+halving tests X, X + mZ^2 and X + nZ^2 for squares; and the group law is
+the chord-tangent construction on the expanded model
 y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
 A sum comes out as (X3, Y3, Z3) = (lam^2 X, lam^3 Y, lam Z) for its
 lowest-terms (X, Y, Z): the chord finds lam^2 with one gcd, the tangent
 over the primes of mn(m-n) alone (`_smooth_gcd`), and both divide
-exactly.  Every kernel, here and in `concordia.quadrics`, builds a point
-from coprime weighted integers through `_point`, with no gcd in
-`Fraction`.  The torsion oracle is a Nagell-Lutz enumeration that is
+exactly.  `Point.x` and `Point.y` give the coordinates as `Fraction`s
+for output.  The torsion oracle is a Nagell-Lutz enumeration that is
 independent of the closed-form torsion classifier in `concordia.torsion`;
 the number theory on bare integers lives in `concordia.arith`.
 """
@@ -36,39 +36,44 @@ _ORACLE_MODULI = (32, 27, 25, 7, 11, 13)
 
 @dataclass(frozen=True)
 class Point:
-    """Affine point or the point at infinity (x = y = None)."""
+    """The point x = X/Z^2, y = Y/Z^3 in lowest terms: gcd(X, Z) = 1 and
+    Z >= 1, or (1, 1, 0) for the point at infinity O, where x and y are
+    None.  `Curve.point` builds one from (x, y); `Curve.weighted` checks
+    one."""
 
-    x: Optional[Fraction]
-    y: Optional[Fraction]
+    X: int
+    Y: int
+    Z: int
 
     @property
     def is_infinity(self) -> bool:
-        return self.x is None
+        return self.Z == 0
+
+    @property
+    def x(self) -> Optional[Fraction]:  # no gcd: X/Z^2 is in lowest terms
+        return Fraction(_Coprime(self.X, self.Z * self.Z)) if self.Z else None
+
+    @property
+    def y(self) -> Optional[Fraction]:
+        return Fraction(_Coprime(self.Y, self.Z ** 3)) if self.Z else None
 
     def __repr__(self):
-        if self.is_infinity:
-            return "O"
-        return f"({self.x}, {self.y})"
+        return f"({self.x}, {self.y})" if self.Z else "O"
 
 
-INFINITY = Point(None, None)
+INFINITY = Point(1, 1, 0)
 
 
 def _point(X: int, Y: int, Z: int) -> Point:
-    """The point X/Z^2, Y/Z^3 of y^2 = x(x+m)(x+n), for gcd(X, Z) = 1
-    and Z != 0, in lowest terms and without a gcd (a prime dividing Y and
-    Z divides X^3 by the curve equation).  Every kernel builds its points
-    from weighted integers here."""
-    if Z < 0:
-        Z, Y = -Z, -Y
-    Zs = Z * Z
-    return Point(Fraction(_Coprime(X, Zs)), Fraction(_Coprime(Y, Zs * Z)))
+    """The point X/Z^2, Y/Z^3 for gcd(X, Z) = 1 and Z != 0, with the sign
+    of Z moved into Y."""
+    return Point(X, Y, Z) if Z > 0 else Point(X, -Y, -Z)
 
 
 def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
     """The point X3/Z3^2, Y3/Z3^3 of y^2 = x(x+m)(x+n), given
     lam2 = gcd(X3, Z3^2).  In lowest terms it is X/Z^2, Y/Z^3 (see
-    `Curve.weighted`), so Z3 = lam*Z, X3 = lam^2*X, Y3 = lam^3*Y and
+    `Curve.point`), so Z3 = lam*Z, X3 = lam^2*X, Y3 = lam^3*Y and
     lam2 = lam^2 * gcd(X, Z^2) = lam^2: each coordinate is an exact
     division.  ArithmeticError, an internal fault and not a usage error,
     when lam2 is not a square or a division is not exact."""
@@ -82,10 +87,9 @@ def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
 
 
 def point_sort_key(P: Point):
-    """Canonical ordering: infinity first, then (x num, x den, y)."""
-    if P.is_infinity:
-        return (0, 0, 0, Fraction(0))
-    return (1, P.x.numerator, P.x.denominator, P.y)
+    """Canonical ordering: infinity first, then (X, Z, Y), which orders
+    points by x's numerator, then its denominator Z^2, then y."""
+    return (1, P.X, P.Z, P.Y) if P.Z else (0,)
 
 
 def _cubic_peak(e1: int, e2: int, e3: int) -> tuple[int, int]:
@@ -180,31 +184,19 @@ class Curve:
     # -- basic point handling -------------------------------------------
 
     def contains(self, P: Point) -> bool:
-        """Is P on the curve?  The boolean form of `weighted`."""
-        try:
-            self.weighted(P)
-        except ValueError:
-            return False
-        return True
+        """Is P either O or a point of the curve in lowest terms, with
+        Z >= 1 and gcd(X, Z) = 1?  No gcd at Z = 1, and no division."""
+        X, Y, Z = P.X, P.Y, P.Z
+        if Z < 1:
+            return P == INFINITY
+        return (Z == 1 or math.gcd(X, Z) == 1) and self.satisfies(X, Y, Z)
 
     def weighted(self, P: Point) -> tuple[int, int, int]:
-        """(X, Y, Z) with x = X/Z^2, y = Y/Z^3, Z >= 1, for an affine P on
-        the curve, (1, 1, 0) for O, else ValueError "(x, y) is not on
-        E(m,n)": the gate through which every method reads a point.
-
-        Let x = a/b and y = c/e in lowest terms.  At a prime p | b each
-        factor of x(x+m)(x+n) has valuation -v_p(b), so 2v_p(e) = 3v_p(b):
-        a point on the curve has b = Z^2 and e = Z^3, and then
-        y^2 = x(x+m)(x+n) reads c^2 = a(a+mb)(a+nb) (`satisfies`).
-        """
-        if P.is_infinity:
-            return 1, 1, 0
-        b = P.x.denominator
-        Z, r = divmod(P.y.denominator, b)
-        X, Y = P.x.numerator, P.y.numerator
-        if r or Z * Z != b or not self.satisfies(X, Y, Z):
+        """(X, Y, Z) of P if `contains(P)`, else ValueError "(x, y) is not
+        on E(m,n)": the gate through which every method reads a point."""
+        if not self.contains(P):
             raise ValueError(f"{P} is not on E({self.m},{self.n})")
-        return X, Y, Z
+        return P.X, P.Y, P.Z
 
     def satisfies(self, X: int, Y: int, Z: int) -> bool:
         """Y^2 = X(X + mZ^2)(X + nZ^2): for coprime X and Z >= 1, is
@@ -213,22 +205,33 @@ class Curve:
         return Y * Y == X * (X + self.m * b) * (X + self.n * b)
 
     def point(self, x, y) -> Point:
-        P = Point(Fraction(x), Fraction(y))
+        """The point (x, y) of rationals, else ValueError "(x, y) is not
+        on E(m,n)": the one place where a rational pair becomes a `Point`.
+
+        Let x = a/b and y = c/e in lowest terms.  At a prime p | b each
+        factor of x(x+m)(x+n) has valuation -v_p(b), so 2v_p(e) = 3v_p(b):
+        a point on the curve has b = Z^2 and e = Z^3, and then
+        y^2 = x(x+m)(x+n) reads c^2 = a(a+mb)(a+nb) (`satisfies`).
+        """
+        x, y = Fraction(x), Fraction(y)
+        Z, r = divmod(y.denominator, x.denominator)
+        if r or Z * Z != x.denominator:
+            raise ValueError(f"({x}, {y}) is not on E({self.m},{self.n})")
+        P = Point(x.numerator, y.numerator, Z)
         self.weighted(P)
         return P
 
     def two_torsion(self) -> list[Point]:
         """(0,0), (-m,0), (-n,0): the roots of x(x+m)(x+n), on the curve
         by construction."""
-        zero = Fraction(0)
-        return [Point(Fraction(x), zero) for x in (0, -self.m, -self.n)]
+        return [Point(x, 0, 1) for x in (0, -self.m, -self.n)]
 
     # -- group law ------------------------------------------------------
 
     def add(self, P: Point, Q: Point) -> Point:
         """P + Q by the chord-tangent law on y^2 = x^3 + Ax^2 + Bx,
         A = m+n, B = mn, in the weighted projective coordinates
-        x = X/Z^2, y = Y/Z^3 of `weighted` (Jacobian coordinates;
+        x = X/Z^2, y = Y/Z^3 of `Point` (Jacobian coordinates;
         Silverman-Tate I.4, Cohen 7.1).  ValueError from `weighted` unless
         both P and Q are on the curve, O included.
 
@@ -251,18 +254,18 @@ class Curve:
           Then X1/Z1^2 is a double root of f mod p, and p divides the
           discriminant of f, (mn(m-n))^2.
         """
-        p = self.weighted(P)
-        q = p if Q == P else self.weighted(Q)
+        X1, Y1, Z1 = self.weighted(P)
+        X2, Y2, Z2 = (X1, Y1, Z1) if Q == P else self.weighted(Q)
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
-        if P.x == Q.x and P.y == -Q.y:
-            return INFINITY
         A = self.m + self.n
-        X1, Y1, Z1 = p
         Z1s = Z1 * Z1
-        if P.x == Q.x:  # then Q = P: both are on the curve
+        if X1 == X2 and Z1 == Z2:  # the same x
+            if Y1 == -Y2:
+                return INFINITY
+            # then Q = P: both are on the curve
             M = (3 * X1 + 2 * A * Z1s) * X1 + self.m * self.n * Z1s * Z1s
             Z3 = 2 * Y1 * Z1
             Y1s = Y1 * Y1
@@ -271,7 +274,6 @@ class Curve:
             Y3 = M * (V - X3) - 8 * Y1s * Y1s
             lam2 = _smooth_gcd(self.discriminant_root(), X3, Z3 * Z3)
         else:
-            X2, Y2, Z2 = q
             Z2s = Z2 * Z2
             U1, U2 = X1 * Z2s, X2 * Z1s
             S1 = Y1 * Z2s * Z2
@@ -290,7 +292,7 @@ class Curve:
         # Not gated: it computes nothing from the coordinates.
         if P.is_infinity:
             return P
-        return Point(P.x, -P.y)
+        return Point(P.X, -P.Y, P.Z)
 
     def multiply(self, P: Point, t: int) -> Point:
         if t < 0:
@@ -316,11 +318,9 @@ class Curve:
         are chained in integers, and the first inexact slope division ends
         the chain; at most 12 multiples are needed.
         """
-        if P.is_infinity:
-            return 1
         x1, y1, Z = self.weighted(P)
         if Z != 1:
-            return None
+            return 1 if Z == 0 else None
         A, B = self.m + self.n, self.m * self.n
         x, y = x1, y1  # tP
         for t in range(1, 12):
@@ -359,9 +359,9 @@ class Curve:
         terms, as a half's denominator divides P's (Silverman VII.2.2),
         and `add` picks the sign of y.
         """
-        if P.is_infinity:
-            return sorted([INFINITY, *self.two_torsion()], key=point_sort_key)
         X, _, Z = self.weighted(P)
+        if Z == 0:
+            return sorted([INFINITY, *self.two_torsion()], key=point_sort_key)
         Zs = Z * Z
         a0, a1, a2 = (isqrt_exact(X + e * Zs) for e in (0, self.m, self.n))
         if None in (a0, a1, a2):  # P is not a double
@@ -408,10 +408,10 @@ class Curve:
                     break
             else:
                 for x in _integer_cubic_roots(e1, e2, e3, peak, y2):
-                    P = Point(Fraction(x), Fraction(y))
+                    P = Point(x, y, 1)
                     if self.order_of(P) is not None:
                         pts.add(P)
-                        pts.add(Point(Fraction(x), Fraction(-y)))
+                        pts.add(Point(x, -y, 1))
         return frozenset(pts)
 
     # -- bounded-height point search ------------------------------------
@@ -431,7 +431,7 @@ class Curve:
         Either way p | mn, and p <= |d| <= |u| <= H.  So the search
         trial-divides mn up to H and factors nothing.  It also skips the a
         for which N < 0.  The cost is about H * sum(d^-1/2) cells, not
-        2H^1.5.  Every cell tried has gcd(u, w) = 1, as `_point` needs.
+        2H^1.5.  Every cell tried has gcd(u, w) = 1, as `Point` needs.
         """
         if height < 1:
             raise ValueError("height bound must be >= 1")
@@ -441,7 +441,7 @@ class Curve:
         filters = _SQ_FILTERS
         wmax = isqrt(height)
         primes = _prime_factors_up_to(abs(m * n), height)
-        pts = {Point(Fraction(0), Fraction(0))}
+        pts = {Point(0, 0, 1)}
         for d in _squarefree_products(primes, height):
             amax = isqrt(height // d)
             for w in range(1, wmax + 1):
@@ -462,8 +462,8 @@ class Curve:
                         else:
                             r = isqrt(N)
                             if r * r == N:
-                                pts.add(_point(u, r, w))
-                                pts.add(_point(u, -r, w))
+                                pts.add(Point(u, r, w))
+                                pts.add(Point(u, -r, w))
         return frozenset(pts)
 
 

@@ -104,7 +104,7 @@ def _solve(problem: str, triple_fields: tuple, ct: ConcordantTriple,
            search_bound: Optional[int]) -> SolutionReport:
     c = ct.curve()
     cls, torsion = torsion_subgroup(c)
-    interesting = {P for P in torsion if not P.is_infinity and P.y != 0}
+    interesting = {P for P in torsion if not P.is_infinity and P.Y}
     entries = _entries(c, interesting, ct, "torsion", angle)
     if search_bound is not None:
         # torsion holds O and the three points of order 2

@@ -10,14 +10,13 @@ the classical congruent-number literature are provided as
 `right_triangle_map` (second coordinate negated, defined on Q(-n,n))
 and `concordant_form_map`; they equal doubling-after-isomorphism up to
 sign, which the test suite checks exactly.  All three build their image
-through `curves._point`, and only `quadric_to_point` takes a gcd.
+as a weighted triple (X, Y, Z), and only `quadric_to_point` takes a gcd.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import _smooth_gcd
 from .curves import INFINITY, Curve, Point, _point
@@ -29,7 +28,7 @@ class QuadricPoint:
 
     Normal form: gcd of the coordinates is 1 and the first nonzero
     coordinate is positive.  Use `from_raw` to build from arbitrary
-    rational coordinates.
+    rational (int or Fraction) coordinates.
     """
 
     x0: int
@@ -49,17 +48,15 @@ class QuadricPoint:
 
     @classmethod
     def from_raw(cls, x0, x1, x2, x3) -> "QuadricPoint":
-        fracs = [Fraction(v) for v in (x0, x1, x2, x3)]
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * lcm) for f in fracs]
+        coords = (x0, x1, x2, x3)  # ints or Fractions
+        lcm = math.lcm(*(v.denominator for v in coords))
+        ints = [v.numerator * (lcm // v.denominator) for v in coords]
         g = math.gcd(*ints)
         if g == 0:
             raise ValueError("all-zero projective tuple")
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        return cls(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return cls(*(v // g for v in ints))
 
     def coords(self) -> tuple[int, int, int, int]:
         return (self.x0, self.x1, self.x2, self.x3)
@@ -106,7 +103,7 @@ def quadric_to_point(S: QuadricPoint, c: Curve) -> Point:
     if r or Z * Z != Zs or not c.satisfies(X, Y, Z):
         raise ArithmeticError(f"the image of {S} is not a point of "
                               f"E({m},{n}) in lowest terms")
-    return _point(X, Y, Z)
+    return Point(X, Y, Z)
 
 
 def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
@@ -131,9 +128,9 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
       p | mn.  If p | X + mZ^2 and not X, it reads mZ^4(n - m) = 0 mod p
       with p not dividing m, so p | m - n; X + nZ^2 likewise.
     """
-    if P.is_infinity:
-        return TRIVIAL_BASE
     X, Y, Z = c.weighted(P)
+    if Z == 0:
+        return TRIVIAL_BASE
     Z2 = Z * Z
     X2, mnZ4 = X * X, c.m * c.n * Z2 * Z2
     coords = [mnZ4 - X2, 2 * Y * Z, -(X2 + 2 * c.m * X * Z2 + mnZ4),

@@ -10,10 +10,7 @@ from fractions import Fraction
 
 
 def frac_str(v) -> str:
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return str(Fraction(v))
 
 
 def point_json(P):

@@ -118,9 +118,10 @@ def family_sweep(limit: int = 20) -> list[str]:
     problems = []
     for rec in family_grid(limit):
         label = f"{rec.family}{rec.params}"
-        if rec.torsion_tag not in _EXPECTED_TAGS[rec.family]:
-            problems.append(f"{label}: classified {rec.torsion_tag}, "
-                            f"expected {_EXPECTED_TAGS[rec.family]}")
+        tags = _EXPECTED_TAGS[rec.family]
+        if rec.torsion_tag not in tags:  # sorted: no hash-seed order
+            problems.append(f"{label}: classified {rec.torsion_tag}, expected "
+                            f"{{{', '.join(map(repr, sorted(tags)))}}}")
         if rec.concordant.k not in _CONCORDANT_K[rec.family]:
             problems.append(f"{label}: concordant k={rec.concordant.k}")
         if rec.congruent.k not in _CONGRUENT_K[rec.family]:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .arith import factorint, isqrt_exact
-from .curves import INFINITY, Curve, Point
+from .curves import INFINITY, Curve, Point, _reduced_point
 
 Z2xZ2 = "Z2xZ2"
 Z2xZ4 = "Z2xZ4"
@@ -100,11 +99,11 @@ def canonical_model(c: Curve) -> tuple[Curve, int, int]:
 
 def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
     """The image (scale^2 x + shift, scale^3 y) on the input curve of a
-    reduced-model point with int or Fraction coordinates, in Fractions."""
+    reduced-model point, reduced as `Curve.add` reduces its sums."""
     if P.is_infinity:
         return P
-    return Point(Fraction(scale * scale * P.x + shift),
-                 Fraction(scale ** 3 * P.y))
+    X = scale * scale * P.X + shift * P.Z * P.Z
+    return _reduced_point(X, scale ** 3 * P.Y, P.Z, math.gcd(X, P.Z * P.Z))
 
 
 def _detect_order4(m: int, n: int) -> Optional[tuple]:
@@ -180,8 +179,8 @@ def classify_torsion(c: Curve) -> TorsionClass:
 def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
     """Full rational torsion of E(m,n), from the certified generator G.
     A certificate that does not fit the reduced model, a G off the curve
-    or not of the class's maximal order, a point off the curve or a wrong
-    count raises CertificateMismatch."""
+    (`order_of`'s gate) or not of the class's maximal order, a point off
+    the curve or a wrong count raises CertificateMismatch."""
     cls = classify_torsion(c)
     order, _, _, model, generator = _CLASSES[cls.tag]
     cert = cls.certificate or ()
@@ -189,8 +188,12 @@ def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
         raise CertificateMismatch(f"{cls.tag} certificate {cert} does not "
                                   f"fit E({cls.base.m},{cls.base.n})")
     x, s = generator(*cert)
-    G = map_from_canonical(Point(x, s * x), cls.shift, cls.scale)
-    if not c.contains(G) or c.order_of(G) != order:
+    G = map_from_canonical(Point(x, s * x, 1), cls.shift, cls.scale)
+    try:
+        fits = c.order_of(G) == order
+    except ValueError:  # G is off the curve
+        fits = False
+    if not fits:
         raise CertificateMismatch(
             f"{G} is not a point of order {order} on E({c.m},{c.n})")
     multiples = [G]
@@ -199,7 +202,7 @@ def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
     # the torsion is E[2] + <G>: O, the 2-torsion (on the curve by
     # construction), the multiples of order > 2 and their sums with E[2]
     two = c.two_torsion()
-    high = [P for P in multiples if P.y]
+    high = [P for P in multiples if P.Y]
     built = high + [c.add(T, P) for T in two for P in high]
     if not all(map(c.contains, built)):
         raise CertificateMismatch("a torsion point left the curve")

@@ -9,8 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from concordia.cli import _parse_rational, build_parser, main
-from concordia.curves import Curve
+from concordia.cli import (DigitLimitError, _check_digits, _parse_rational,
+                           build_parser, main)
+from concordia.curves import Curve, Point
 from concordia.torsion import classify_torsion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -316,6 +317,14 @@ def test_every_result_over_digit_limit_is_refused(capsys):
     assert out == ""
     assert err == ("error: the result has a 8599-digit integer; "
                    "the limit is 4300 digits\n")
+
+
+def test_digit_guard_sees_a_points_denominators():
+    # Z has 1501 digits, but y = 1/Z^3 is printed with all 4501 of Z^3.
+    P = Point(1, 1, 10 ** 1500 + 1)
+    for shown in (P, [P], (0, P)):
+        with pytest.raises(DigitLimitError, match="a 4501-digit integer"):
+            _check_digits(shown)
 
 
 def test_parse_rational_refuses_a_zero_denominator():

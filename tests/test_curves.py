@@ -26,7 +26,8 @@ def test_curve_accepts_valid():
 
 def test_point_validation():
     c = Curve(-1, 3)
-    assert c.point(3, 6) == Point(Fraction(3), Fraction(6))
+    assert c.point(3, 6) == Point(3, 6, 1)
+    assert Curve(-5, 5).point("25/4", "-75/8") == Point(25, -75, 2)
     with pytest.raises(ValueError):
         c.point(3, 7)
 
@@ -89,12 +90,12 @@ def test_halves_recover_preimages():
 
 # Points off their curves, and the message of the one membership gate,
 # `Curve.weighted`, that every method reading coordinates goes through.
-_OFF_17 = Point(Fraction(1), Fraction(7))  # x(x-1)(x+3) = 0 at x = 1
-_OFF_11 = Point(Fraction(1), Fraction(1))
+_OFF_17 = Point(1, 7, 1)  # x(x-1)(x+3) = 0 at x = 1
+_OFF_11 = Point(1, 1, 1)
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: Curve(-6, 2).order_of(Point(Fraction(2), Fraction(4))),
+    (lambda: Curve(-6, 2).order_of(Point(2, 4, 1)),
      "(2, 4) is not on E(-6,2)"),
     (lambda: Curve(-1, 3).is_double(_OFF_17), "(1, 7) is not on E(-1,3)"),
     (lambda: Curve(-1, 3).halves(_OFF_17), "(1, 7) is not on E(-1,3)"),
@@ -116,6 +117,24 @@ def test_contains_is_the_boolean_form_of_the_gate():
     c55 = Curve(-5, 5)
     assert c55.weighted(c55.point(Fraction(25, 4), Fraction(-75, 8))) == \
         (25, -75, 2)
+
+
+# (25/4, -75/8) on E(-5,5) is the triple (25, -75, 2); each of these
+# satisfies Y^2 = X(X + mZ^2)(X + nZ^2) but is not a lowest-terms point.
+@pytest.mark.parametrize("P", [
+    Point(9 * 25, 27 * -75, 3 * 2),  # (lam^2 X, lam^3 Y, lam Z), lam = 3
+    Point(4 * -4, 8 * 6, 2),  # (-4, 6, 1) with lam = 2
+    Point(25, 75, -2),  # Z < 0
+    Point(1, -1, 0),  # Z = 0 but not O
+    Point(4, 8, 0),
+], ids=["lam=3", "Z=1,lam=2", "Z<0", "Z=0,Y=-1", "Z=0,X=4"])
+def test_gate_rejects_triples_that_are_not_lowest_terms(P):
+    c = Curve(-5, 5)
+    assert c.satisfies(P.X, P.Y, P.Z) and not c.contains(P)
+    for call in (c.weighted, c.order_of, c.is_double, c.halves,
+                 lambda P: c.add(P, INFINITY), lambda P: c.add(INFINITY, P)):
+        with pytest.raises(ValueError, match=r"is not on E\(-5,5\)"):
+            call(P)
 
 
 def test_halves_of_infinity_are_sorted():

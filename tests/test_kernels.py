@@ -23,10 +23,42 @@ from concordia.triples import CongruentTriple, congruent_to_concordant
 # -- references: the Fraction bodies the kernels replaced -------------------
 
 
+def pt(x, y) -> Point:
+    """The Point (x, y) for rationals whose lowest-terms denominators are
+    Z^2 and Z^3, built from Fraction's own reduction, not by the code
+    under test."""
+    x, y = Fraction(x), Fraction(y)
+    Z = math.isqrt(x.denominator)
+    assert Z * Z == x.denominator and y.denominator == Z ** 3, (x, y)
+    return Point(x.numerator, y.numerator, Z)
+
+
+def pair(x, y) -> SimpleNamespace:
+    """An affine (x, y) in Fractions, on a curve or not, for the
+    references, which read only x, y and is_infinity."""
+    return SimpleNamespace(x=Fraction(x), y=Fraction(y), is_infinity=False)
+
+
+def accepts(c: Curve, x, y) -> bool:
+    """Does `Curve.point` take (x, y)?"""
+    try:
+        c.point(x, y)
+    except ValueError:
+        return False
+    return True
+
+
 def reference_contains(c: Curve, P: Point) -> bool:
     if P.is_infinity:
         return True
     return P.y * P.y == P.x * (P.x + c.m) * (P.x + c.n)
+
+
+def assert_membership_matches_reference(c: Curve, x: Fraction, y: Fraction):
+    on = reference_contains(c, pair(x, y))
+    assert accepts(c, x, y) == on
+    if x.denominator ** 3 == y.denominator ** 2:  # a triple (X, Y, Z)
+        assert c.contains(pt(x, y)) == on
 
 
 def reference_add(c: Curve, P: Point, Q: Point) -> Point:
@@ -42,7 +74,7 @@ def reference_add(c: Curve, P: Point, Q: Point) -> Point:
         lam = (Q.y - P.y) / (Q.x - P.x)
     x3 = lam * lam - (c.m + c.n) - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
-    return Point(x3, y3)
+    return pt(x3, y3)
 
 
 _REFERENCE_SPECIAL_IMAGES = {
@@ -82,8 +114,7 @@ def reference_degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
     if S.x1 == 0:
         return INFINITY
     x0, x1 = Fraction(S.x0), Fraction(S.x1)
-    P = Point((x0 / x1) ** 2,
-              sign * Fraction(S.x0 * S.x2 * S.x3, S.x1 ** 3))
+    P = pt((x0 / x1) ** 2, sign * Fraction(S.x0 * S.x2 * S.x3, S.x1 ** 3))
     if not reference_contains(c, P):
         raise ValueError(f"({P.x}, {P.y}) is not on E({c.m},{c.n})")
     return P
@@ -114,7 +145,7 @@ def reference_halves(c: Curve, P: Point) -> list[Point]:
             yh = reference_sqrt(xh * (xh + c.m) * (xh + c.n))
             if yh is None:
                 continue
-            for Q in (Point(xh, yh), Point(xh, -yh)):
+            for Q in (pt(xh, yh), pt(xh, -yh)):
                 if reference_add(c, Q, Q) == P and Q not in out:
                     out.append(Q)
     return sorted(out, key=point_sort_key)
@@ -175,7 +206,7 @@ K = 40
 def multiples(i: int) -> tuple[Point, ...]:
     """P, 2P, ..., K*P on chain curve i, by the reference group law."""
     (m, n), (x, y), _ = CHAINS[i]
-    c, P = Curve(m, n), Point(x, y)
+    c, P = Curve(m, n), pt(x, y)
     out = [P]
     for _ in range(K - 1):
         out.append(reference_add(c, out[-1], P))
@@ -235,8 +266,7 @@ def test_contains_matches_reference_off_curve(i, k, how, q):
         x *= z
     else:
         x, y = y, x
-    P = Point(x, y)
-    assert c.contains(P) == reference_contains(c, P)
+    assert_membership_matches_reference(c, x, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,16 +275,18 @@ def test_contains_matches_reference_off_curve(i, k, how, q):
 def test_contains_matches_reference_on_small_rationals(m, n, x, y):
     if m == 0 or n == 0 or m == n:
         return
-    c, P = Curve(m, n), Point(x, y)
-    assert c.contains(P) == reference_contains(c, P)
+    assert_membership_matches_reference(Curve(m, n), x, y)
 
 
 def test_contains_rejects_wrong_denominators():
+    # Curve.point turns (x, y) into (X, Y, Z), so it rejects the
+    # denominators that no triple has.
     c = Curve(-5, 5)
     P = multiples(0)[3]
-    X, Y = P.x.numerator, P.y.numerator
-    Z = math.isqrt(P.x.denominator)
-    assert c.contains(Point(Fraction(X, Z * Z), Fraction(Y, Z ** 3)))
+    X, Y, Z = P.X, P.Y, P.Z
+    assert Z > 1 and c.point(Fraction(X, Z * Z), Fraction(Y, Z ** 3)) == P
+    assert not c.contains(Point(X, Y + 1, Z))
+    assert not c.contains(Point(X, Y - 1, Z))
     for x, y in [(Fraction(X, 2 * Z * Z), Fraction(Y, Z ** 3)),  # not a square
                  (Fraction(X, Z * Z), Fraction(Y, 2 * Z ** 3)),  # not Z^3
                  (Fraction(X, Z * Z), Fraction(Y + 1, Z ** 3)),
@@ -265,12 +297,13 @@ def test_contains_rejects_wrong_denominators():
                  (Fraction(25, 7), Fraction(75, 14)),
                  (Fraction(25, 8), Fraction(75, 16)),
                  (Fraction(25, 4), Fraction(75, 11))]:
-        assert not c.contains(Point(x, y))
-        assert not reference_contains(c, Point(x, y))
+        assert not accepts(c, x, y)
+        assert not reference_contains(c, pair(x, y))
     # (-3, 9) is on E(-6,6); 4 = 1*4 divides exactly, but 4 is not 1^2.
-    c, P = Curve(-6, 6), Point(Fraction(-3, 4), Fraction(9, 4))
-    assert c.contains(Point(Fraction(-3), Fraction(9)))
-    assert not c.contains(P) and not reference_contains(c, P)
+    c = Curve(-6, 6)
+    assert c.point(-3, 9) == Point(-3, 9, 1)
+    assert not accepts(c, Fraction(-3, 4), Fraction(9, 4))
+    assert not reference_contains(c, pair(Fraction(-3, 4), Fraction(9, 4)))
 
 
 # -- the group law ----------------------------------------------------------
@@ -313,25 +346,26 @@ def test_add_matches_reference_on_torsion(m, n, data):
 
 
 def test_add_rejects_denominators_off_every_curve():
+    # Denominators that no point has never become a Point.
     c = Curve(-5, 5)
     P = multiples(0)[0]
     with pytest.raises(ValueError):
-        c.add(P, Point(Fraction(1, 2), Fraction(1, 8)))  # 2 is not a square
+        c.point(Fraction(1, 2), Fraction(1, 8))  # 2 is not a square
     with pytest.raises(ValueError):
-        c.add(Point(Fraction(1, 4), Fraction(1, 4)), P)  # 4 is not 2^3
+        c.point(Fraction(1, 4), Fraction(1, 4))  # 4 is not 2^3
     # Denominators 2^2 and 2^3 that a point can have, but off the curve:
     # (25/4, 75/8) is on it.
-    off = Point(Fraction(25, 4), Fraction(77, 8))
+    off = Point(25, 77, 2)
     for A, B in [(off, off), (off, P), (P, off), (off, c.negate(off))]:
         with pytest.raises(ValueError):
             c.add(A, B)
 
 
 def _assert_lowest_terms(R: Point):
-    if not R.is_infinity:
-        assert R.x.denominator > 0 and R.y.denominator > 0
-        assert math.gcd(R.x.numerator, R.x.denominator) == 1
-        assert math.gcd(R.y.numerator, R.y.denominator) == 1
+    if not R.is_infinity:  # Fraction reduces X/Z^2 and Y/Z^3 itself
+        x, y = Fraction(R.X, R.Z ** 2), Fraction(R.Y, R.Z ** 3)
+        assert (x.numerator, x.denominator, y.numerator, y.denominator) == \
+            (R.X, R.Z ** 2, R.Y, R.Z ** 3)
 
 
 nonzero = st.integers(-1000, 1000).filter(bool)
@@ -340,9 +374,9 @@ nonzero = st.integers(-1000, 1000).filter(bool)
 @settings(max_examples=150, deadline=None)
 @given(nonzero, nonzero, st.data())
 def test_add_results_are_reduced_on_random_curves(m, n, data):
-    # The kernels build their results through _Coprime, which skips
-    # Fraction's own reduction: an unreduced result would only show as a
-    # wrong ==.  So the coordinates are checked for lowest terms as well.
+    # The kernels build their results as triples with no gcd: an unreduced
+    # result would only show as a wrong ==.  So the triples are checked
+    # for lowest terms as well.
     assume(m != n)
     c = Curve(m, n)
     pts = sorted(c.search(60) | c.torsion_oracle(), key=repr)
@@ -364,8 +398,8 @@ def test_double_divides_out_a_prime_of_m_minus_n():
     c = Curve(-30, 12)
     P = c.point(-5, 35)
     D = c.add(P, P)
-    assert D == reference_add(c, P, P) == Point(Fraction(121, 4),
-                                                Fraction(143, 8))
+    assert D == reference_add(c, P, P) == c.point(Fraction(121, 4),
+                                                  Fraction(143, 8))
     _assert_lowest_terms(D)
 
 
@@ -421,6 +455,27 @@ CRITERION_5 = [(-n, n) for n in (5, 6, 7, 31)] + [
     (-6, 6), (1, 4), (-20, 108)]
 
 
+@lru_cache(maxsize=None)
+def criterion_5_points(mn: tuple[int, int]) -> frozenset[Point]:
+    return Curve(*mn).search(10 ** 4)
+
+
+def reference_sort_key(P: Point):
+    """The Fraction key that `point_sort_key` replaced."""
+    if P.is_infinity:
+        return (0, 0, 0, Fraction(0))
+    return (1, P.x.numerator, P.x.denominator, P.y)
+
+
+def test_sort_key_matches_reference():
+    for mn in CRITERION_5:
+        c = Curve(*mn)
+        for pts in (criterion_5_points(mn), c.torsion_oracle()):
+            assert len(pts) > 1
+            assert sorted(pts, key=point_sort_key) == \
+                sorted(pts, key=reference_sort_key)
+
+
 def _assert_halving_matches_reference(c: Curve, pts) -> int:
     """Check is_double and halves on pts; the number of doubles."""
     doubles = 0
@@ -436,7 +491,7 @@ def _assert_halving_matches_reference(c: Curve, pts) -> int:
 def test_halving_matches_reference_on_search_points():
     for mn in CRITERION_5:
         c = Curve(*mn)
-        pts = sorted(c.search(10 ** 4), key=point_sort_key)
+        pts = sorted(criterion_5_points(mn), key=point_sort_key)
         doubles = [reference_add(c, P, P) for P in pts]
         _assert_halving_matches_reference(c, [INFINITY, *pts])
         assert _assert_halving_matches_reference(c, doubles) == len(doubles)
@@ -470,9 +525,8 @@ def test_quadric_maps_match_reference_on_every_multiple():
 
 
 def test_quadric_map_images_are_in_lowest_terms():
-    # The maps build their images through _point, which skips Fraction's
-    # reduction: an unreduced image, or a 0/Z^2 with Z > 1, would only
-    # show as a wrong ==.
+    # The maps build their images as triples with no gcd: an unreduced
+    # image, or a 0/Z^2 with Z > 1, would only show as a wrong ==.
     negative_x1 = negative_T = 0
     for i in range(len(CHAINS)):
         c, pts = chain(i)
@@ -488,8 +542,8 @@ def test_quadric_map_images_are_in_lowest_terms():
     assert negative_x1 and negative_T  # both sign flips are exercised
     for k in (2, 3, 13):  # a zero x0: (0, 1, 1, k) has x = k, y = -k(k+1)
         c, S = Curve(1, k * k), QuadricPoint(0, 1, 1, k)
-        assert quadric_to_point(S, c) == Point(Fraction(k), -k * (k + 1))
-        assert concordant_form_map(S, c) == Point(Fraction(0), Fraction(0))
+        assert quadric_to_point(S, c) == Point(k, -k * (k + 1), 1)
+        assert concordant_form_map(S, c) == Point(0, 0, 1)
 
 
 @pytest.mark.parametrize("fake_gcd", [
@@ -529,9 +583,12 @@ def test_point_to_quadric_matches_reference_on_torsion(m, n):
 
 def test_point_to_quadric_rejects_points_off_the_curve():
     c, pts = chain(0)
-    for P in (Point(pts[4].x, pts[4].y + 1), Point(Fraction(1, 2), 0)):
+    X, Y, Z = pts[4].X, pts[4].Y, pts[4].Z
+    # y + 1, and x = 1/2 written as the unreduced 2/2^2
+    for P in (Point(X, Y + Z ** 3, Z), Point(2, 0, 2)):
         with pytest.raises(ValueError):
             point_to_quadric(P, c)
+    for P in (pair(pts[4].x, pts[4].y + 1), pair(Fraction(1, 2), 0)):
         with pytest.raises(ValueError):
             reference_point_to_quadric(P, c)
 

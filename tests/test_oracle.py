@@ -88,7 +88,7 @@ def check_oracle(c: Curve) -> frozenset[Point]:
         xs = _integer_cubic_roots(e1, e2, e3, peak, y * y)
         assert xs == reference_cubic_roots(m + n, m * n, -y * y), y
         for x in xs:
-            P = Point(Fraction(x), Fraction(y))
+            P = Point(x, y, 1)
             order = c.order_of(P)
             assert order == reference_order_of(c, P), P
             if order is not None:

@@ -2,7 +2,6 @@
 plain scan of every |u| <= H it replaced."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ def reference_search(c: Curve, height: int) -> frozenset[Point]:
     pts = set()
     for w in range(1, math.isqrt(height) + 1):
         w2 = w * w
-        w3 = w2 * w
         mw, nw = m * w2, n * w2
         for u in range(-height, height + 1):
             if w > 1 and math.gcd(u, w) != 1:
@@ -28,16 +26,14 @@ def reference_search(c: Curve, height: int) -> frozenset[Point]:
             if N < 0:
                 continue
             if N == 0:
-                pts.add(Point(Fraction(u, w2), Fraction(0)))
+                pts.add(Point(u, 0, w))
                 continue
             if not all(flags[N % mod] for mod, flags in _SQ_FILTERS):
                 continue
             r = math.isqrt(N)
             if r * r == N:
-                x = Fraction(u, w2)
-                y = Fraction(r, w3)
-                pts.add(Point(x, y))
-                pts.add(Point(x, -y))
+                pts.add(Point(u, r, w))  # u/w^2 and r/w^3 in lowest terms
+                pts.add(Point(u, -r, w))
     return frozenset(pts)
 
 

@@ -1,6 +1,7 @@
+import math
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from concordia.curves import INFINITY, Point
@@ -15,7 +16,8 @@ def test_frac_str_examples():
 
 def test_point_json_examples():
     assert point_json(INFINITY) == "O"
-    assert point_json(Point(Fraction(3), Fraction(-6))) == ["3", "-6"]
+    assert point_json(Point(3, -6, 1)) == ["3", "-6"]
+    assert point_json(Point(25, -75, 2)) == ["25/4", "-75/8"]
 
 
 @given(st.integers(min_value=-10 ** 9, max_value=10 ** 9),
@@ -25,7 +27,10 @@ def test_frac_roundtrip(num, den):
     assert Fraction(frac_str(v)) == v
 
 
-@given(st.fractions(), st.fractions())
-def test_point_roundtrip(x, y):
-    P = Point(x, y)
-    assert Point(*map(Fraction, point_json(P))) == P
+@given(st.integers(), st.integers(), st.integers(min_value=1))
+def test_point_roundtrip(X, Y, Z):
+    assume(math.gcd(X, Z) == math.gcd(Y, Z) == 1)  # as on a curve
+    P = Point(X, Y, Z)
+    x, y = map(Fraction, point_json(P))
+    assert (x, y) == (Fraction(X, Z * Z), Fraction(Y, Z ** 3))
+    assert Point(x.numerator, y.numerator, math.isqrt(x.denominator)) == P
