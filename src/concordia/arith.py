@@ -36,8 +36,11 @@ _MR_BASES = _SMALL_PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981
 # rho takes about sqrt(p) steps to split off a prime p; this cap finds
 # factors up to about 10^12 with a wide margin and ends a hopeless walk in
-# seconds (about 1 us a step at 40 digits) instead of hanging.
+# seconds (about 1 us a step at 40 digits) instead of hanging.  A step costs
+# about bits^2, so above _RHO_FULL_BITS (100 digits) `_pollard_brent` scales
+# the cap by (_RHO_FULL_BITS/bits)^2: a walk then ends in a bounded time.
 _RHO_STEP_LIMIT = 1 << 23
+_RHO_FULL_BITS = 333
 # factorint refuses a longer part left after trial division: one Miller-Rabin
 # round takes 0.035 s at 2048 bits and 9 s at 4300 digits (2-vCPU host).
 _FACTOR_BIT_LIMIT = 2048
@@ -119,16 +122,19 @@ def _is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of an odd composite n (Brent 1980); ValueError
-    once the walks have taken _RHO_STEP_LIMIT steps."""
+    once the walks have taken _RHO_STEP_LIMIT steps, scaled down by
+    (_RHO_FULL_BITS / bits)^2 above _RHO_FULL_BITS bits."""
+    bits = max(_RHO_FULL_BITS, n.bit_length())
+    limit = _RHO_STEP_LIMIT * _RHO_FULL_BITS ** 2 // bits ** 2
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r
-            if steps > _RHO_STEP_LIMIT:
+            if steps > limit:
                 raise ValueError(
                     f"cannot factor a {n.bit_length()}-bit integer: Pollard "
-                    f"rho found no factor in {_RHO_STEP_LIMIT} steps")
+                    f"rho found no factor in {limit} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 usage error, 2 failed verification, 3 internal
-invariant violation (a torsion certificate that does not check out, the
-classifier disagreeing with the enumeration oracle, or an exact-arithmetic
-post-condition of a kernel, an ArithmeticError).  All numbers
+Exit codes: 0 ok, 1 usage error (a ValueError), 2 failed verification,
+3 internal invariant violation: an ArithmeticError, which a torsion
+certificate that does not check out (`CertificateMismatch`) and a failed
+exact-arithmetic post-condition of a kernel raise, or the classifier
+disagreeing with the enumeration oracle in `selftest`.  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
 MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
 workers (`--jobs`) than CPUs, any of these three below 1, a
@@ -32,7 +33,7 @@ from .problems import (four_torsion_counterexamples, gen_order4_family,
 from .quadrics import point_to_quadric
 from .serialize import frac_str, point_json
 from .sweeps import family_sweep, oracle_equivalence_sweep
-from .torsion import CertificateMismatch, torsion_subgroup
+from .torsion import torsion_subgroup
 from .triples import (ConcordantTriple, CongruentTriple,
                       concordant_to_congruent, congruent_to_concordant)
 
@@ -316,25 +317,13 @@ def _cmd_family(args):
 
 
 def _cmd_selftest(args):
-    failures = []
-    oracle_mismatch = False
-
-    rows = four_torsion_counterexamples()
-    for row in rows:
-        if row["verdict"] != "nontrivial" or row["order"] != 4:
-            failures.append(f"counterexample suite failed at k={row['k']}")
-
-    failures += family_sweep(limit=8)
-
+    failures = four_torsion_counterexamples() + family_sweep(limit=8)
     mismatches = oracle_equivalence_sweep(p_max=args.pmax, jobs=args.jobs)
-    if mismatches:
-        failures += mismatches
-        oracle_mismatch = True
-
+    failures += mismatches
     payload = {"failures": failures, "passed": not failures}
     lines = [f"selftest: {'PASS' if not failures else 'FAIL'}"] + \
         [f"  {line}" for line in failures]
-    code = (EXIT_INTERNAL if oracle_mismatch
+    code = (EXIT_INTERNAL if mismatches
             else EXIT_OK if not failures else EXIT_VERIFY)
     return (), lambda: (payload, lines), code
 
@@ -399,7 +388,7 @@ def main(argv=None) -> int:
         shown, render, code = args.func(args)
         _check_digits(shown)
         payload, lines = render()
-    except (CertificateMismatch, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

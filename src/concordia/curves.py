@@ -20,6 +20,7 @@ the number theory on bare integers lives in `concordia.arith`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -221,10 +222,12 @@ class Curve:
         self.weighted(P)
         return P
 
-    def two_torsion(self) -> list[Point]:
+    @functools.cached_property
+    def two_torsion(self) -> tuple[Point, Point, Point]:
         """(0,0), (-m,0), (-n,0): the roots of x(x+m)(x+n), on the curve
-        by construction."""
-        return [Point(x, 0, 1) for x in (0, -self.m, -self.n)]
+        by construction.  Built once per curve, in the instance __dict__,
+        which equality and hashing do not read."""
+        return tuple(Point(x, 0, 1) for x in (0, -self.m, -self.n))
 
     # -- group law ------------------------------------------------------
 
@@ -349,33 +352,6 @@ class Curve:
         return all(isqrt_exact(X + e * Zs) is not None
                    for e in (0, self.m, self.n))
 
-    def halves(self, P: Point) -> list[Point]:
-        """All rational Q with 2Q = P, sorted (empty unless P is a double).
-
-        With signed roots r_i = a_i/Z of x, x+m, x+n, a half has
-        x = (r0+r1)(r0+r2) and y = +-(r0+r1)(r0+r2)(r1+r2), since x+m and
-        x+n are (r1+r0)(r1+r2) and (r2+r0)(r2+r1); r0 >= 0 leaves four
-        (r1, r2).  `_reduced_point` takes x = N/Z^2, y = W/Z^3 to lowest
-        terms, as a half's denominator divides P's (Silverman VII.2.2),
-        and `add` picks the sign of y.
-        """
-        X, _, Z = self.weighted(P)
-        if Z == 0:
-            return sorted([INFINITY, *self.two_torsion()], key=point_sort_key)
-        Zs = Z * Z
-        a0, a1, a2 = (isqrt_exact(X + e * Zs) for e in (0, self.m, self.n))
-        if None in (a0, a1, a2):  # P is not a double
-            return []
-        out = []
-        for b1, b2 in itertools.product((a1, -a1), (a2, -a2)):
-            N = (a0 + b1) * (a0 + b2)
-            W = N * (b1 + b2)
-            H = _reduced_point(N, W, Z, math.gcd(N, Zs))
-            for Q in (H, self.negate(H)):
-                if self.add(Q, Q) == P and Q not in out:
-                    out.append(Q)
-        return sorted(out, key=point_sort_key)
-
     # -- exhaustive torsion oracle --------------------------------------
 
     def discriminant_root(self) -> int:
@@ -397,7 +373,7 @@ class Curve:
         alone, so the oracle stays independent of the classifier.
         """
         pts = {INFINITY}
-        pts.update(self.two_torsion())
+        pts.update(self.two_torsion)
         e1, e2, e3 = sorted((0, -self.m, -self.n))
         peak = _cubic_peak(e1, e2, e3)
         tables = _cubic_value_tables(self.m, self.n)

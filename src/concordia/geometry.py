@@ -119,7 +119,12 @@ def quadric_to_ap(S: QuadricPoint, p: int, q: int, step: int) -> APTriple:
 
 
 def ap_to_quadric(t: APTriple) -> QuadricPoint:
-    return QuadricPoint.from_raw(t.beta, 1, t.alpha, t.gamma)
+    """(beta : 1 : alpha : gamma) over the one lowest-terms denominator d
+    of alpha, beta, gamma (`APTriple` checks it): (b, d, a, g) for
+    numerators b, a, g.  gcd(b, d) = 1 makes that tuple primitive, and
+    b > 0 makes its first coordinate positive."""
+    return QuadricPoint(t.beta.numerator, t.beta.denominator,
+                        t.alpha.numerator, t.gamma.numerator)
 
 
 def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:

@@ -234,24 +234,19 @@ def verify_concordant_solution(m: int, n: int, X: int, Y: int, Z: int,
     return "trivial" if Y == 0 else "nontrivial"
 
 
-def four_torsion_counterexamples(k_values=(2, 3, 4, 5, 6, 8, 9, 13)) -> list[dict]:
-    """For each k, check that (0,1,1,k) solves the system on Q(1,k^2) and
-    that the isomorphism sends it to a point of order 4 on E(1,k^2).
+def four_torsion_counterexamples() -> list[str]:
+    """For k in 2, 3, 4, 5, 6, 8, 9, 13, check that (0,1,1,k) solves the
+    system on Q(1,k^2) and that the isomorphism sends it to a point of
+    order 4 on E(1,k^2); one discrepancy string per k that fails.
 
     These are solutions with a zero component, invisible to degree-4 maps
     but captured by the isomorphism.
     """
-    rows = []
-    for k in k_values:
+    failures = []
+    for k in (2, 3, 4, 5, 6, 8, 9, 13):
         c = Curve(1, k * k)
-        verdict = verify_concordant_solution(1, k * k, 0, 1, 1, k)
-        S = QuadricPoint(0, 1, 1, k)
-        P = quadric_to_point(S, c)
-        rows.append({
-            "k": k,
-            "solution": [0, 1, 1, k],
-            "verdict": verdict,
-            "point": point_json(P),
-            "order": c.order_of(P),
-        })
-    return rows
+        P = quadric_to_point(QuadricPoint(0, 1, 1, k), c)
+        if (verify_concordant_solution(1, k * k, 0, 1, 1, k) != "nontrivial"
+                or c.order_of(P) != 4):
+            failures.append(f"counterexample suite failed at k={k}")
+    return failures

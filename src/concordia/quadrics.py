@@ -27,8 +27,7 @@ class QuadricPoint:
     """Primitive integer representative of a projective 4-tuple.
 
     Normal form: gcd of the coordinates is 1 and the first nonzero
-    coordinate is positive.  Use `from_raw` to build from arbitrary
-    rational (int or Fraction) coordinates.
+    coordinate is positive.
     """
 
     x0: int
@@ -45,18 +44,6 @@ class QuadricPoint:
         first = next(v for v in coords if v)
         if first < 0:
             raise ValueError("first nonzero coordinate must be positive")
-
-    @classmethod
-    def from_raw(cls, x0, x1, x2, x3) -> "QuadricPoint":
-        coords = (x0, x1, x2, x3)  # ints or Fractions
-        lcm = math.lcm(*(v.denominator for v in coords))
-        ints = [v.numerator * (lcm // v.denominator) for v in coords]
-        g = math.gcd(*ints)
-        if g == 0:
-            raise ValueError("all-zero projective tuple")
-        if next(v for v in ints if v) < 0:
-            g = -g
-        return cls(*(v // g for v in ints))
 
     def coords(self) -> tuple[int, int, int, int]:
         return (self.x0, self.x1, self.x2, self.x3)

@@ -51,8 +51,9 @@ _CLASSES = {
 }
 
 
-class CertificateMismatch(ValueError):
-    """Raised when a torsion certificate does not match the given curve."""
+class CertificateMismatch(ArithmeticError):
+    """Raised when a torsion certificate does not match the given curve:
+    an internal fault, never a ValueError (a usage error)."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def torsion_subgroup(c: Curve) -> tuple[TorsionClass, frozenset[Point]]:
         multiples.append(c.add(multiples[-1], G))
     # the torsion is E[2] + <G>: O, the 2-torsion (on the curve by
     # construction), the multiples of order > 2 and their sums with E[2]
-    two = c.two_torsion()
+    two = c.two_torsion
     high = [P for P in multiples if P.Y]
     built = high + [c.add(T, P) for T in two for P in high]
     if not all(map(c.contains, built)):

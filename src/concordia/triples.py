@@ -46,9 +46,6 @@ class CongruentTriple:
         if math.gcd(self.r, self.s) != 1:
             raise ValueError("r and s must be coprime")
 
-    def curve(self) -> Curve:
-        return congruent_to_concordant(self).curve()
-
 
 def congruent_to_concordant(t: CongruentTriple) -> ConcordantTriple:
     """(r,s,k) -> (p,q,k'): the gaps of the associated square progression."""

@@ -222,29 +222,31 @@ def test_selftest_pmax_picks_the_grid(monkeypatch, capsys):
     assert grids == [(6, 1), (9, 1)]
 
 
-_TRIVIAL_ROW = {"k": 3, "verdict": "trivial", "order": 4}
+def _trivial_at_3(m, n, x, y, z, w):
+    """A verifier that calls the counterexample (0,1,1,3) trivial."""
+    return "trivial" if w == 3 else "nontrivial"
 
 
-@pytest.mark.parametrize("oracle,family,rows,code,failures", [
+@pytest.mark.parametrize("oracle,family,verifier,code,failures", [
     (["E(-1,3): oracle max order 2"], [], None, 3,
      ["E(-1,3): oracle max order 2"]),
     ([], ["order8(3, 4, 5): congruent k=3"], None, 2,
      ["order8(3, 4, 5): congruent k=3"]),
-    ([], [], [_TRIVIAL_ROW], 2, ["counterexample suite failed at k=3"]),
+    ([], [], _trivial_at_3, 2, ["counterexample suite failed at k=3"]),
     # an oracle mismatch outranks the other failures
-    (["E(-1,3): x"], ["order4(1, 2): y"], [_TRIVIAL_ROW], 3,
+    (["E(-1,3): x"], ["order4(1, 2): y"], _trivial_at_3, 3,
      ["counterexample suite failed at k=3", "order4(1, 2): y",
       "E(-1,3): x"]),
 ], ids=["oracle", "family", "counterexample", "all"])
-def test_selftest_failures_set_the_exit_code(oracle, family, rows, code,
+def test_selftest_failures_set_the_exit_code(oracle, family, verifier, code,
                                              failures, monkeypatch, capsys):
     monkeypatch.setattr("concordia.cli.oracle_equivalence_sweep",
                         lambda p_max, jobs: list(oracle))
     monkeypatch.setattr("concordia.cli.family_sweep",
                         lambda limit: list(family))
-    if rows is not None:
-        monkeypatch.setattr("concordia.cli.four_torsion_counterexamples",
-                            lambda: rows)
+    if verifier is not None:
+        monkeypatch.setattr("concordia.problems.verify_concordant_solution",
+                            verifier)
     assert run(capsys, "--format", "text", "selftest") == (
         code, "selftest: FAIL\n" + "".join(f"  {f}\n" for f in failures))
     assert run_json(capsys, "selftest") == (

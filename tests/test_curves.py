@@ -79,13 +79,12 @@ def test_is_double():
 
 
 def test_halves_recover_preimages():
+    # (1, 0) on E(-1,3) is the double of (3, 6) and of (-1, 2); (0, 0) is
+    # no double, as 0 - 1 is not a square.
     c = Curve(-1, 3)
-    halves = c.halves(c.point(1, 0))
-    assert c.point(3, 6) in halves
-    assert c.point(-1, 2) in halves
-    for Q in halves:
-        assert c.multiply(Q, 2) == c.point(1, 0)
-    assert c.halves(c.point(0, 0)) == []
+    for Q in (c.point(3, 6), c.point(-1, 2)):
+        assert c.add(Q, Q) == c.point(1, 0)
+    assert not c.is_double(c.point(0, 0))
 
 
 # Points off their curves, and the message of the one membership gate,
@@ -98,12 +97,11 @@ _OFF_11 = Point(1, 1, 1)
     (lambda: Curve(-6, 2).order_of(Point(2, 4, 1)),
      "(2, 4) is not on E(-6,2)"),
     (lambda: Curve(-1, 3).is_double(_OFF_17), "(1, 7) is not on E(-1,3)"),
-    (lambda: Curve(-1, 3).halves(_OFF_17), "(1, 7) is not on E(-1,3)"),
     (lambda: Curve(-1, 3).add(INFINITY, _OFF_11), "(1, 1) is not on E(-1,3)"),
     (lambda: Curve(-1, 3).add(_OFF_11, INFINITY), "(1, 1) is not on E(-1,3)"),
     # the point as stored, in lowest terms, not as it was written
     (lambda: Curve(-1, 3).point("2/4", "7"), "(1/2, 7) is not on E(-1,3)"),
-], ids=["order_of", "is_double", "halves", "add(O,P)", "add(P,O)", "point"])
+], ids=["order_of", "is_double", "add(O,P)", "add(P,O)", "point"])
 def test_methods_reject_points_off_the_curve(call, message):
     with pytest.raises(ValueError) as exc:
         call()
@@ -131,26 +129,24 @@ def test_contains_is_the_boolean_form_of_the_gate():
 def test_gate_rejects_triples_that_are_not_lowest_terms(P):
     c = Curve(-5, 5)
     assert c.satisfies(P.X, P.Y, P.Z) and not c.contains(P)
-    for call in (c.weighted, c.order_of, c.is_double, c.halves,
+    for call in (c.weighted, c.order_of, c.is_double,
                  lambda P: c.add(P, INFINITY), lambda P: c.add(INFINITY, P)):
         with pytest.raises(ValueError, match=r"is not on E\(-5,5\)"):
             call(P)
 
 
-def test_halves_of_infinity_are_sorted():
-    c = Curve(-1, 3)
-    assert c.halves(INFINITY) == [INFINITY, c.point(-3, 0), c.point(0, 0),
-                                  c.point(1, 0)]
-
-
 def test_halves_of_search_doubles():
     c = Curve(-6, 6)
     for P in sorted(c.search(60), key=point_sort_key):
-        D = c.multiply(P, 2)
-        if D.is_infinity:
-            continue
-        assert c.is_double(D)
-        assert any(c.multiply(Q, 2) == D for Q in c.halves(D))
+        assert c.is_double(c.multiply(P, 2))
+
+
+def test_two_torsion_is_built_once_per_curve():
+    c = Curve(-1, 3)
+    assert c.two_torsion is c.two_torsion
+    assert c.two_torsion == (Point(0, 0, 1), Point(1, 0, 1), Point(-3, 0, 1))
+    # the cache leaves equality and hashing to (m, n)
+    assert c == Curve(-1, 3) and hash(c) == hash(Curve(-1, 3))
 
 
 def test_torsion_oracle_examples():

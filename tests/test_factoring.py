@@ -96,6 +96,22 @@ def test_rho_step_cap_raises(monkeypatch):
     assert factorint(10007 * (2 ** 89 - 1)) == {10007: 1, 2 ** 89 - 1: 1}
 
 
+@pytest.mark.parametrize("exponents,cap", [
+    ((61, 89, 107, 127), 3080),  # 384 bits
+    ((127, 521), 1081),  # 648 bits
+    ((521, 607), 356),  # 1128 bits
+])
+def test_rho_step_cap_shrinks_above_333_bits(exponents, cap, monkeypatch):
+    # A step costs about bits^2, so the cap 4096 of the test above scales
+    # by (333 / bits)^2 on products of Mersenne primes past 333 bits.
+    monkeypatch.setattr("concordia.arith._RHO_STEP_LIMIT", 1 << 12)
+    n = 1
+    for e in exponents:
+        n *= 2 ** e - 1
+    with pytest.raises(ValueError, match=f"no factor in {cap} steps$"):
+        factorint(n)
+
+
 def test_cli_import_leaves_sympy_out():
     code = "import sys, concordia.cli; print('sympy' in sys.modules)"
     src = os.path.dirname(os.path.dirname(concordia.__file__))

@@ -50,7 +50,7 @@ def test_triple_validation():
 def test_triple_curves():
     assert ConcordantTriple(1, 3, 1).curve().m == -1
     assert ConcordantTriple(1, 3, 1).curve().n == 3
-    assert CongruentTriple(0, 1, 5).curve().m == -5
+    assert congruent_to_concordant(CongruentTriple(0, 1, 5)).curve().m == -5
 
 
 def _valid_congruent(r, s, k):
@@ -104,7 +104,7 @@ def test_triangle_validation():
 
 
 def test_quadric_ap_roundtrip():
-    S = QuadricPoint.from_raw(5, 2, 1, 7)
+    S = QuadricPoint(5, 2, 1, 7)
     ap = quadric_to_ap(S, 1, 1, 6)
     assert (ap.alpha, ap.beta, ap.gamma) == (
         Fraction(1, 2), Fraction(5, 2), Fraction(7, 2))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from concordia.arith import _smooth_gcd, factorint, isqrt_exact
 from concordia.curves import INFINITY, Curve, Point, point_sort_key
 from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
-                                ap_to_triangle, quadric_to_ap)
+                                ap_to_quadric, ap_to_triangle, quadric_to_ap)
 from concordia.quadrics import (QuadricPoint, concordant_form_map,
                                 point_to_quadric, quadric_to_point,
                                 right_triangle_map)
@@ -100,12 +100,15 @@ def reference_point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
     x, y = P.x, P.y
     xm, xn = x + m, x + n
     y2 = y * y
-    return QuadricPoint.from_raw(
-        -xm * (y2 - m * xn * xn),
-        2 * y * xn * xm,
-        -xm * (y2 + m * xn * xn),
-        -xn * (y2 + n * xm * xm),
-    )
+    coords = (-xm * (y2 - m * xn * xn), 2 * y * xn * xm,
+              -xm * (y2 + m * xn * xn), -xn * (y2 + n * xm * xm))
+    # the primitive integer tuple, first nonzero coordinate positive
+    lcm = math.lcm(*(v.denominator for v in coords))
+    ints = [v.numerator * (lcm // v.denominator) for v in coords]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return QuadricPoint(*(v // g for v in ints))
 
 
 def reference_degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:
@@ -130,25 +133,6 @@ def reference_is_double(c: Curve, P: Point) -> bool:
     if P.is_infinity:
         return True
     return all(reference_sqrt(P.x + e) is not None for e in (0, c.m, c.n))
-
-
-def reference_halves(c: Curve, P: Point) -> list[Point]:
-    if P.is_infinity:
-        return [INFINITY] + c.two_torsion()
-    a0, a1, a2 = (reference_sqrt(P.x + e) for e in (0, c.m, c.n))
-    if None in (a0, a1, a2):  # P is not a double
-        return []
-    out = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            xh = P.x + s1 * a0 * a1 + s2 * a0 * a2 + s1 * s2 * a1 * a2
-            yh = reference_sqrt(xh * (xh + c.m) * (xh + c.n))
-            if yh is None:
-                continue
-            for Q in (pt(xh, yh), pt(xh, -yh)):
-                if reference_add(c, Q, Q) == P and Q not in out:
-                    out.append(Q)
-    return sorted(out, key=point_sort_key)
 
 
 def reference_ap_error(alpha, beta, gamma, step, p, q):
@@ -440,7 +424,7 @@ def test_two_torsion_points_are_on_the_curve():
             if m == 0 or n == 0 or m == n:
                 continue
             c = Curve(m, n)
-            pts = c.two_torsion()
+            pts = c.two_torsion
             assert [P.x for P in pts] == [0, -m, -n]
             assert all(P.y == 0 and c.contains(P)
                        and reference_contains(c, P) for P in pts)
@@ -477,14 +461,12 @@ def test_sort_key_matches_reference():
 
 
 def _assert_halving_matches_reference(c: Curve, pts) -> int:
-    """Check is_double and halves on pts; the number of doubles."""
+    """Check is_double on pts; the number of doubles."""
     doubles = 0
     for P in pts:
-        halves = c.halves(P)
-        assert c.is_double(P) == reference_is_double(c, P) == bool(halves)
-        assert halves == sorted(reference_halves(c, P), key=point_sort_key)
-        assert all(c.add(Q, Q) == P for Q in halves)
-        doubles += bool(halves)
+        double = c.is_double(P)
+        assert double == reference_is_double(c, P)
+        doubles += double
     return doubles
 
 
@@ -530,7 +512,7 @@ def test_quadric_map_images_are_in_lowest_terms():
     negative_x1 = negative_T = 0
     for i in range(len(CHAINS)):
         c, pts = chain(i)
-        for Q in (INFINITY, *c.two_torsion(), *pts, *map(c.negate, pts)):
+        for Q in (INFINITY, *c.two_torsion, *pts, *map(c.negate, pts)):
             S = point_to_quadric(Q, c)
             negative_x1 += S.x1 < 0
             negative_T += c.n * S.x2 - c.m * S.x3 + (c.m - c.n) * S.x0 < 0
@@ -612,6 +594,18 @@ def test_validators_accept_every_multiple():
             tri = ap_to_triangle(ap, r, s)
             assert reference_triangle_error(tri.a, tri.b, tri.c, r, s) is None
             assert tri.a * tri.b == 2 * tri.s * tri.area_coefficient()
+
+
+def test_ap_to_quadric_inverts_quadric_to_ap_on_every_multiple():
+    # The progression keeps the magnitudes of S, and its inverse builds
+    # (|x0|, |x1|, |x2|, |x3|) with no gcd: it must still be primitive.
+    for i in range(len(CHAINS)):
+        c, pts = chain(i)
+        ct = congruent_to_concordant(CongruentTriple(*CHAINS[i][2]))
+        for P in pts:
+            S = point_to_quadric(P, c)
+            ap = quadric_to_ap(S, ct.p, ct.q, ct.k)
+            assert ap_to_quadric(ap).coords() == tuple(map(abs, S.coords()))
 
 
 _AP_PERTURBATIONS = ["alpha+", "alpha-", "beta+", "gamma+", "gamma*2",

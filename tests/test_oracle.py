@@ -83,7 +83,7 @@ def check_oracle(c: Curve) -> frozenset[Point]:
     m, n = c.m, c.n
     e1, e2, e3 = sorted((0, -m, -n))
     peak = _cubic_peak(e1, e2, e3)
-    expected = {INFINITY, *c.two_torsion()}
+    expected = {INFINITY, *c.two_torsion}
     for y in divisors(c.discriminant_root()):
         xs = _integer_cubic_roots(e1, e2, e3, peak, y * y)
         assert xs == reference_cubic_roots(m + n, m * n, -y * y), y

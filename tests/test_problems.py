@@ -17,7 +17,8 @@ from concordia.problems import (FamilyRecord, four_torsion_counterexamples,
                                 verify_concordant_solution)
 from concordia.sweeps import (check_curve_against_oracle, curve_grid,
                               family_sweep, oracle_equivalence_sweep)
-from concordia.triples import ConcordantTriple, CongruentTriple
+from concordia.triples import (ConcordantTriple, CongruentTriple,
+                               congruent_to_concordant)
 
 
 def test_solve_theta_equilateral():
@@ -103,7 +104,8 @@ def test_family_congruent_variants_are_consistent():
     for rec in (gen_order4_family(1, 2), gen_order8_family(3, 4, 5),
                 gen_order36_family(-2, 5), gen_order36_family(-2, 7)):
         assert isinstance(rec, FamilyRecord)
-        assert rec.congruent.curve() == Curve(*rec.congruent_curve)
+        assert congruent_to_concordant(rec.congruent).curve() == \
+            Curve(*rec.congruent_curve)
         assert rec.concordant.curve() == Curve(rec.m, rec.n)
 
 
@@ -122,11 +124,22 @@ def test_verify_concordant_solution_refuses_degenerate_forms(m, n, xyzw):
 
 
 def test_four_torsion_counterexamples():
-    rows = four_torsion_counterexamples()
-    assert [row["k"] for row in rows] == [2, 3, 4, 5, 6, 8, 9, 13]
-    for row in rows:
-        assert row["verdict"] == "nontrivial"
-        assert row["order"] == 4
+    assert four_torsion_counterexamples() == []
+
+
+@pytest.mark.parametrize("target,fake,ks", [
+    # the verifier calls (0,1,1,3) trivial
+    ("concordia.problems.verify_concordant_solution",
+     lambda m, n, x, y, z, w: "trivial" if w == 3 else "nontrivial", [3]),
+    # no image has order 4
+    ("concordia.problems.Curve.order_of", lambda c, P: 2,
+     [2, 3, 4, 5, 6, 8, 9, 13]),
+], ids=["verdict", "order"])
+def test_broken_counterexample_suite_names_each_k(target, fake, ks,
+                                                  monkeypatch):
+    monkeypatch.setattr(target, fake)
+    assert four_torsion_counterexamples() == [
+        f"counterexample suite failed at k={k}" for k in ks]
 
 
 def test_oracle_sweep_small():

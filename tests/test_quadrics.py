@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,16 +9,13 @@ from concordia.quadrics import (QuadricPoint, TRIVIAL_BASE,
 
 
 def test_primitive_normal_form():
-    S = QuadricPoint.from_raw(2, 4, 6, 8)
-    assert S.coords() == (1, 2, 3, 4)
-    S = QuadricPoint.from_raw(-1, 2, -3, 4)
-    assert S.coords() == (1, -2, 3, -4)
-    S = QuadricPoint.from_raw(Fraction(1, 2), Fraction(1, 3), 1, 0)
-    assert S.coords() == (3, 2, 6, 0)
+    assert QuadricPoint(0, 2, -3, 5).coords() == (0, 2, -3, 5)
     with pytest.raises(ValueError):
         QuadricPoint(0, 0, 0, 0)
     with pytest.raises(ValueError):
         QuadricPoint(2, 4, 6, 8)  # gcd must already be 1
+    with pytest.raises(ValueError):
+        QuadricPoint(0, -1, 2, 3)  # first nonzero coordinate must be > 0
 
 
 def test_trivial_detection():
@@ -110,16 +105,3 @@ def test_transfer_of_group_translation(data):
     Q = data.draw(st.sampled_from(pts))
     if P != Q:
         assert point_to_quadric(P, c) != point_to_quadric(Q, c)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=-20, max_value=20))
-def test_from_raw_scale_invariance(a, b, c, d):
-    if (a, b, c, d) == (0, 0, 0, 0):
-        return
-    S = QuadricPoint.from_raw(a, b, c, d)
-    assert S == QuadricPoint.from_raw(3 * a, 3 * b, 3 * c, 3 * d)
-    assert S == QuadricPoint.from_raw(-a, -b, -c, -d)

@@ -62,8 +62,8 @@ def test_certificate_reconstructs_curve():
         c = Curve(*mn)
         tc = classify_torsion(c)
         mapped = {map_from_canonical(P, tc.shift, tc.scale)
-                  for P in tc.base.two_torsion()}
-        assert mapped == set(c.two_torsion())
+                  for P in tc.base.two_torsion}
+        assert mapped == set(c.two_torsion)
 
 
 def test_certificate_mismatch_detected(monkeypatch):
@@ -93,6 +93,13 @@ def test_certificate_mismatch_detected(monkeypatch):
              add=lambda self, P, Q: off)
     mismatch((-1, 3), "Z2xZ4", (1, 2), "expected 8 torsion points, got 5",
              add=lambda self, P, Q: INFINITY)
+
+
+def test_certificate_mismatch_is_not_a_usage_error():
+    # A caller that catches ValueError, a usage error, does not swallow an
+    # internal fault.
+    assert issubclass(CertificateMismatch, ArithmeticError)
+    assert not issubclass(CertificateMismatch, ValueError)
 
 
 def test_four_torsion_points_formulas():
