@@ -64,6 +64,23 @@ def invocations() -> list[list[str]]:
         ["--format", "text", "selftest", "--pmax", "6"],
         ["classify", "--m", "81", "--n", "256"],
         ["classify", "--m", "-8", "--n", "12"],
+        ["--format", "text", "solve", "concordant", "--p", "1", "--q", "3",
+         "--k", "1", "--bound", "100"],
+        ["--format", "text", "convert", "to-concordant", "--r", "1", "--s",
+         "3", "--k", "6"],
+        ["--format", "text", "convert", "to-congruent", "--p", "1", "--q",
+         "3", "--k", "1"],
+        ["--format", "text", "verify", "concordant", "--m", "-1", "--n", "3",
+         "--x", "1", "--y", "1", "--z", "0", "--w", "2"],
+        ["--format", "text", "verify", "concordant", "--m", "-1", "--n", "3",
+         "--x", "1", "--y", "1", "--z", "1", "--w", "2"],
+        ["--format", "text", "search", "--m", "-5", "--n", "5", "--bound",
+         "2000"],
+        ["--format", "text", "family", "order4", "--u", "2", "--v", "3"],
+        ["--format", "text", "family", "order8", "--xi", "3", "--eta", "4",
+         "--zeta", "5"],
+        ["--format", "text", "family", "order36", "--a", "-1", "--b", "5"],
+        ["selftest", "--pmax", "6"],
     ]
 
 
