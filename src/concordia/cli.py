@@ -18,19 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
 from fractions import Fraction
 
 from .curves import Curve, Point, point_sort_key
-from .geometry import ap_to_triangle, quadric_to_ap
 from .problems import (four_torsion_counterexamples, gen_order4_family,
-                       gen_order8_family, gen_order36_family,
+                       gen_order8_family, gen_order36_family, point_chain,
                        solve_concordant, solve_theta_congruent,
                        verify_concordant_solution)
-from .quadrics import point_to_quadric
 from .serialize import frac_str, point_json
 from .sweeps import family_sweep, oracle_equivalence_sweep
 from .torsion import torsion_subgroup
@@ -178,7 +175,8 @@ def _curve_from_args(args) -> Curve:
 
 # Each handler returns (the values its result shows, a renderer, exit
 # code); the renderer gives (JSON payload, text lines).  `main` checks the
-# values against MAX_DIGITS before it renders and prints.
+# values against MAX_DIGITS before it renders and prints.  The `solve`
+# and `family` leaves share `_report` and `_family`, which build all three.
 def _cmd_classify(args):
     c = _curve_from_args(args)
     cls, pts = torsion_subgroup(c)
@@ -186,7 +184,7 @@ def _cmd_classify(args):
 
     def render():
         payload = {
-            "curve": {"m": c.m, "n": c.n},
+            "curve": c.to_json(),
             "torsion": cls.to_json(),
             "points": [point_json(P) for P in ordered],
         }
@@ -197,14 +195,7 @@ def _cmd_classify(args):
     return (c, cls, ordered), render, EXIT_OK
 
 
-def _cmd_solve(args):
-    if args.problem == "concordant":
-        report = solve_concordant(ConcordantTriple(args.p, args.q, args.k),
-                                  args.bound)
-    else:
-        report = solve_theta_congruent(CongruentTriple(args.r, args.s, args.k),
-                                       args.bound)
-
+def _report(report):
     def render():
         lines = [f"{report.problem} {report.triple} on "
                  f"E({report.curve.m},{report.curve.n}): "
@@ -221,28 +212,37 @@ def _cmd_solve(args):
     return report, render, EXIT_OK
 
 
-def _cmd_convert(args):
-    if args.conversion == "to-concordant":
-        t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
-        return t, lambda: ({"concordant": [t.p, t.q, t.k]},
-                           [f"(p,q,k) = ({t.p},{t.q},{t.k})"]), EXIT_OK
-    if args.conversion == "to-congruent":
-        t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
-        return t, lambda: ({"congruent": [t.r, t.s, t.k]},
-                           [f"(r,s,k) = ({t.r},{t.s},{t.k})"]), EXIT_OK
+def _cmd_solve_concordant(args):
+    return _report(solve_concordant(ConcordantTriple(args.p, args.q, args.k),
+                                    args.bound))
+
+
+def _cmd_solve_theta(args):
+    return _report(solve_theta_congruent(
+        CongruentTriple(args.r, args.s, args.k), args.bound))
+
+
+def _cmd_to_concordant(args):
+    t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
+    return t, lambda: ({"concordant": [t.p, t.q, t.k]},
+                       [f"(p,q,k) = ({t.p},{t.q},{t.k})"]), EXIT_OK
+
+
+def _cmd_to_congruent(args):
+    t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
+    return t, lambda: ({"congruent": [t.r, t.s, t.k]},
+                       [f"(r,s,k) = ({t.r},{t.s},{t.k})"]), EXIT_OK
+
+
+def _cmd_chain(args):
     if (args.r is None) != (args.s is None):
         raise ValueError("--r and --s must be given together")
     c = Curve(args.m, args.n)
     P = c.point(_parse_rational("--x", args.x),
                 _parse_rational("--y", args.y))
-    S = point_to_quadric(P, c)
-    ap = tri = None
-    if not S.is_trivial and c.m < 0 < c.n:
-        step = math.gcd(-c.m, c.n)
-        ap = quadric_to_ap(S, -c.m // step, c.n // step, step)
-        if args.r is not None:
-            tri = ap_to_triangle(ap, args.r, args.s)
-    elif args.r is not None:
+    angle = None if args.r is None else (args.r, args.s)
+    S, ap, tri = point_chain(c, P, angle)
+    if angle is not None and ap is None:
         raise ValueError("--r/--s need a progression, and " + (
             "there is none unless m < 0 < n" if not c.m < 0 < c.n
             else "the point's quadric image is trivial"))
@@ -269,7 +269,7 @@ def _cmd_verify(args):
                                          args.z, args.w)
     solution = [args.x, args.y, args.z, args.w]
     payload = {"verdict": verdict, "solution": solution,
-               "curve": {"m": args.m, "n": args.n}}
+               "curve": Curve(args.m, args.n).to_json()}
     return ((args.m, args.n, solution), lambda: (payload, [verdict]),
             EXIT_OK if verdict != "invalid" else EXIT_VERIFY)
 
@@ -285,8 +285,7 @@ def _cmd_search(args):
             rows.append({"point": point_json(P),
                          "order": order if order is not None else "infinite",
                          "is_double": c.is_double(P)})
-        payload = {"curve": {"m": c.m, "n": c.n}, "bound": args.bound,
-                   "points": rows}
+        payload = {"curve": c.to_json(), "bound": args.bound, "points": rows}
         lines = [f"E({c.m},{c.n}), height bound {args.bound}: "
                  f"{len(rows)} point(s)"]
         for row in rows:
@@ -296,14 +295,7 @@ def _cmd_search(args):
     return (c, pts), render, EXIT_OK
 
 
-def _cmd_family(args):
-    if args.family == "order4":
-        rec = gen_order4_family(args.u, args.v)
-    elif args.family == "order8":
-        rec = gen_order8_family(args.xi, args.eta, args.zeta)
-    else:
-        rec = gen_order36_family(args.a, args.b)
-
+def _family(rec):
     def render():
         lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
                  f"torsion {rec.torsion_tag}",
@@ -314,6 +306,18 @@ def _cmd_family(args):
                  f"on E{rec.congruent_curve} [{rec.parity_case}]"]
         return rec.to_json(), lines
     return rec, render, EXIT_OK
+
+
+def _cmd_order4(args):
+    return _family(gen_order4_family(args.u, args.v))
+
+
+def _cmd_order8(args):
+    return _family(gen_order8_family(args.xi, args.eta, args.zeta))
+
+
+def _cmd_order36(args):
+    return _family(gen_order36_family(args.a, args.b))
 
 
 def _cmd_selftest(args):
@@ -355,13 +359,13 @@ def build_parser() -> _Parser:
           help="torsion class and full torsion list")
     p = sub.add_parser("solve", help="solution pipelines")
     solve = p.add_subparsers(dest="problem", required=True)
-    _leaf(solve, "concordant", _cmd_solve, "p q k", extra=[bound])
-    _leaf(solve, "theta", _cmd_solve, "r s k", extra=[bound])
+    _leaf(solve, "concordant", _cmd_solve_concordant, "p q k", extra=[bound])
+    _leaf(solve, "theta", _cmd_solve_theta, "r s k", extra=[bound])
     p = sub.add_parser("convert", help="triple encodings and object chains")
     conv = p.add_subparsers(dest="conversion", required=True)
-    _leaf(conv, "to-concordant", _cmd_convert, "r s k")
-    _leaf(conv, "to-congruent", _cmd_convert, "p q k")
-    _leaf(conv, "chain", _cmd_convert, "m n", "r s",
+    _leaf(conv, "to-concordant", _cmd_to_concordant, "r s k")
+    _leaf(conv, "to-congruent", _cmd_to_congruent, "p q k")
+    _leaf(conv, "chain", _cmd_chain, "m n", "r s",
           extra=[("--x", {"required": True}), ("--y", {"required": True})])
     p = sub.add_parser("verify", help="check a concordant-form solution")
     verify = p.add_subparsers(dest="target", required=True)
@@ -371,9 +375,9 @@ def build_parser() -> _Parser:
           help="height-bounded point search")
     p = sub.add_parser("family", help="torsion-solution family generators")
     family = p.add_subparsers(dest="family", required=True)
-    _leaf(family, "order4", _cmd_family, "u v")
-    _leaf(family, "order8", _cmd_family, "xi eta zeta")
-    _leaf(family, "order36", _cmd_family, "a b")
+    _leaf(family, "order4", _cmd_order4, "u v")
+    _leaf(family, "order8", _cmd_order8, "xi eta zeta")
+    _leaf(family, "order36", _cmd_order36, "a b")
     _leaf(sub, "selftest", _cmd_selftest, help="run the invariant suites",
           extra=[("--pmax", {"type": _capped(MAX_PMAX), "default": 6,
                              "help": "oracle-equivalence grid p, q <= PMAX"}),

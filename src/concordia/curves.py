@@ -182,6 +182,9 @@ class Curve:
         if self.m == self.n:
             raise ValueError("degenerate cubic: m and n must differ")
 
+    def to_json(self) -> dict:
+        return {"m": self.m, "n": self.n}
+
     # -- basic point handling -------------------------------------------
 
     def contains(self, P: Point) -> bool:

@@ -180,5 +180,5 @@ def isosceles_triangle(rho: int, sigma: int
     r, s = r // g, s // g
     tri = Triangle(a=Fraction(a), b=Fraction(a), c=Fraction(c), r=r, s=s)
     if tri.area_coefficient() != k:
-        raise AssertionError("area coefficient drifted from the construction")
+        raise ArithmeticError("area coefficient drifted from construction")
     return tri, r, s, k

@@ -19,7 +19,8 @@ from .serialize import frac_str, point_json
 from .torsion import (CertificateMismatch, TorsionClass, classify_torsion,
                       torsion_subgroup)
 from .triples import (ConcordantTriple, CongruentTriple,
-                      concordant_to_congruent, congruent_to_concordant)
+                      concordant_to_congruent, congruent_to_concordant,
+                      curve_to_concordant)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class SolutionReport:
         out = {
             "problem": self.problem,
             "triple": list(self.triple),
-            "curve": {"m": self.curve.m, "n": self.curve.n},
+            "curve": self.curve.to_json(),
             "torsion": self.torsion_class.to_json(),
             "solutions": [e.to_json() for e in self.solutions],
             "search_bound": self.search_bound,
@@ -86,30 +87,35 @@ class SolutionReport:
         return out
 
 
-def _entries(c: Curve, points, ct: ConcordantTriple, provenance: str,
+def point_chain(c: Curve, P: Point, angle: Optional[tuple[int, int]]) -> tuple:
+    """The paper's dictionary for a point P of E(m,n): the quadric point S
+    of P, S's progression on the curve's own concordant triple (None if S
+    is trivial or m < 0 < n fails) and, for an angle (r, s), the triangle
+    of that progression (else None)."""
+    S = point_to_quadric(P, c)
+    if S.is_trivial or not c.m < 0 < c.n:
+        return S, None, None
+    t = curve_to_concordant(c)
+    ap = quadric_to_ap(S, t.p, t.q, t.k)
+    return S, ap, None if angle is None else ap_to_triangle(ap, *angle)
+
+
+def _entries(c: Curve, points, provenance: str,
              angle: Optional[tuple[int, int]]) -> list[SolutionEntry]:
-    entries = []
-    for P in sorted(points, key=point_sort_key):
-        S = point_to_quadric(P, c)
-        ap = quadric_to_ap(S, ct.p, ct.q, ct.k)
-        triangle = None if angle is None else ap_to_triangle(ap, *angle)
-        entries.append(SolutionEntry(point=P, quadric=S, ap=ap,
-                                     triangle=triangle,
-                                     provenance=provenance))
-    return entries
+    return [SolutionEntry(P, *point_chain(c, P, angle), provenance)
+            for P in sorted(points, key=point_sort_key)]
 
 
-def _solve(problem: str, triple_fields: tuple, ct: ConcordantTriple,
+def _solve(problem: str, triple_fields: tuple, c: Curve,
            angle: Optional[tuple[int, int]],
            search_bound: Optional[int]) -> SolutionReport:
-    c = ct.curve()
     cls, torsion = torsion_subgroup(c)
     interesting = {P for P in torsion if not P.is_infinity and P.Y}
-    entries = _entries(c, interesting, ct, "torsion", angle)
+    entries = _entries(c, interesting, "torsion", angle)
     if search_bound is not None:
         # torsion holds O and the three points of order 2
         hits = {P for P in c.search(search_bound) if P not in torsion}
-        entries += _entries(c, hits, ct, "search", angle)
+        entries += _entries(c, hits, "search", angle)
     return SolutionReport(problem=problem, triple=triple_fields, curve=c,
                           torsion_class=cls, solutions=tuple(entries),
                           search_bound=search_bound)
@@ -119,16 +125,15 @@ def solve_concordant(t: ConcordantTriple,
                      search_bound: Optional[int] = None) -> SolutionReport:
     """Nontrivial solutions of X^2 - pkY^2 = Z^2, X^2 + qkY^2 = W^2 found
     among torsion points of order > 2 and, optionally, a bounded search."""
-    return _solve("concordant", (t.p, t.q, t.k), t, None, search_bound)
+    return _solve("concordant", (t.p, t.q, t.k), t.curve(), None, search_bound)
 
 
 def solve_theta_congruent(t: CongruentTriple,
                           search_bound: Optional[int] = None) -> SolutionReport:
     """Rational theta-triangles with area k*sqrt(s^2-r^2), via the curve of
     the equivalent concordant triple."""
-    ct = congruent_to_concordant(t)
-    return _solve("theta-congruent", (t.r, t.s, t.k), ct, (t.r, t.s),
-                  search_bound)
+    return _solve("theta-congruent", (t.r, t.s, t.k),
+                  congruent_to_concordant(t).curve(), (t.r, t.s), search_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +156,7 @@ class FamilyRecord:
         return {
             "family": self.family,
             "params": list(self.params),
-            "curve": {"m": self.m, "n": self.n},
+            "curve": Curve(self.m, self.n).to_json(),
             "concordant": [self.concordant.p, self.concordant.q,
                            self.concordant.k],
             "congruent": [self.congruent.r, self.congruent.s,
@@ -162,27 +167,25 @@ class FamilyRecord:
         }
 
 
-def _family_record(family: str, params: tuple, m: int, n: int,
-                   k: int = 1) -> FamilyRecord:
-    """Record of the family curve E(m,n) = E(-p*k, q*k).
+def _family_record(family: str, params: tuple, m: int, n: int
+                   ) -> FamilyRecord:
+    """Record of the family curve E(m,n) = E(-p*k, q*k), m < 0 < n.
 
     The congruent triple attached to its torsion solutions lives on E(m,n)
     itself when m and n are both odd; with unequal parities it lives on
-    E(4m,4n) with a doubled number k.  Both routes go through the inverse
-    bijection, never hand-ordered pairs.
+    E(4m,4n) with a doubled number k.  Both routes take the concordant
+    triple of that curve through the inverse bijection.
     """
-    concordant = ConcordantTriple(-m // k, n // k, k)
+    c = Curve(m, n)
     if m % 2 != 0 and n % 2 != 0:
-        congruent = concordant_to_congruent(concordant)
-        cc, case = (m, n), "m,n odd"
+        cc, case = c, "m,n odd"
     else:
-        congruent = concordant_to_congruent(
-            ConcordantTriple(concordant.p, concordant.q, 4 * k))
-        cc, case = (4 * m, 4 * n), "m,n of unequal parity"
+        cc, case = Curve(4 * m, 4 * n), "m,n of unequal parity"
+    congruent = concordant_to_congruent(curve_to_concordant(cc))
     return FamilyRecord(family=family, params=params, m=m, n=n,
-                        concordant=concordant, congruent=congruent,
-                        congruent_curve=cc, parity_case=case,
-                        torsion_tag=classify_torsion(Curve(m, n)).tag)
+                        concordant=curve_to_concordant(c),
+                        congruent=congruent, congruent_curve=(cc.m, cc.n),
+                        parity_case=case, torsion_tag=classify_torsion(c).tag)
 
 
 def gen_order4_family(u: int, v: int) -> FamilyRecord:
@@ -210,11 +213,10 @@ def gen_order36_family(a: int, b: int) -> FamilyRecord:
         raise ValueError("a and b must be coprime")
     if not (a < 0 < b) or a + 2 * b <= 0 or 2 * a + b <= 0 or a + b == 0:
         raise ValueError("need a < 0 < b with a+2b > 0, 2a+b > 0, a+b != 0")
-    shared = math.gcd(a + 2 * b, 2 * a + b)
-    if shared not in (1, 3):
+    if math.gcd(a + 2 * b, 2 * a + b) not in (1, 3):
         raise CertificateMismatch("gcd(a+2b, 2a+b) can only be 1 or 3")
     return _family_record("order36", (a, b), a ** 3 * (a + 2 * b),
-                          b ** 3 * (2 * a + b), shared)
+                          b ** 3 * (2 * a + b))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ class ConcordantTriple:
         return Curve(-self.p * self.k, self.q * self.k)
 
 
+def curve_to_concordant(c: Curve) -> ConcordantTriple:
+    """Inverse of `ConcordantTriple.curve`: k = gcd(-m, n) = gcd(p*k, q*k)
+    for coprime p, q.  ValueError (the triple's check) unless m < 0 < n."""
+    k = math.gcd(-c.m, c.n)
+    return ConcordantTriple(-c.m // k, c.n // k, k)
+
+
 @dataclass(frozen=True)
 class CongruentTriple:
     r: int

@@ -362,6 +362,24 @@ def test_chain_angle_without_progression_is_refused(argv, err):
     assert cli("convert", "chain", *argv).returncode == 0
 
 
+def test_chain_matches_each_solve_entry(capsys):
+    """`convert chain` and `solve theta` walk one dictionary: each solution
+    of the right-angle problem at k = 5 gives the same quadric point,
+    progression and triangle through both leaves."""
+    code, report = run_json(capsys, "solve", "theta", "--r", "0", "--s", "1",
+                            "--k", "5", "--bound", "2000")
+    assert code == 0 and report["solutions"]
+    m, n = report["curve"]["m"], report["curve"]["n"]
+    for entry in report["solutions"]:
+        x, y = entry["point"]
+        code, chain = run_json(capsys, "convert", "chain", f"--m={m}",
+                               f"--n={n}", f"--x={x}", f"--y={y}", "--r", "0",
+                               "--s", "1")
+        assert code == 0
+        assert {key: chain[key] for key in ("quadric", "ap", "triangle")} == \
+            {key: entry[key] for key in ("quadric", "ap", "triangle")}
+
+
 def test_classify_huge_m_needs_no_divisors(capsys):
     # |m| = 10^2200 has about 4.8M divisors; the 3-torsion test walks none.
     code, payload = run_json(capsys, "classify", "--m", str(-10 ** 2200),

@@ -9,9 +9,11 @@ from concordia.geometry import (APTriple, Triangle, ap_to_quadric,
                                 ap_to_triangle, isosceles_triangle,
                                 quadric_to_ap, triangle_to_ap)
 from concordia.quadrics import QuadricPoint
+from concordia.curves import Curve
+from concordia.sweeps import family_grid
 from concordia.triples import (ConcordantTriple, CongruentTriple,
                                concordant_to_congruent,
-                               congruent_to_concordant)
+                               congruent_to_concordant, curve_to_concordant)
 
 
 def test_congruent_to_concordant_examples():
@@ -51,6 +53,36 @@ def test_triple_curves():
     assert ConcordantTriple(1, 3, 1).curve().m == -1
     assert ConcordantTriple(1, 3, 1).curve().n == 3
     assert congruent_to_concordant(CongruentTriple(0, 1, 5)).curve().m == -5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=60))
+def test_curve_to_concordant_inverts_curve(p, q, k):
+    if gcd(p, q) != 1:
+        return
+    t = ConcordantTriple(p, q, k)
+    assert curve_to_concordant(t.curve()) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-60, max_value=60),
+       st.integers(min_value=-60, max_value=60))
+def test_curve_to_concordant_needs_m_negative_n_positive(m, n):
+    if m == 0 or n == 0 or m == n:
+        return
+    if m < 0 < n:
+        t = curve_to_concordant(Curve(m, n))
+        assert (-t.p * t.k, t.q * t.k) == (m, n)
+    else:
+        with pytest.raises(ValueError):
+            curve_to_concordant(Curve(m, n))
+
+
+def test_family_records_carry_their_curves_triple():
+    for rec in family_grid(20):
+        assert rec.concordant == curve_to_concordant(Curve(rec.m, rec.n))
 
 
 def _valid_congruent(r, s, k):
@@ -160,6 +192,13 @@ def test_isosceles_examples():
     assert (r, s, k) == (-1, 8, 1)
     tri, r, s, k = isosceles_triangle(1, 3)
     assert tri.sides() == (6, 6, 4) and k == 2
+
+
+def test_isosceles_drift_is_an_internal_fault(monkeypatch):
+    monkeypatch.setattr(Triangle, "area_coefficient",
+                        lambda self: Fraction(3))
+    with pytest.raises(ArithmeticError, match="drifted"):
+        isosceles_triangle(1, 2)
 
 
 def test_isosceles_validation():
