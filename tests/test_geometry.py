@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concordia.curves import Curve
 from concordia.geometry import (APTriple, Triangle, ap_to_quadric,
                                 ap_to_triangle, isosceles_triangle,
                                 quadric_to_ap, triangle_to_ap)
 from concordia.quadrics import QuadricPoint
-from concordia.curves import Curve
 from concordia.sweeps import family_grid
 from concordia.triples import (ConcordantTriple, CongruentTriple,
                                concordant_to_congruent,
