@@ -9,9 +9,10 @@ cross the boundary as exact strings.  A search bound (`--bound`) above
 MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
 workers (`--jobs`) than CPUs, any of these three below 1, a
 `convert chain` input with an integer of more than MAX_DIGITS digits,
-and a result of any subcommand with such an integer are refused as usage
-errors, as is a number to be factored (such as gcd(m, n)) that keeps
-more than 2048 bits after trial division (`concordia.arith.factorint`).
+and a result of any subcommand whose printed text has such an integer
+are refused as usage errors, as is a number to be factored (such as
+gcd(m, n)) that keeps more than 2048 bits after trial division
+(`concordia.arith.factorint`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .curves import Curve, Point, point_sort_key
+from .curves import Curve, point_sort_key
 from .problems import (four_torsion_counterexamples, gen_order4_family,
                        gen_order8_family, gen_order36_family, point_chain,
                        solve_concordant, solve_theta_congruent,
@@ -46,11 +47,15 @@ MAX_BOUND = 10 ** 7
 # The whole selftest at p, q <= 60 (an oracle grid of 17,624 curves) takes
 # about 5 s (4.2-6.1 s over five runs) in one process on a 2-vCPU host.
 MAX_PMAX = 60
-# Python refuses int<->str conversions of more than 4300 digits by default
-# (sys.get_int_max_str_digits()).  The CLI refuses such a number itself,
-# in `convert chain`'s --x/--y and in every integer a result shows, before
-# printing anything, with a message that names the size; the interpreter's
-# own limit is left as it is.
+# The largest number, in decimal digits, that the CLI prints or reads from
+# `convert chain`'s --x/--y, whatever the interpreter's int<->str limit
+# (sys.get_int_max_str_digits(), PYTHONINTMAXSTRDIGITS) is: `main` computes
+# and renders a result with that limit lifted, and refuses the text, before
+# printing anything, if it has a run of more than MAX_DIGITS digits, naming
+# the first.  The integer flags are parsed under the interpreter's limit.
+# A refusal pays for the conversion: best of 5 on a 2-vCPU host, `family
+# order36` with 4300-digit --a/--b (a 17197-digit result, 0.5 s of it the
+# torsion class) is refused in 0.7-0.9 s, `order4` and `order8` in 0.2 s.
 MAX_DIGITS = 4300
 
 
@@ -85,14 +90,13 @@ def _capped(limit: int):
     return parse
 
 
-def _digits(v: int) -> int:
-    """Decimal digits of |v| >= 1, without an int->str conversion."""
-    v = abs(v)
-    # at most the digits of 2^(bits-1), as 0.30102 < log10(2)
-    d = (v.bit_length() - 1) * 30102 // 100000 + 1
-    while 10 ** d <= v:
-        d += 1
-    return d
+def _check_digits(what: str, text: str) -> None:
+    """DigitLimitError naming the first run of more than MAX_DIGITS digits
+    in `text`, if it has one."""
+    for run in re.findall(r"\d+", text):
+        if len(run) > MAX_DIGITS:
+            raise DigitLimitError(f"{what} has a {len(run)}-digit integer; "
+                                  f"the limit is {MAX_DIGITS} digits")
 
 
 def _parse_rational(flag: str, text: str):
@@ -101,10 +105,7 @@ def _parse_rational(flag: str, text: str):
     one (Fraction expands "1e999999999" in full), or ValueError for a
     zero denominator."""
     plain = text.replace("_", "")
-    longest = max(map(len, re.findall(r"\d+", plain)), default=0)
-    if longest > MAX_DIGITS:
-        raise DigitLimitError(f"{flag} has a {longest}-digit integer; the "
-                              f"limit is {MAX_DIGITS} digits")
+    _check_digits(flag, plain)
     exponent = re.search(r"[eE][+-]?(\d+)", plain)
     if exponent and int(exponent[1]) >= MAX_DIGITS:
         raise DigitLimitError(f"{flag} has a decimal exponent of "
@@ -116,42 +117,9 @@ def _parse_rational(flag: str, text: str):
         raise ValueError(f"{flag} has a zero denominator") from None
 
 
-def _integers(v):
-    """The ints in v: v itself, the parts of a Fraction or of a Point's x
-    and y (Z^3, not Z), the ints in the fields of any other dataclass
-    (quadric points, reports, ...) and in the items of a container."""
-    if isinstance(v, int):
-        yield v
-    elif isinstance(v, Fraction):
-        yield from (v.numerator, v.denominator)
-    elif isinstance(v, Point):
-        yield from _integers((v.x, v.y))
-    elif isinstance(v, (tuple, list, set, frozenset)):
-        for item in v:
-            yield from _integers(item)
-    else:  # the fields of a dataclass instance, none for other objects
-        for name in getattr(v, "__dataclass_fields__", ()):
-            yield from _integers(getattr(v, name))
-
-
-def _check_digits(shown) -> None:
-    """DigitLimitError if an int in `shown` has more than MAX_DIGITS
-    digits."""
-    too_big = 10 ** MAX_DIGITS
-    for v in _integers(shown):
-        if abs(v) >= too_big:
-            raise DigitLimitError(
-                f"the result has a {_digits(v)}-digit integer; the limit is "
-                f"{MAX_DIGITS} digits")
-
-
-def _emit(payload: dict, fmt: str, text_lines) -> None:
+def _emit(text: str) -> None:
     try:
-        if fmt == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for line in text_lines:
-                print(line)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (e.g. `| head`): drop the rest of the output
@@ -173,43 +141,38 @@ def _curve_from_args(args) -> Curve:
     return ConcordantTriple(args.p, args.q, args.k).curve()
 
 
-# Each handler returns (the values its result shows, a renderer, exit
-# code); the renderer gives (JSON payload, text lines).  `main` checks the
-# values against MAX_DIGITS before it renders and prints.  The `solve`
-# and `family` leaves share `_report` and `_family`, which build all three.
+# Each handler returns (JSON payload, text lines, exit code).  `main`
+# renders the chosen format, checks it against MAX_DIGITS and prints it.
+# The `solve` and `family` leaves share `_report` and `_family`, which
+# build all three.
 def _cmd_classify(args):
     c = _curve_from_args(args)
     cls, pts = torsion_subgroup(c)
     ordered = sorted(pts, key=point_sort_key)
-
-    def render():
-        payload = {
-            "curve": c.to_json(),
-            "torsion": cls.to_json(),
-            "points": [point_json(P) for P in ordered],
-        }
-        lines = [f"E({c.m},{c.n}): torsion {cls.tag}",
-                 f"certificate: {cls.to_json()}",
-                 "points: " + ", ".join(map(str, ordered))]
-        return payload, lines
-    return (c, cls, ordered), render, EXIT_OK
+    payload = {
+        "curve": c.to_json(),
+        "torsion": cls.to_json(),
+        "points": [point_json(P) for P in ordered],
+    }
+    lines = [f"E({c.m},{c.n}): torsion {cls.tag}",
+             f"certificate: {cls.to_json()}",
+             "points: " + ", ".join(map(str, ordered))]
+    return payload, lines, EXIT_OK
 
 
 def _report(report):
-    def render():
-        lines = [f"{report.problem} {report.triple} on "
-                 f"E({report.curve.m},{report.curve.n}): "
-                 f"{len(report.solutions)} solution(s), torsion "
-                 f"{report.torsion_class.tag}"]
-        for entry in report.solutions:
-            lines.append(f"  {entry.point} -> {entry.quadric.coords()} "
-                         f"[{entry.provenance}]")
-        for tri, pts in report.triangles():
-            lines.append("  triangle "
-                         + "/".join(frac_str(v) for v in tri.sides())
-                         + f" from {len(pts)} point(s)")
-        return report.to_json(), lines
-    return report, render, EXIT_OK
+    lines = [f"{report.problem} {report.triple} on "
+             f"E({report.curve.m},{report.curve.n}): "
+             f"{len(report.solutions)} solution(s), torsion "
+             f"{report.torsion_class.tag}"]
+    for entry in report.solutions:
+        lines.append(f"  {entry.point} -> {entry.quadric.coords()} "
+                     f"[{entry.provenance}]")
+    for tri, pts in report.triangles():
+        lines.append("  triangle "
+                     + "/".join(frac_str(v) for v in tri.sides())
+                     + f" from {len(pts)} point(s)")
+    return report.to_json(), lines, EXIT_OK
 
 
 def _cmd_solve_concordant(args):
@@ -224,14 +187,14 @@ def _cmd_solve_theta(args):
 
 def _cmd_to_concordant(args):
     t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
-    return t, lambda: ({"concordant": [t.p, t.q, t.k]},
-                       [f"(p,q,k) = ({t.p},{t.q},{t.k})"]), EXIT_OK
+    return ({"concordant": t.to_json()}, [f"(p,q,k) = ({t.p},{t.q},{t.k})"],
+            EXIT_OK)
 
 
 def _cmd_to_congruent(args):
     t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
-    return t, lambda: ({"congruent": [t.r, t.s, t.k]},
-                       [f"(r,s,k) = ({t.r},{t.s},{t.k})"]), EXIT_OK
+    return ({"congruent": t.to_json()}, [f"(r,s,k) = ({t.r},{t.s},{t.k})"],
+            EXIT_OK)
 
 
 def _cmd_chain(args):
@@ -246,66 +209,54 @@ def _cmd_chain(args):
         raise ValueError("--r/--s need a progression, and " + (
             "there is none unless m < 0 < n" if not c.m < 0 < c.n
             else "the point's quadric image is trivial"))
-    shown = [P, S, ap, tri]
-    if ap is not None and args.format == "text":
-        shown.append(ap.squares())  # the text shows the squares
-
-    def render():
-        payload = {"point": point_json(P), "quadric": S.to_json()}
-        lines = [f"point {P}", f"quadric {S.coords()}"]
-        if ap is not None:
-            payload["ap"] = ap.to_json()
-            lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
-                         f"step {ap.step} gaps ({ap.p},{ap.q})")
-        if tri is not None:
-            payload["triangle"] = tri.to_json()
-            lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
-        return payload, lines
-    return shown, render, EXIT_OK
+    payload = {"point": point_json(P), "quadric": S.to_json()}
+    lines = [f"point {P}", f"quadric {S.coords()}"]
+    if ap is not None:
+        payload["ap"] = ap.to_json()
+        lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
+                     f"step {ap.step} gaps ({ap.p},{ap.q})")
+    if tri is not None:
+        payload["triangle"] = tri.to_json()
+        lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
+    return payload, lines, EXIT_OK
 
 
 def _cmd_verify(args):
     verdict = verify_concordant_solution(args.m, args.n, args.x, args.y,
                                          args.z, args.w)
-    solution = [args.x, args.y, args.z, args.w]
-    payload = {"verdict": verdict, "solution": solution,
+    payload = {"verdict": verdict,
+               "solution": [args.x, args.y, args.z, args.w],
                "curve": Curve(args.m, args.n).to_json()}
-    return ((args.m, args.n, solution), lambda: (payload, [verdict]),
+    return (payload, [verdict],
             EXIT_OK if verdict != "invalid" else EXIT_VERIFY)
 
 
 def _cmd_search(args):
     c = Curve(args.m, args.n)
-    pts = sorted(c.search(args.bound), key=point_sort_key)
-
-    def render():
-        rows = []
-        for P in pts:
-            order = c.order_of(P)
-            rows.append({"point": point_json(P),
-                         "order": order if order is not None else "infinite",
-                         "is_double": c.is_double(P)})
-        payload = {"curve": c.to_json(), "bound": args.bound, "points": rows}
-        lines = [f"E({c.m},{c.n}), height bound {args.bound}: "
-                 f"{len(rows)} point(s)"]
-        for row in rows:
-            lines.append(f"  {row['point']} order={row['order']} "
-                         f"double={row['is_double']}")
-        return payload, lines
-    return (c, pts), render, EXIT_OK
+    rows = []
+    for P in sorted(c.search(args.bound), key=point_sort_key):
+        order = c.order_of(P)
+        rows.append({"point": point_json(P),
+                     "order": order if order is not None else "infinite",
+                     "is_double": c.is_double(P)})
+    payload = {"curve": c.to_json(), "bound": args.bound, "points": rows}
+    lines = [f"E({c.m},{c.n}), height bound {args.bound}: "
+             f"{len(rows)} point(s)"]
+    for row in rows:
+        lines.append(f"  {row['point']} order={row['order']} "
+                     f"double={row['is_double']}")
+    return payload, lines, EXIT_OK
 
 
 def _family(rec):
-    def render():
-        lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
-                 f"torsion {rec.torsion_tag}",
-                 f"concordant (p,q,k) = "
-                 f"({rec.concordant.p},{rec.concordant.q},{rec.concordant.k})",
-                 f"congruent (r,s,k) = "
-                 f"({rec.congruent.r},{rec.congruent.s},{rec.congruent.k}) "
-                 f"on E{rec.congruent_curve} [{rec.parity_case}]"]
-        return rec.to_json(), lines
-    return rec, render, EXIT_OK
+    lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
+             f"torsion {rec.torsion_tag}",
+             f"concordant (p,q,k) = "
+             f"({rec.concordant.p},{rec.concordant.q},{rec.concordant.k})",
+             f"congruent (r,s,k) = "
+             f"({rec.congruent.r},{rec.congruent.s},{rec.congruent.k}) "
+             f"on E{rec.congruent_curve} [{rec.parity_case}]"]
+    return rec.to_json(), lines, EXIT_OK
 
 
 def _cmd_order4(args):
@@ -329,7 +280,7 @@ def _cmd_selftest(args):
         [f"  {line}" for line in failures]
     code = (EXIT_INTERNAL if mismatches
             else EXIT_OK if not failures else EXIT_VERIFY)
-    return (), lambda: (payload, lines), code
+    return payload, lines, code
 
 
 def _leaf(sub, name, func, required="", optional="", extra=(), **kw):
@@ -388,17 +339,22 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # MAX_DIGITS is the limit from here on
     try:
-        shown, render, code = args.func(args)
-        _check_digits(shown)
-        payload, lines = render()
+        payload, lines, code = args.func(args)
+        text = (json.dumps(payload, indent=2, sort_keys=True)
+                if args.format == "json" else "\n".join(lines))
+        _check_digits("the result", text)
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, args.format, lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(text)
     return code
 
 

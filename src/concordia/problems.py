@@ -157,10 +157,8 @@ class FamilyRecord:
             "family": self.family,
             "params": list(self.params),
             "curve": Curve(self.m, self.n).to_json(),
-            "concordant": [self.concordant.p, self.concordant.q,
-                           self.concordant.k],
-            "congruent": [self.congruent.r, self.congruent.s,
-                          self.congruent.k],
+            "concordant": self.concordant.to_json(),
+            "congruent": self.congruent.to_json(),
             "congruent_curve": list(self.congruent_curve),
             "parity_case": self.parity_case,
             "torsion": self.torsion_tag,

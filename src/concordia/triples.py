@@ -31,6 +31,9 @@ class ConcordantTriple:
     def curve(self) -> Curve:
         return Curve(-self.p * self.k, self.q * self.k)
 
+    def to_json(self) -> list:
+        return [self.p, self.q, self.k]
+
 
 def curve_to_concordant(c: Curve) -> ConcordantTriple:
     """Inverse of `ConcordantTriple.curve`: k = gcd(-m, n) = gcd(p*k, q*k)
@@ -52,6 +55,9 @@ class CongruentTriple:
             raise ValueError("|r| < s required for a genuine angle")
         if math.gcd(self.r, self.s) != 1:
             raise ValueError("r and s must be coprime")
+
+    def to_json(self) -> list:
+        return [self.r, self.s, self.k]
 
 
 def congruent_to_concordant(t: CongruentTriple) -> ConcordantTriple:

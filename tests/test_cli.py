@@ -1,9 +1,11 @@
 import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ import pytest
 from concordia.cli import (DigitLimitError, _check_digits, _parse_rational,
                            build_parser, main)
 from concordia.curves import Curve, Point
+from concordia.serialize import point_json
 from concordia.torsion import classify_torsion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -321,12 +324,63 @@ def test_every_result_over_digit_limit_is_refused(capsys):
                    "the limit is 4300 digits\n")
 
 
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """The interpreter's int<->str limit set to `digits` (0: none)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_digit_guard_sees_a_points_denominators():
     # Z has 1501 digits, but y = 1/Z^3 is printed with all 4501 of Z^3.
     P = Point(1, 1, 10 ** 1500 + 1)
-    for shown in (P, [P], (0, P)):
+    with int_str_limit(0):
+        texts = [json.dumps(point_json(P)), str(P)]
+    for text in texts:
         with pytest.raises(DigitLimitError, match="a 4501-digit integer"):
-            _check_digits(shown)
+            _check_digits("the result", text)
+
+
+def test_output_does_not_depend_on_the_interpreters_limit(capsys):
+    # The two golden 20P chains print integers of 660 and (the text, with
+    # the squares) 1320 digits, and the order-4 points of E(-u^2, v^2-u^2)
+    # here have 901: all past 640, the interpreter's minimum limit.  No
+    # input integer is (--m has 601 digits), since the integer flags are
+    # parsed under the interpreter's limit.
+    c = Curve(-5, 5)
+    P = c.multiply(c.point(Fraction(-5, 9), Fraction(100, 27)), 20)
+    u, v = 10 ** 300 + 7, 10 ** 300 + 9
+    chain = ["convert", "chain", "--m", "-5", "--n", "5", f"--x={P.x}",
+             f"--y={P.y}"]
+    for argv in ([*chain, "--r", "0", "--s", "1"],
+                 ["--format", "text", *chain],
+                 ["classify", "--m", str(-u * u), "--n", str(v * v - u * u)]):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        with int_str_limit(640):
+            assert run(capsys, *argv) == expected
+            assert sys.get_int_max_str_digits() == 640
+
+
+def test_main_restores_the_interpreters_limit(monkeypatch, capsys):
+    # 5000 is neither the default nor main's lifted value, and it still
+    # lets the 4300-digit --u/--v be parsed.
+    order4 = ["family", "order4", "--u", str(10 ** 4299),
+              "--v", str(10 ** 4299 + 1)]
+    with int_str_limit(5000):
+        assert main(["classify", "--m", "-1", "--n", "3"]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert main(order4) == 1
+        assert sys.get_int_max_str_digits() == 5000
+        monkeypatch.setattr("concordia.cli.torsion_subgroup",
+                            lambda c: 1 // 0)
+        assert main(["classify", "--m", "-1", "--n", "3"]) == 3
+        assert sys.get_int_max_str_digits() == 5000
+    capsys.readouterr()
 
 
 def test_parse_rational_refuses_a_zero_denominator():
