@@ -7,12 +7,11 @@ exact-arithmetic post-condition of a kernel raise, or the classifier
 disagreeing with the enumeration oracle in `selftest`.  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
 MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
-workers (`--jobs`) than CPUs, any of these three below 1, a
-`convert chain` input with an integer of more than MAX_DIGITS digits,
-and a result of any subcommand whose printed text has such an integer
-are refused as usage errors, as is a number to be factored (such as
-gcd(m, n)) that keeps more than 2048 bits after trial division
-(`concordia.arith.factorint`).
+workers (`--jobs`) than CPUs, any of these three below 1, any flag
+with an integer of more than MAX_DIGITS digits, and a result of any
+subcommand whose printed text has such an integer are refused as usage
+errors, as is a number to be factored (such as gcd(m, n)) that keeps
+more than 2048 bits after trial division (`concordia.arith.factorint`).
 """
 
 from __future__ import annotations
@@ -47,15 +46,16 @@ MAX_BOUND = 10 ** 7
 # The whole selftest at p, q <= 60 (an oracle grid of 17,624 curves) takes
 # about 5 s (4.2-6.1 s over five runs) in one process on a 2-vCPU host.
 MAX_PMAX = 60
-# The largest number, in decimal digits, that the CLI prints or reads from
-# `convert chain`'s --x/--y, whatever the interpreter's int<->str limit
-# (sys.get_int_max_str_digits(), PYTHONINTMAXSTRDIGITS) is: `main` computes
-# and renders a result with that limit lifted, and refuses the text, before
-# printing anything, if it has a run of more than MAX_DIGITS digits, naming
-# the first.  The integer flags are parsed under the interpreter's limit.
-# A refusal pays for the conversion: best of 5 on a 2-vCPU host, `family
-# order36` with 4300-digit --a/--b (a 17197-digit result, 0.5 s of it the
-# torsion class) is refused in 0.7-0.9 s, `order4` and `order8` in 0.2 s.
+# The largest number, in decimal digits, that the CLI reads from a flag or
+# prints, whatever the interpreter's int<->str limit
+# (sys.get_int_max_str_digits(), PYTHONINTMAXSTRDIGITS) is: `main` parses
+# the flags, computes and renders a result with that limit lifted, and
+# refuses a flag or the text, before printing anything, if it has a run of
+# more than MAX_DIGITS digits, naming the first.  A refusal pays for the
+# conversion: best of 5 on a 2-vCPU host, `family order36` with 4300-digit
+# --a/--b (a 17197-digit result, 0.5 s of it the torsion class) is refused
+# in 0.7-0.9 s, `order4` and `order8` in 0.2 s; best of 3, `classify` with
+# a 4301-digit --m in 0.1 s and a 131000-digit one in 0.48 s.
 MAX_DIGITS = 4300
 
 
@@ -70,15 +70,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _capped(limit: int):
-    """Argument type: an integer from 1 to `limit`.  A digit string too
-    long for int() (over 4300 digits) is outside that range too."""
+    """Argument type: an integer from 1 to `limit`.  A digit string that
+    int() refuses as too long (outside `main`) is outside that range too."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             body = text.strip()
             sign = body[:1] if body[:1] in ("+", "-") else ""
-            if not body[len(sign):].isdigit():
+            if not body[len(sign):].isdecimal():
                 raise argparse.ArgumentTypeError(
                     f"invalid int value: {text!r}") from None
             value = 0 if sign == "-" else limit + 1
@@ -100,13 +100,10 @@ def _check_digits(what: str, text: str) -> None:
 
 
 def _parse_rational(flag: str, text: str):
-    """Fraction(text), or DigitLimitError if an integer written in it
-    has more than MAX_DIGITS digits, or a decimal exponent would make
-    one (Fraction expands "1e999999999" in full), or ValueError for a
-    zero denominator."""
-    plain = text.replace("_", "")
-    _check_digits(flag, plain)
-    exponent = re.search(r"[eE][+-]?(\d+)", plain)
+    """Fraction(text), or DigitLimitError if a decimal exponent would make
+    an integer of more than MAX_DIGITS digits (Fraction expands
+    "1e999999999" in full), or ValueError for a zero denominator."""
+    exponent = re.search(r"[eE][+-]?(\d+)", text.replace("_", ""))
     if exponent and int(exponent[1]) >= MAX_DIGITS:
         raise DigitLimitError(f"{flag} has a decimal exponent of "
                               f"{exponent[1]}; the limit is {MAX_DIGITS} "
@@ -338,10 +335,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # MAX_DIGITS is the limit from here on
     try:
+        args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, (int, str)):
+                _check_digits(f"--{name}", str(value).replace("_", ""))
         payload, lines, code = args.func(args)
         text = (json.dumps(payload, indent=2, sort_keys=True)
                 if args.format == "json" else "\n".join(lines))

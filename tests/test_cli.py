@@ -164,6 +164,11 @@ def test_bound_over_limit_is_refused_at_once(argv, bound, monkeypatch,
         main(argv + ["--bound", bound])
     assert exc.value.code == 1
     assert "--bound: must be at most 10000000" in capsys.readouterr().err
+    # int() refuses "²", though "²".isdigit() holds.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bound=²"])
+    assert exc.value.code == 1
+    assert "--bound: invalid int value: '²'" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_quietly():
@@ -273,6 +278,10 @@ def test_selftest_caps_are_refused_by_the_parser(flag, limit, capsys):
             parser.parse_args(["selftest", flag, value])
         assert exc.value.code == 1
         assert f"{flag}: must be at least 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["selftest", f"{flag}=¹²"])
+    assert exc.value.code == 1
+    assert f"{flag}: invalid int value: '¹²'" in capsys.readouterr().err
 
 
 def test_chain_over_digit_limit_is_refused(capsys):
@@ -348,17 +357,17 @@ def test_digit_guard_sees_a_points_denominators():
 def test_output_does_not_depend_on_the_interpreters_limit(capsys):
     # The two golden 20P chains print integers of 660 and (the text, with
     # the squares) 1320 digits, and the order-4 points of E(-u^2, v^2-u^2)
-    # here have 901: all past 640, the interpreter's minimum limit.  No
-    # input integer is (--m has 601 digits), since the integer flags are
-    # parsed under the interpreter's limit.
+    # here have 1201, from an 801-digit --m: all past 640, the
+    # interpreter's minimum limit.  A --m of MAX_DIGITS digits is accepted.
     c = Curve(-5, 5)
     P = c.multiply(c.point(Fraction(-5, 9), Fraction(100, 27)), 20)
-    u, v = 10 ** 300 + 7, 10 ** 300 + 9
+    u, v = 10 ** 400 + 7, 10 ** 400 + 9
     chain = ["convert", "chain", "--m", "-5", "--n", "5", f"--x={P.x}",
              f"--y={P.y}"]
     for argv in ([*chain, "--r", "0", "--s", "1"],
                  ["--format", "text", *chain],
-                 ["classify", "--m", str(-u * u), "--n", str(v * v - u * u)]):
+                 ["classify", "--m", str(-u * u), "--n", str(v * v - u * u)],
+                 ["classify", "--m", str(-10 ** 4299), "--n", "3"]):
         expected = run(capsys, *argv)
         assert expected[0] == 0
         with int_str_limit(640):
@@ -367,8 +376,8 @@ def test_output_does_not_depend_on_the_interpreters_limit(capsys):
 
 
 def test_main_restores_the_interpreters_limit(monkeypatch, capsys):
-    # 5000 is neither the default nor main's lifted value, and it still
-    # lets the 4300-digit --u/--v be parsed.
+    # 5000 is neither the default nor main's lifted value; main parses the
+    # 4300-digit --u/--v with the limit lifted, whatever it is.
     order4 = ["family", "order4", "--u", str(10 ** 4299),
               "--v", str(10 ** 4299 + 1)]
     with int_str_limit(5000):
@@ -381,6 +390,48 @@ def test_main_restores_the_interpreters_limit(monkeypatch, capsys):
         assert main(["classify", "--m", "-1", "--n", "3"]) == 3
         assert sys.get_int_max_str_digits() == 5000
     capsys.readouterr()
+
+
+OVER = "9" * 4301
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["classify", f"--m=-{OVER}", "--n", "3"], "--m"),
+    (["search", "--m", "-5", "--n", OVER, "--bound", "10"], "--n"),
+    (["family", "order4", "--u", "1", "--v", "1_" * 4300 + "1"], "--v"),
+    (["verify", "concordant", "--m", "1", "--n", "4", "--x", OVER, "--y",
+      "1", "--z", "1", "--w", "2"], "--x"),
+    (["convert", "chain", "--m", "-5", "--n", "5", "--x", "-4", "--y", "6",
+      "--r", "0", "--s", OVER], "--s"),
+])
+def test_every_flag_over_digit_limit_is_refused(argv, flag, capsys):
+    # Refused after parsing, without echoing the digits, at the default
+    # limit, the minimum and none.
+    for digits in (4300, 640, 0):
+        with int_str_limit(digits):
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {flag} has a 4301-digit integer; the limit "
+                       f"is 4300 digits\n")
+
+
+def test_a_refused_flag_is_not_echoed(capsys):
+    # 131000 digits is near the longest argument Linux passes, 131072 bytes.
+    assert main(["classify", "--m", "-" + "9" * 131000, "--n", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: --m has a 131000-digit "
+                                       "integer; the limit is 4300 digits\n")
+
+
+def test_a_parser_error_restores_the_interpreters_limit(capsys):
+    # The 801-digit --m parses at any limit; --n names the error.
+    with int_str_limit(640):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--m", "9" * 801, "--n", "abc"])
+        assert sys.get_int_max_str_digits() == 640
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --n: invalid int value: 'abc'\n")
 
 
 def test_parse_rational_refuses_a_zero_denominator():
