@@ -7,9 +7,10 @@ exact-arithmetic post-condition of a kernel raise, or the classifier
 disagreeing with the enumeration oracle in `selftest`.  All numbers
 cross the boundary as exact strings.  A search bound (`--bound`) above
 MAX_BOUND, a selftest grid (`--pmax`) above MAX_PMAX, more selftest
-workers (`--jobs`) than CPUs, any of these three below 1, any flag
-with an integer of more than MAX_DIGITS digits, and a result of any
-subcommand whose printed text has such an integer are refused as usage
+workers (`--jobs`) than CPUs, any of these three below 1, a flag whose
+text has a run of more than MAX_DIGITS digits or a decimal exponent of
+MAX_DIGITS or more (checked before the text is converted), and a result
+of any subcommand whose printed text has such a run are refused as usage
 errors, as is a number to be factored (such as gcd(m, n)) that keeps
 more than 2048 bits after trial division (`concordia.arith.factorint`).
 """
@@ -49,45 +50,24 @@ MAX_PMAX = 60
 # The largest number, in decimal digits, that the CLI reads from a flag or
 # prints, whatever the interpreter's int<->str limit
 # (sys.get_int_max_str_digits(), PYTHONINTMAXSTRDIGITS) is: `main` parses
-# the flags, computes and renders a result with that limit lifted, and
-# refuses a flag or the text, before printing anything, if it has a run of
-# more than MAX_DIGITS digits, naming the first.  A refusal pays for the
-# conversion: best of 5 on a 2-vCPU host, `family order36` with 4300-digit
-# --a/--b (a 17197-digit result, 0.5 s of it the torsion class) is refused
-# in 0.7-0.9 s, `order4` and `order8` in 0.2 s; best of 3, `classify` with
-# a 4301-digit --m in 0.1 s and a 131000-digit one in 0.48 s.
+# the flags (each text checked before it is converted), computes and
+# renders a result with that limit lifted, and refuses the text, before
+# printing anything, if it has a run of more than MAX_DIGITS digits.  Best
+# of 5 on a 2-vCPU host: a flag is refused unconverted, `classify` with a
+# 131000-digit --m in 0.09 s (a valid one takes 0.08 s); a result pays for
+# its conversion, `family order36` with 4300-digit --a/--b (a 17197-digit
+# result, 0.5 s of it the torsion class) in 0.7-0.9 s, `order4/8` 0.2 s.
 MAX_DIGITS = 4300
 
 
-class DigitLimitError(ValueError):
-    """A number with more than MAX_DIGITS decimal digits."""
+class DigitLimitError(ValueError, argparse.ArgumentTypeError):
+    """A number of more than MAX_DIGITS digits; argparse names the flag."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _capped(limit: int):
-    """Argument type: an integer from 1 to `limit`.  A digit string that
-    int() refuses as too long (outside `main`) is outside that range too."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            body = text.strip()
-            sign = body[:1] if body[:1] in ("+", "-") else ""
-            if not body[len(sign):].isdecimal():
-                raise argparse.ArgumentTypeError(
-                    f"invalid int value: {text!r}") from None
-            value = 0 if sign == "-" else limit + 1
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be at least 1")
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}")
-        return value
-    return parse
 
 
 def _check_digits(what: str, text: str) -> None:
@@ -99,19 +79,36 @@ def _check_digits(what: str, text: str) -> None:
                                   f"the limit is {MAX_DIGITS} digits")
 
 
-def _parse_rational(flag: str, text: str):
-    """Fraction(text), or DigitLimitError if a decimal exponent would make
-    an integer of more than MAX_DIGITS digits (Fraction expands
-    "1e999999999" in full), or ValueError for a zero denominator."""
-    exponent = re.search(r"[eE][+-]?(\d+)", text.replace("_", ""))
-    if exponent and int(exponent[1]) >= MAX_DIGITS:
-        raise DigitLimitError(f"{flag} has a decimal exponent of "
-                              f"{exponent[1]}; the limit is {MAX_DIGITS} "
-                              f"digits")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{flag} has a zero denominator") from None
+def _number(kind=int, cap=None):
+    """Argument type: the flag's text as a `kind` (int or Fraction), from 1
+    to `cap` if one is given.  The text is checked before it is converted:
+    with underscores dropped, a run of more than MAX_DIGITS digits or a
+    decimal exponent of MAX_DIGITS or more (Fraction would expand
+    "1e999999999" in full) is refused.  A text that does not convert is
+    echoed as at most 32 characters of its repr, of at most 4 bytes each."""
+    def parse(text: str):
+        body = text.replace("_", "")
+        _check_digits("the value", body)
+        # int() sees at most 4 digits, so it needs no lifted limit.
+        exponent = re.search(r"[eE][+-]?0*(\d+)", body)
+        if exponent and (len(exponent[1]) > len(str(MAX_DIGITS))
+                         or int(exponent[1]) >= MAX_DIGITS):
+            raise DigitLimitError(f"the value's decimal exponent gives more "
+                                  f"than {MAX_DIGITS} digits")
+        try:
+            value = kind(text)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(
+                "the value has a zero denominator") from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {repr(text)[:32]}") from None
+        if cap is not None and value < 1:
+            raise argparse.ArgumentTypeError("must be at least 1")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}")
+        return value
+    return parse
 
 
 def _emit(text: str) -> None:
@@ -198,8 +195,7 @@ def _cmd_chain(args):
     if (args.r is None) != (args.s is None):
         raise ValueError("--r and --s must be given together")
     c = Curve(args.m, args.n)
-    P = c.point(_parse_rational("--x", args.x),
-                _parse_rational("--y", args.y))
+    P = c.point(args.x, args.y)
     angle = None if args.r is None else (args.r, args.s)
     S, ap, tri = point_chain(c, P, angle)
     if angle is not None and ap is None:
@@ -287,11 +283,11 @@ def _leaf(sub, name, func, required="", optional="", extra=(), **kw):
     between the two; `kw` (help=) goes to add_parser."""
     p = sub.add_parser(name, **kw)
     for word in required.split():
-        p.add_argument(f"--{word}", type=int, required=True)
+        p.add_argument(f"--{word}", type=_number(), required=True)
     for flag, spec in extra:
         p.add_argument(flag, **spec)
     for word in optional.split():
-        p.add_argument(f"--{word}", type=int)
+        p.add_argument(f"--{word}", type=_number())
     p.set_defaults(func=func)
 
 
@@ -301,7 +297,7 @@ def build_parser() -> _Parser:
                                  "and torsion on E(m,n), in exact arithmetic")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-    bound = ("--bound", {"type": _capped(MAX_BOUND)})
+    bound = ("--bound", {"type": _number(cap=MAX_BOUND)})
 
     _leaf(sub, "classify", _cmd_classify, optional="m n p q k",
           help="torsion class and full torsion list")
@@ -314,12 +310,14 @@ def build_parser() -> _Parser:
     _leaf(conv, "to-concordant", _cmd_to_concordant, "r s k")
     _leaf(conv, "to-congruent", _cmd_to_congruent, "p q k")
     _leaf(conv, "chain", _cmd_chain, "m n", "r s",
-          extra=[("--x", {"required": True}), ("--y", {"required": True})])
+          extra=[("--x", {"type": _number(Fraction), "required": True}),
+                 ("--y", {"type": _number(Fraction), "required": True})])
     p = sub.add_parser("verify", help="check a concordant-form solution")
     verify = p.add_subparsers(dest="target", required=True)
     _leaf(verify, "concordant", _cmd_verify, "m n x y z w")
     _leaf(sub, "search", _cmd_search, "m n",
-          extra=[("--bound", {"type": _capped(MAX_BOUND), "required": True})],
+          extra=[("--bound", {"type": _number(cap=MAX_BOUND),
+                              "required": True})],
           help="height-bounded point search")
     p = sub.add_parser("family", help="torsion-solution family generators")
     family = p.add_subparsers(dest="family", required=True)
@@ -327,9 +325,9 @@ def build_parser() -> _Parser:
     _leaf(family, "order8", _cmd_order8, "xi eta zeta")
     _leaf(family, "order36", _cmd_order36, "a b")
     _leaf(sub, "selftest", _cmd_selftest, help="run the invariant suites",
-          extra=[("--pmax", {"type": _capped(MAX_PMAX), "default": 6,
+          extra=[("--pmax", {"type": _number(cap=MAX_PMAX), "default": 6,
                              "help": "oracle-equivalence grid p, q <= PMAX"}),
-                 ("--jobs", {"type": _capped(os.cpu_count() or 1),
+                 ("--jobs", {"type": _number(cap=os.cpu_count() or 1),
                              "default": 1})])
     return parser
 
@@ -339,9 +337,6 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # MAX_DIGITS is the limit from here on
     try:
         args = build_parser().parse_args(argv)
-        for name, value in vars(args).items():
-            if isinstance(value, (int, str)):
-                _check_digits(f"--{name}", str(value).replace("_", ""))
         payload, lines, code = args.func(args)
         text = (json.dumps(payload, indent=2, sort_keys=True)
                 if args.format == "json" else "\n".join(lines))

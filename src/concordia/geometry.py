@@ -134,7 +134,8 @@ def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
     a >= b since alpha >= 0, and the area coefficient ab/(2s) is
     ((p+q)*step)/(2s), because ab = gamma^2 - alpha^2 = (p+q)*step.  So
     b > 0, and alpha < beta < gamma gives the triangle inequalities: a
-    valid progression never yields a degenerate triangle.
+    valid progression never yields a degenerate triangle: past the checks
+    below, a ValueError from `Triangle` is an internal fault.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -147,7 +148,10 @@ def ap_to_triangle(t: APTriple, r: int, s: int) -> Triangle:
     gaps = congruent_to_concordant(CongruentTriple(r, s, int(k)))
     if (gaps.p, gaps.q, gaps.k) != (t.p, t.q, t.step):
         raise ValueError("progression gaps do not match the angle (r, s)")
-    return Triangle(a=a, b=b, c=c, r=r, s=s)
+    try:
+        return Triangle(a=a, b=b, c=c, r=r, s=s)
+    except ValueError as exc:
+        raise ArithmeticError(f"progression gave no triangle: {exc}") from exc
 
 
 def triangle_to_ap(T: Triangle) -> APTriple:

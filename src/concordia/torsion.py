@@ -109,7 +109,7 @@ def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
 
 def _detect_order4(m: int, n: int) -> Optional[tuple]:
     u = isqrt_exact(-m)
-    if u is None or u == 0:
+    if u is None:
         return None
     v = isqrt_exact(n - m)
     if v is None:

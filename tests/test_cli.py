@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from concordia.cli import (DigitLimitError, _check_digits, _parse_rational,
-                           build_parser, main)
+from concordia.cli import DigitLimitError, _check_digits, build_parser, main
 from concordia.curves import Curve, Point
+from concordia.geometry import DegenerateTriangleError, Triangle
 from concordia.serialize import point_json
 from concordia.torsion import classify_torsion
 
@@ -29,6 +30,25 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or the parser exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_refused(capsys, argv, flag, reason):
+    """The parser's refusal of `flag` in `argv`: nothing on stdout, a usage
+    line, then exactly the line that names the flag and the reason."""
+    prog = " ".join(["concordia", *itertools.takewhile(
+        lambda word: not word.startswith("-"), argv)])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert err.endswith(f"\n{prog}: error: argument {flag}: {reason}\n")
 
 
 def test_classify_json(capsys):
@@ -150,9 +170,14 @@ def test_search_is_repeatable_and_writes_no_file(tmp_path):
     ["solve", "concordant", "--p", "1", "--q", "1", "--k", "1"],
     ["solve", "theta", "--r", "0", "--s", "1", "--k", "5"],
 ])
-@pytest.mark.parametrize("bound", [str(10 ** 7 + 1), "1" + "0" * 5000])
-def test_bound_over_limit_is_refused_at_once(argv, bound, monkeypatch,
-                                             capsys):
+@pytest.mark.parametrize("bound,reason", [
+    (str(10 ** 7 + 1), "must be at most 10000000"),
+    # The digit rule comes before the conversion and the cap.
+    ("1" + "0" * 5000, "the value has a 5001-digit integer; the limit is "
+                       "4300 digits"),
+], ids=["cap", "digits"])
+def test_bound_over_limit_is_refused_at_once(argv, bound, reason,
+                                             monkeypatch, capsys):
     # Refused at the parser: the search and the solvers are never reached.
     def unreachable(*args):
         raise AssertionError("a refused bound reached the search")
@@ -163,7 +188,7 @@ def test_bound_over_limit_is_refused_at_once(argv, bound, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--bound", bound])
     assert exc.value.code == 1
-    assert "--bound: must be at most 10000000" in capsys.readouterr().err
+    assert_refused(capsys, argv, "--bound", reason)
     # int() refuses "²", though "²".isdigit() holds.
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--bound=²"])
@@ -268,16 +293,15 @@ def test_selftest_caps_are_refused_by_the_parser(flag, limit, capsys):
     parser = build_parser()
     args = parser.parse_args(["selftest", flag, str(limit)])
     assert getattr(args, flag[2:]) == limit
-    for value in (str(limit + 1), "9" * 5000):
+    digits = "the value has a 5000-digit integer; the limit is 4300 digits"
+    for value, reason in ((str(limit + 1), f"must be at most {limit}"),
+                          ("9" * 5000, digits), ("0", "must be at least 1"),
+                          ("-5", "must be at least 1"),
+                          ("-" + "9" * 5000, digits)):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["selftest", flag, value])
         assert exc.value.code == 1
-        assert f"{flag}: must be at most {limit}" in capsys.readouterr().err
-    for value in ("0", "-5", "-" + "9" * 5000):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["selftest", flag, value])
-        assert exc.value.code == 1
-        assert f"{flag}: must be at least 1" in capsys.readouterr().err
+        assert_refused(capsys, ["selftest"], flag, reason)
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["selftest", f"{flag}=¹²"])
     assert exc.value.code == 1
@@ -297,20 +321,18 @@ def test_chain_over_digit_limit_is_refused(capsys):
         assert err == ("error: the result has a 4462-digit integer; "
                        "the limit is 4300 digits\n")
     for x in ("1/1" + "0" * 4300, "1_" * 4300 + "1"):
-        assert main(["convert", "chain", "--m", "-5", "--n", "5",
-                     "--x", x, "--y", "1"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: --x has a 4301-digit integer; the limit is " \
-                      "4300 digits\n"
+        assert exit_code(["convert", "chain", "--m", "-5", "--n", "5",
+                          "--x", x, "--y", "1"]) == 1
+        assert_refused(capsys, ["convert", "chain"], "--x",
+                       "the value has a 4301-digit integer; the limit is "
+                       "4300 digits")
     # Fraction would expand the exponent into a 2000001-digit integer first.
-    for y, exponent in (("1e2000000", "2000000"), ("1E-4300", "4300")):
-        assert main(["convert", "chain", "--m", "-5", "--n", "5",
-                     "--x", "1", "--y", y]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: --y has a decimal exponent of {exponent}; " \
-                      "the limit is 4300 digits\n"
+    for y in ("1e2000000", "1E-4300", "1e0_4_3_0_0", "1e" + "9" * 4300):
+        assert exit_code(["convert", "chain", "--m", "-5", "--n", "5",
+                          "--x", "1", "--y", y]) == 1
+        assert_refused(capsys, ["convert", "chain"], "--y",
+                       "the value's decimal exponent gives more than 4300 "
+                       "digits")
 
 
 def test_every_result_over_digit_limit_is_refused(capsys):
@@ -405,22 +427,47 @@ OVER = "9" * 4301
       "--r", "0", "--s", OVER], "--s"),
 ])
 def test_every_flag_over_digit_limit_is_refused(argv, flag, capsys):
-    # Refused after parsing, without echoing the digits, at the default
+    # Refused by the parser, without echoing the digits, at the default
     # limit, the minimum and none.
     for digits in (4300, 640, 0):
         with int_str_limit(digits):
-            assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"error: {flag} has a 4301-digit integer; the limit "
-                       f"is 4300 digits\n")
+            assert exit_code(argv) == 1
+        assert_refused(capsys, argv, flag, "the value has a 4301-digit "
+                                           "integer; the limit is 4300 digits")
 
 
 def test_a_refused_flag_is_not_echoed(capsys):
     # 131000 digits is near the longest argument Linux passes, 131072 bytes.
-    assert main(["classify", "--m", "-" + "9" * 131000, "--n", "3"]) == 1
-    assert capsys.readouterr() == ("", "error: --m has a 131000-digit "
-                                       "integer; the limit is 4300 digits\n")
+    assert exit_code(["classify", "--m", "-" + "9" * 131000, "--n", "3"]) == 1
+    assert_refused(capsys, ["classify"], "--m", "the value has a "
+                   "131000-digit integer; the limit is 4300 digits")
+
+
+@pytest.mark.parametrize("value", ["x" + "9" * 130999, "9x" * 65500],
+                         ids=["digit-run", "no-number"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "3", "--m"],
+    ["search", "--m", "-5", "--n", "5", "--bound"],
+    ["convert", "chain", "--m", "-5", "--n", "5", "--y", "1", "--x"],
+], ids=lambda argv: argv[-1])
+def test_a_long_non_number_is_refused_in_a_few_bytes(argv, value, capsys):
+    # One long digit run, refused by the digit rule, or none, refused by
+    # the conversion, which echoes 32 characters of the value's repr.
+    assert exit_code(argv + [value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 300
+
+
+def test_the_parser_alone_checks_digits_before_converting(capsys):
+    # int() outside main's lifted window would refuse the 4301 digits
+    # itself, and argparse would echo them.
+    with int_str_limit(640):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["classify", "--m", OVER, "--n", "3"])
+    assert exc.value.code == 1
+    assert_refused(capsys, ["classify"], "--m", "the value has a "
+                   "4301-digit integer; the limit is 4300 digits")
 
 
 def test_a_parser_error_restores_the_interpreters_limit(capsys):
@@ -434,23 +481,33 @@ def test_a_parser_error_restores_the_interpreters_limit(capsys):
         "error: argument --n: invalid int value: 'abc'\n")
 
 
-def test_parse_rational_refuses_a_zero_denominator():
-    with pytest.raises(ValueError, match="--y has a zero denominator"):
-        _parse_rational("--y", " 0/0 ")
+def test_the_parser_refuses_a_zero_denominator(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["convert", "chain", "--m", "-5", "--n",
+                                   "5", "--x", "1", "--y", " 0/0 "])
+    assert exc.value.code == 1
+    assert_refused(capsys, ["convert", "chain"], "--y",
+                   "the value has a zero denominator")
 
 
 @pytest.mark.parametrize("extra,err", [
-    (["--x", "1/0", "--y", "1"], "--x has a zero denominator"),
-    (["--x", "-4", "--y", "6", "--r", "0", "--s", "0"], "s must be positive"),
+    (["--x", "1/0", "--y", "1"],
+     "usage: concordia convert chain [-h] --m M --n N --x X --y Y [--r R] "
+     "[--s S]\nconcordia convert chain: error: argument --x: the value has "
+     "a zero denominator"),
+    (["--x", "-4", "--y", "6", "--r", "0", "--s", "0"],
+     "error: s must be positive"),
     (["--x", "-4", "--y", "6", "--r", "0"],
-     "--r and --s must be given together"),
+     "error: --r and --s must be given together"),
     (["--x", "-4", "--y", "6", "--s", "1"],
-     "--r and --s must be given together"),
+     "error: --r and --s must be given together"),
 ])
 def test_chain_bad_input_is_a_usage_error(extra, err):
-    proc = cli("convert", "chain", "--m", "-5", "--n", "5", *extra)
+    # argparse wraps the usage line at $COLUMNS, so pin it.
+    proc = cli("convert", "chain", "--m", "-5", "--n", "5", *extra,
+               COLUMNS="80")
     assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr.decode() == f"error: {err}\n"  # and no traceback
+    assert proc.stderr.decode() == f"{err}\n"  # and no traceback
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -526,6 +583,20 @@ def test_zero_division_is_an_internal_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (out, err) == ("", "internal error: integer division or modulo "
                               "by zero\n")
+
+
+def test_a_chain_that_gives_no_triangle_exits_3(monkeypatch, capsys):
+    # ap_to_triangle's checks pass on a valid point and angle, so a
+    # Triangle refused after them is an internal fault, not a usage error.
+    def degenerate(self):
+        raise DegenerateTriangleError("triangle inequality violated")
+
+    monkeypatch.setattr(Triangle, "__post_init__", degenerate)
+    assert main(["convert", "chain", "--m", "-5", "--n", "5", "--x", "-4",
+                 "--y", "6", "--r", "0", "--s", "1"]) == 3
+    assert capsys.readouterr() == ("", "internal error: progression gave "
+                                       "no triangle: triangle inequality "
+                                       "violated\n")
 
 
 def test_order36_invariant_break_exits_3(monkeypatch, capsys):

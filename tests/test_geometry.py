@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concordia.curves import Curve
-from concordia.geometry import (APTriple, Triangle, ap_to_quadric,
-                                ap_to_triangle, isosceles_triangle,
-                                quadric_to_ap, triangle_to_ap)
+from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
+                                ap_to_quadric, ap_to_triangle,
+                                isosceles_triangle, quadric_to_ap,
+                                triangle_to_ap)
 from concordia.quadrics import QuadricPoint
 from concordia.sweeps import family_grid
 from concordia.triples import (ConcordantTriple, CongruentTriple,
@@ -182,6 +183,18 @@ def test_ap_to_triangle_rejects_wrong_angle():
                   gamma=Fraction(7, 2), step=6, p=1, q=1)
     with pytest.raises(ValueError):
         ap_to_triangle(ap, 1, 2)  # gaps of (1,2) are (1,3), not (1,1)
+
+
+def test_ap_to_triangle_refused_past_its_checks_is_an_internal_fault(
+        monkeypatch):
+    def degenerate(self):
+        raise DegenerateTriangleError("sides must be positive")
+
+    monkeypatch.setattr(Triangle, "__post_init__", degenerate)
+    ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
+                  gamma=Fraction(7, 2), step=6, p=1, q=1)
+    with pytest.raises(ArithmeticError, match="sides must be positive"):
+        ap_to_triangle(ap, 0, 1)
 
 
 def test_isosceles_examples():
