@@ -171,11 +171,12 @@ def test_search_is_repeatable_and_writes_no_file(tmp_path):
     ["solve", "theta", "--r", "0", "--s", "1", "--k", "5"],
 ])
 @pytest.mark.parametrize("bound,reason", [
-    (str(10 ** 7 + 1), "must be at most 10000000"),
+    pytest.param(str(10 ** 7 + 1), "must be at most 10000000",
+                 id=str(10 ** 7 + 1)),
     # The digit rule comes before the conversion and the cap.
-    ("1" + "0" * 5000, "the value has a 5001-digit integer; the limit is "
-                       "4300 digits"),
-], ids=["cap", "digits"])
+    pytest.param("1" + "0" * 5000, "the value has a 5001-digit integer; the "
+                 "limit is 4300 digits", id="1" + "0" * 5000),
+])
 def test_bound_over_limit_is_refused_at_once(argv, bound, reason,
                                              monkeypatch, capsys):
     # Refused at the parser: the search and the solvers are never reached.
@@ -491,16 +492,19 @@ def test_the_parser_refuses_a_zero_denominator(capsys):
 
 
 @pytest.mark.parametrize("extra,err", [
-    (["--x", "1/0", "--y", "1"],
-     "usage: concordia convert chain [-h] --m M --n N --x X --y Y [--r R] "
-     "[--s S]\nconcordia convert chain: error: argument --x: the value has "
-     "a zero denominator"),
-    (["--x", "-4", "--y", "6", "--r", "0", "--s", "0"],
-     "error: s must be positive"),
-    (["--x", "-4", "--y", "6", "--r", "0"],
-     "error: --r and --s must be given together"),
-    (["--x", "-4", "--y", "6", "--s", "1"],
-     "error: --r and --s must be given together"),
+    pytest.param(
+        ["--x", "1/0", "--y", "1"],
+        "usage: concordia convert chain [-h] --m M --n N --x X --y Y [--r R] "
+        "[--s S]\nconcordia convert chain: error: argument --x: the value "
+        "has a zero denominator", id="extra0---x has a zero denominator"),
+    pytest.param(["--x", "-4", "--y", "6", "--r", "0", "--s", "0"],
+                 "error: s must be positive", id="extra1-s must be positive"),
+    pytest.param(["--x", "-4", "--y", "6", "--r", "0"],
+                 "error: --r and --s must be given together",
+                 id="extra2---r and --s must be given together"),
+    pytest.param(["--x", "-4", "--y", "6", "--s", "1"],
+                 "error: --r and --s must be given together",
+                 id="extra3---r and --s must be given together"),
 ])
 def test_chain_bad_input_is_a_usage_error(extra, err):
     # argparse wraps the usage line at $COLUMNS, so pin it.
