@@ -29,7 +29,7 @@ from .problems import (four_torsion_counterexamples, gen_order4_family,
                        gen_order8_family, gen_order36_family, point_chain,
                        solve_concordant, solve_theta_congruent,
                        verify_concordant_solution)
-from .serialize import frac_str, point_json
+from .serialize import point_json
 from .sweeps import family_sweep, oracle_equivalence_sweep
 from .torsion import torsion_subgroup
 from .triples import (ConcordantTriple, CongruentTriple,
@@ -66,6 +66,8 @@ class DigitLimitError(ValueError, argparse.ArgumentTypeError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse echoes a refused value in full: cut its long runs.
+        message = re.sub(r"(\S{32})\S+", r"\1...", message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -135,60 +137,72 @@ def _curve_from_args(args) -> Curve:
     return ConcordantTriple(args.p, args.q, args.k).curve()
 
 
-# Each handler returns (JSON payload, text lines, exit code).  `main`
-# renders the chosen format, checks it against MAX_DIGITS and prints it.
-# The `solve` and `family` leaves share `_report` and `_family`, which
-# build all three.
+def _has_dict(value) -> bool:
+    """Whether a dict lies below `value`'s own level."""
+    items = (value.values() if isinstance(value, dict)
+             else value if isinstance(value, list) else ())
+    return any(isinstance(item, dict) or _has_dict(item) for item in items)
+
+
+def _inline(value) -> str:
+    """`value`, with no dict below it, on one line: a list as (a, b, ...),
+    a dict as k=v k=v, a string bare unless it has a space, else JSON."""
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_inline(value[k])}" for k in sorted(value))
+    if isinstance(value, list):
+        return "(" + ", ".join(map(_inline, value)) + ")"
+    if isinstance(value, str) and " " not in value:
+        return value
+    return json.dumps(value)
+
+
+def render_text(value, indent=""):
+    """`--format text`: the lines of a JSON document, a dict as sorted
+    `key: value` lines, a list as `- item` lines.  An entry with a dict
+    below it goes on the lines below, two spaces in; any other, inline."""
+    if isinstance(value, dict):
+        entries = [(f"{key}:", value[key]) for key in sorted(value)]
+    else:
+        entries = [("-", item) for item in value]
+    for head, item in entries:
+        if _has_dict(item):
+            yield indent + head
+            yield from render_text(item, indent + "  ")
+        else:
+            yield f"{indent}{head} {_inline(item)}"
+
+
+# Each handler returns (JSON payload, exit code).  `main` renders the
+# payload in the chosen format, checks it against MAX_DIGITS and prints it.
 def _cmd_classify(args):
     c = _curve_from_args(args)
     cls, pts = torsion_subgroup(c)
-    ordered = sorted(pts, key=point_sort_key)
     payload = {
         "curve": c.to_json(),
         "torsion": cls.to_json(),
-        "points": [point_json(P) for P in ordered],
+        "points": [point_json(P) for P in sorted(pts, key=point_sort_key)],
     }
-    lines = [f"E({c.m},{c.n}): torsion {cls.tag}",
-             f"certificate: {cls.to_json()}",
-             "points: " + ", ".join(map(str, ordered))]
-    return payload, lines, EXIT_OK
-
-
-def _report(report):
-    lines = [f"{report.problem} {report.triple} on "
-             f"E({report.curve.m},{report.curve.n}): "
-             f"{len(report.solutions)} solution(s), torsion "
-             f"{report.torsion_class.tag}"]
-    for entry in report.solutions:
-        lines.append(f"  {entry.point} -> {entry.quadric.coords()} "
-                     f"[{entry.provenance}]")
-    for tri, pts in report.triangles():
-        lines.append("  triangle "
-                     + "/".join(frac_str(v) for v in tri.sides())
-                     + f" from {len(pts)} point(s)")
-    return report.to_json(), lines, EXIT_OK
+    return payload, EXIT_OK
 
 
 def _cmd_solve_concordant(args):
-    return _report(solve_concordant(ConcordantTriple(args.p, args.q, args.k),
-                                    args.bound))
+    t = ConcordantTriple(args.p, args.q, args.k)
+    return solve_concordant(t, args.bound).to_json(), EXIT_OK
 
 
 def _cmd_solve_theta(args):
-    return _report(solve_theta_congruent(
-        CongruentTriple(args.r, args.s, args.k), args.bound))
+    t = CongruentTriple(args.r, args.s, args.k)
+    return solve_theta_congruent(t, args.bound).to_json(), EXIT_OK
 
 
 def _cmd_to_concordant(args):
     t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
-    return ({"concordant": t.to_json()}, [f"(p,q,k) = ({t.p},{t.q},{t.k})"],
-            EXIT_OK)
+    return {"concordant": t.to_json()}, EXIT_OK
 
 
 def _cmd_to_congruent(args):
     t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
-    return ({"congruent": t.to_json()}, [f"(r,s,k) = ({t.r},{t.s},{t.k})"],
-            EXIT_OK)
+    return {"congruent": t.to_json()}, EXIT_OK
 
 
 def _cmd_chain(args):
@@ -203,15 +217,11 @@ def _cmd_chain(args):
             "there is none unless m < 0 < n" if not c.m < 0 < c.n
             else "the point's quadric image is trivial"))
     payload = {"point": point_json(P), "quadric": S.to_json()}
-    lines = [f"point {P}", f"quadric {S.coords()}"]
     if ap is not None:
         payload["ap"] = ap.to_json()
-        lines.append(f"squares {tuple(map(frac_str, ap.squares()))} "
-                     f"step {ap.step} gaps ({ap.p},{ap.q})")
     if tri is not None:
         payload["triangle"] = tri.to_json()
-        lines.append(f"triangle {tuple(map(frac_str, tri.sides()))}")
-    return payload, lines, EXIT_OK
+    return payload, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -220,60 +230,37 @@ def _cmd_verify(args):
     payload = {"verdict": verdict,
                "solution": [args.x, args.y, args.z, args.w],
                "curve": Curve(args.m, args.n).to_json()}
-    return (payload, [verdict],
-            EXIT_OK if verdict != "invalid" else EXIT_VERIFY)
+    return payload, EXIT_OK if verdict != "invalid" else EXIT_VERIFY
 
 
 def _cmd_search(args):
     c = Curve(args.m, args.n)
-    rows = []
-    for P in sorted(c.search(args.bound), key=point_sort_key):
-        order = c.order_of(P)
-        rows.append({"point": point_json(P),
-                     "order": order if order is not None else "infinite",
-                     "is_double": c.is_double(P)})
-    payload = {"curve": c.to_json(), "bound": args.bound, "points": rows}
-    lines = [f"E({c.m},{c.n}), height bound {args.bound}: "
-             f"{len(rows)} point(s)"]
-    for row in rows:
-        lines.append(f"  {row['point']} order={row['order']} "
-                     f"double={row['is_double']}")
-    return payload, lines, EXIT_OK
-
-
-def _family(rec):
-    lines = [f"{rec.family}{rec.params}: E({rec.m},{rec.n}) "
-             f"torsion {rec.torsion_tag}",
-             f"concordant (p,q,k) = "
-             f"({rec.concordant.p},{rec.concordant.q},{rec.concordant.k})",
-             f"congruent (r,s,k) = "
-             f"({rec.congruent.r},{rec.congruent.s},{rec.congruent.k}) "
-             f"on E{rec.congruent_curve} [{rec.parity_case}]"]
-    return rec.to_json(), lines, EXIT_OK
+    # order_of gives None for a point of infinite order, never 0.
+    rows = [{"point": point_json(P), "order": c.order_of(P) or "infinite",
+             "is_double": c.is_double(P)}
+            for P in sorted(c.search(args.bound), key=point_sort_key)]
+    return {"curve": c.to_json(), "bound": args.bound, "points": rows}, EXIT_OK
 
 
 def _cmd_order4(args):
-    return _family(gen_order4_family(args.u, args.v))
+    return gen_order4_family(args.u, args.v).to_json(), EXIT_OK
 
 
 def _cmd_order8(args):
-    return _family(gen_order8_family(args.xi, args.eta, args.zeta))
+    return gen_order8_family(args.xi, args.eta, args.zeta).to_json(), EXIT_OK
 
 
 def _cmd_order36(args):
-    return _family(gen_order36_family(args.a, args.b))
+    return gen_order36_family(args.a, args.b).to_json(), EXIT_OK
 
 
 def _cmd_selftest(args):
     failures = four_torsion_counterexamples() + family_sweep(limit=8)
     mismatches = oracle_equivalence_sweep(p_max=args.pmax, jobs=args.jobs)
     failures += mismatches
-    payload = {"failures": failures, "passed": not failures}
-    lines = [f"selftest: {'PASS' if not failures else 'FAIL'}"] + \
-        [f"  {line}" for line in failures]
     code = (EXIT_INTERNAL if mismatches
             else EXIT_OK if not failures else EXIT_VERIFY)
-    return payload, lines, code
+    return {"failures": failures, "passed": not failures}, code
 
 
 def _leaf(sub, name, func, required="", optional="", extra=(), **kw):
@@ -337,9 +324,9 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # MAX_DIGITS is the limit from here on
     try:
         args = build_parser().parse_args(argv)
-        payload, lines, code = args.func(args)
-        text = (json.dumps(payload, indent=2, sort_keys=True)
-                if args.format == "json" else "\n".join(lines))
+        payload, code = args.func(args)
+        text = ("\n".join(render_text(payload)) if args.format == "text"
+                else json.dumps(payload, indent=2, sort_keys=True))
         _check_digits("the result", text)
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -52,9 +52,6 @@ class APTriple:
                 or self.gamma.numerator ** 2 != b2 + self.q * self.step * d2):
             raise ValueError("upper gap mismatch")
 
-    def squares(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.alpha ** 2, self.beta ** 2, self.gamma ** 2)
-
     def to_json(self) -> dict:
         return {"alpha": frac_str(self.alpha), "beta": frac_str(self.beta),
                 "gamma": frac_str(self.gamma), "step": self.step,

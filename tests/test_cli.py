@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from concordia.cli import DigitLimitError, _check_digits, build_parser, main
+from concordia.cli import (DigitLimitError, _check_digits, build_parser, main,
+                           render_text)
 from concordia.curves import Curve, Point
 from concordia.geometry import DegenerateTriangleError, Triangle
 from concordia.serialize import point_json
@@ -128,8 +129,16 @@ def test_convert_roundtrip(capsys):
 
 
 def test_convert_rejects_impossible(capsys):
-    assert main(["convert", "to-congruent", "--p", "1", "--q", "2",
-                 "--k", "1"]) == 1
+    for argv, err in [
+        (["to-congruent", "--p", "1", "--q", "2", "--k", "1"],
+         "no congruent preimage: p, q of unequal parity require even k"),
+        (["to-concordant", "--r", "1", "--s", "0", "--k", "1"],
+         "s and k must be positive"),
+        (["to-concordant", "--r", "2", "--s", "4", "--k", "1"],
+         "r and s must be coprime"),
+    ]:
+        assert main(["convert", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_verify_exit_codes(capsys):
@@ -228,8 +237,16 @@ def test_family_commands(capsys):
 
 
 def test_family_rejects_bad_params(capsys):
-    assert main(["family", "order8", "--xi", "2", "--eta", "3",
-                 "--zeta", "4"]) == 1
+    for argv, err in [
+        (["order8", "--xi", "2", "--eta", "3", "--zeta", "4"],
+         "not a Pythagorean triple"),
+        (["order4", "--u", "3", "--v", "2"], "coprime 0 < u < v required"),
+        (["order36", "--a", "-2", "--b", "4"], "a and b must be coprime"),
+        (["order36", "--a", "1", "--b", "2"],
+         "need a < 0 < b with a+2b > 0, 2a+b > 0, a+b != 0"),
+    ]:
+        assert main(["family", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_family_order8_rejects_negative_zeta(capsys):
@@ -243,8 +260,7 @@ def test_family_order8_rejects_negative_zeta(capsys):
 
 def test_selftest_shallow(capsys):
     code, out = run(capsys, "--format", "text", "selftest", "--pmax", "6")
-    assert code == 0
-    assert "PASS" in out or "ok" in out.lower()
+    assert (code, out) == (0, "failures: ()\npassed: true\n")
 
 
 def test_selftest_pmax_picks_the_grid(monkeypatch, capsys):
@@ -281,8 +297,10 @@ def test_selftest_failures_set_the_exit_code(oracle, family, verifier, code,
     if verifier is not None:
         monkeypatch.setattr("concordia.problems.verify_concordant_solution",
                             verifier)
+    # Each failure has a space, so the text quotes it as JSON does.
     assert run(capsys, "--format", "text", "selftest") == (
-        code, "selftest: FAIL\n" + "".join(f"  {f}\n" for f in failures))
+        code, f"failures: ({', '.join(map(json.dumps, failures))})\n"
+              "passed: false\n")
     assert run_json(capsys, "selftest") == (
         code, {"failures": failures, "passed": False})
 
@@ -371,17 +389,18 @@ def test_digit_guard_sees_a_points_denominators():
     # Z has 1501 digits, but y = 1/Z^3 is printed with all 4501 of Z^3.
     P = Point(1, 1, 10 ** 1500 + 1)
     with int_str_limit(0):
-        texts = [json.dumps(point_json(P)), str(P)]
+        texts = [json.dumps(point_json(P)),
+                 "\n".join(render_text({"point": point_json(P)}))]
     for text in texts:
         with pytest.raises(DigitLimitError, match="a 4501-digit integer"):
             _check_digits("the result", text)
 
 
 def test_output_does_not_depend_on_the_interpreters_limit(capsys):
-    # The two golden 20P chains print integers of 660 and (the text, with
-    # the squares) 1320 digits, and the order-4 points of E(-u^2, v^2-u^2)
-    # here have 1201, from an 801-digit --m: all past 640, the
-    # interpreter's minimum limit.  A --m of MAX_DIGITS digits is accepted.
+    # The two golden 20P chains print their progression's 660-digit
+    # integers, and the order-4 points of E(-u^2, v^2-u^2) here have 1201,
+    # from an 801-digit --m: all past 640, the interpreter's minimum limit.
+    # A --m of MAX_DIGITS digits is accepted.
     c = Curve(-5, 5)
     P = c.multiply(c.point(Fraction(-5, 9), Fraction(100, 27)), 20)
     u, v = 10 ** 400 + 7, 10 ** 400 + 9
@@ -450,10 +469,19 @@ def test_a_refused_flag_is_not_echoed(capsys):
     ["classify", "--n", "3", "--m"],
     ["search", "--m", "-5", "--n", "5", "--bound"],
     ["convert", "chain", "--m", "-5", "--n", "5", "--y", "1", "--x"],
+    pytest.param([], id="command"),
+    ["--format"],
+    pytest.param(["classify", "--m", "-1", "--n", "3"], id="positional"),
 ], ids=lambda argv: argv[-1])
-def test_a_long_non_number_is_refused_in_a_few_bytes(argv, value, capsys):
-    # One long digit run, refused by the digit rule, or none, refused by
-    # the conversion, which echoes 32 characters of the value's repr.
+def test_a_long_non_number_is_refused_in_a_few_bytes(argv, value,
+                                                     monkeypatch, capsys):
+    # A numeric flag's value has one long digit run, refused by the digit
+    # rule, or none, refused by the conversion, which echoes 32 characters
+    # of the value's repr.  argparse itself echoes an unknown subcommand,
+    # an invalid choice of --format and a stray positional, each cut to
+    # its first 32 characters.  argparse wraps the usage line at $COLUMNS,
+    # so pin it.
+    monkeypatch.setenv("COLUMNS", "80")
     assert exit_code(argv + [value]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from concordia.cli import main
+from concordia.cli import main, render_text
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -99,6 +99,24 @@ def test_cli_output_is_pinned(case, capsys):
     code, out = _run(case["argv"], capsys)
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+def test_text_is_the_json_document_rendered(capsys):
+    # Every pinned `--format text` output is `render_text` of the JSON
+    # output of the same argv.  The 20P chain's quadric has 660-digit
+    # integers, so the limit is lifted to read and render them.
+    text_cases = [c for c in _cases() if c["argv"][:2] == ["--format", "text"]]
+    assert len(text_cases) == 13
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for case in text_cases:
+            code, out = _run(case["argv"][2:], capsys)
+            assert code == case["exit"]
+            assert "\n".join(render_text(json.loads(out))) + "\n" == \
+                case["stdout"]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_golden_file_covers_the_invocations():

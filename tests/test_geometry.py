@@ -10,7 +10,7 @@ from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
                                 ap_to_quadric, ap_to_triangle,
                                 isosceles_triangle, quadric_to_ap,
                                 triangle_to_ap)
-from concordia.quadrics import QuadricPoint
+from concordia.quadrics import TRIVIAL_BASE, QuadricPoint
 from concordia.sweeps import family_grid
 from concordia.triples import (ConcordantTriple, CongruentTriple,
                                concordant_to_congruent,
@@ -125,6 +125,9 @@ def test_ap_triple_validation():
     with pytest.raises(ValueError):
         APTriple(alpha=Fraction(1), beta=Fraction(2), gamma=Fraction(3),
                  step=1, p=1, q=1)
+    with pytest.raises(ValueError, match="^step and gaps must be positive$"):
+        APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
+                 gamma=Fraction(7, 2), step=0, p=1, q=1)
 
 
 def test_triangle_validation():
@@ -149,6 +152,28 @@ def test_quadric_to_ap_refuses_points_off_the_quadric():
     # built unreduced, and the gap check refuses them.
     with pytest.raises(ValueError, match="gap mismatch"):
         quadric_to_ap(QuadricPoint(4, 2, 1, 7), 1, 1, 6)
+
+
+def test_quadric_to_ap_refuses_the_trivial_point():
+    with pytest.raises(ValueError, match="^trivial quadric points carry no "
+                                         "progression$"):
+        quadric_to_ap(TRIVIAL_BASE, 1, 1, 6)
+
+
+def test_a_non_integral_area_coefficient_is_refused():
+    # 31/12, 41/12, 49/12 has step 5 and gaps (1, 1); at (r, s) = (1, 3)
+    # the coefficient is (1 + 1) * 5 / (2 * 3).
+    ap = APTriple(alpha=Fraction(31, 12), beta=Fraction(41, 12),
+                  gamma=Fraction(49, 12), step=5, p=1, q=1)
+    with pytest.raises(ValueError, match="^area coefficient 5/3 is not an "
+                                         "integer$"):
+        ap_to_triangle(ap, 1, 3)
+    # The right triangle 2, 3/2, 5/2 has coefficient 2 * (3/2) / (2 * 1).
+    tri = Triangle(a=Fraction(2), b=Fraction(3, 2), c=Fraction(5, 2), r=0,
+                   s=1)
+    with pytest.raises(ValueError, match="^area coefficient 3/2 is not an "
+                                         "integer$"):
+        triangle_to_ap(tri)
 
 
 def test_ap_to_triangle_equilateral():
