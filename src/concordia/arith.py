@@ -6,7 +6,6 @@ Nothing here knows about curves."""
 import itertools
 import math
 import numbers
-from typing import Optional
 
 # Quadratic-residue bitmasks used to reject non-squares cheaply before
 # paying for a big-integer isqrt.
@@ -18,7 +17,7 @@ for _mod in (64, 63, 65, 11):
     _SQ_FILTERS.append((_mod, bytes(_flags)))
 
 
-def isqrt_exact(v: int) -> Optional[int]:
+def isqrt_exact(v: int) -> int | None:
     """Integer square root of v, or None if v is not a perfect square."""
     if v < 0:
         return None
@@ -156,7 +155,7 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def iroot_exact(v: int, k: int) -> Optional[int]:
+def iroot_exact(v: int, k: int) -> int | None:
     """Integer k-th root of v, or None if v < 0 or v is not a k-th power;
     Newton steps from above, rounded down, end on floor(v ** (1/k))."""
     if v < 2:

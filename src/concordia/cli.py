@@ -24,16 +24,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .curves import Curve, point_sort_key
-from .problems import (four_torsion_counterexamples, gen_order4_family,
-                       gen_order8_family, gen_order36_family, point_chain,
-                       solve_concordant, solve_theta_congruent,
-                       verify_concordant_solution)
-from .serialize import point_json
-from .sweeps import family_sweep, oracle_equivalence_sweep
-from .torsion import torsion_subgroup
-from .triples import (ConcordantTriple, CongruentTriple,
-                      concordant_to_congruent, congruent_to_concordant)
+# Each handler imports the package modules it runs, so that a process
+# loads only what its subcommand needs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,7 +58,14 @@ class DigitLimitError(ValueError, argparse.ArgumentTypeError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse echoes a refused value in full: cut its long runs.
+        # argparse echoes a refused value in full, after one of these words
+        # and up to the end of its message or the hint that ends it.  Cut
+        # that value, and any other long run, to 32 characters.
+        message = re.sub(r"((?:invalid choice|unrecognized arguments|"
+                         r"ambiguous option|ignored explicit argument):? "
+                         r".{32}).+?((?: \(choose from [^()]*\)"
+                         r"| could match -[-\w]*(?:, -[-\w]*)*)?)\Z",
+                         r"\1...\2", message, flags=re.S)
         message = re.sub(r"(\S{32})\S+", r"\1...", message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -126,6 +125,7 @@ def _emit(text: str) -> None:
 
 
 def _curve_from_args(args) -> Curve:
+    from .curves import Curve
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
             raise ValueError("--m and --n must be given together")
@@ -134,6 +134,7 @@ def _curve_from_args(args) -> Curve:
         return Curve(args.m, args.n)
     if args.p is None or args.q is None or args.k is None:
         raise ValueError("give either --m/--n or --p/--q/--k")
+    from .triples import ConcordantTriple
     return ConcordantTriple(args.p, args.q, args.k).curve()
 
 
@@ -175,6 +176,9 @@ def render_text(value, indent=""):
 # Each handler returns (JSON payload, exit code).  `main` renders the
 # payload in the chosen format, checks it against MAX_DIGITS and prints it.
 def _cmd_classify(args):
+    from .curves import point_sort_key
+    from .serialize import point_json
+    from .torsion import torsion_subgroup
     c = _curve_from_args(args)
     cls, pts = torsion_subgroup(c)
     payload = {
@@ -186,26 +190,35 @@ def _cmd_classify(args):
 
 
 def _cmd_solve_concordant(args):
+    from .problems import solve_concordant
+    from .triples import ConcordantTriple
     t = ConcordantTriple(args.p, args.q, args.k)
     return solve_concordant(t, args.bound).to_json(), EXIT_OK
 
 
 def _cmd_solve_theta(args):
+    from .problems import solve_theta_congruent
+    from .triples import CongruentTriple
     t = CongruentTriple(args.r, args.s, args.k)
     return solve_theta_congruent(t, args.bound).to_json(), EXIT_OK
 
 
 def _cmd_to_concordant(args):
+    from .triples import CongruentTriple, congruent_to_concordant
     t = congruent_to_concordant(CongruentTriple(args.r, args.s, args.k))
     return {"concordant": t.to_json()}, EXIT_OK
 
 
 def _cmd_to_congruent(args):
+    from .triples import ConcordantTriple, concordant_to_congruent
     t = concordant_to_congruent(ConcordantTriple(args.p, args.q, args.k))
     return {"congruent": t.to_json()}, EXIT_OK
 
 
 def _cmd_chain(args):
+    from .curves import Curve
+    from .problems import point_chain
+    from .serialize import point_json
     if (args.r is None) != (args.s is None):
         raise ValueError("--r and --s must be given together")
     c = Curve(args.m, args.n)
@@ -225,6 +238,8 @@ def _cmd_chain(args):
 
 
 def _cmd_verify(args):
+    from .curves import Curve
+    from .problems import verify_concordant_solution
     verdict = verify_concordant_solution(args.m, args.n, args.x, args.y,
                                          args.z, args.w)
     payload = {"verdict": verdict,
@@ -234,6 +249,8 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
+    from .curves import Curve, point_sort_key
+    from .serialize import point_json
     c = Curve(args.m, args.n)
     # order_of gives None for a point of infinite order, never 0.
     rows = [{"point": point_json(P), "order": c.order_of(P) or "infinite",
@@ -243,18 +260,23 @@ def _cmd_search(args):
 
 
 def _cmd_order4(args):
+    from .problems import gen_order4_family
     return gen_order4_family(args.u, args.v).to_json(), EXIT_OK
 
 
 def _cmd_order8(args):
+    from .problems import gen_order8_family
     return gen_order8_family(args.xi, args.eta, args.zeta).to_json(), EXIT_OK
 
 
 def _cmd_order36(args):
+    from .problems import gen_order36_family
     return gen_order36_family(args.a, args.b).to_json(), EXIT_OK
 
 
 def _cmd_selftest(args):
+    from .problems import four_torsion_counterexamples
+    from .sweeps import family_sweep, oracle_equivalence_sweep
     failures = four_torsion_counterexamples() + family_sweep(limit=8)
     mismatches = oracle_equivalence_sweep(p_max=args.pmax, jobs=args.jobs)
     failures += mismatches

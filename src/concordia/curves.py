@@ -23,9 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from typing import Optional
 
 from .arith import (_SQ_FILTERS, _Coprime, _prime_factors_up_to,
                     _smooth_gcd, _squarefree_products, divisors, isqrt_exact)
@@ -35,27 +34,95 @@ from .arith import (_SQ_FILTERS, _Coprime, _prime_factors_up_to,
 _ORACLE_MODULI = (32, 27, 25, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class Point:
+class Frozen:
+    """Base of the package's immutable values.  Its fields are the names a
+    subclass annotates in its body, in order.  A value is built from them
+    by position or keyword, then checked by `_check`; after that, setting
+    or deleting a field raises AttributeError.  Two values are equal when
+    they are of one class with equal fields, the hash is over the fields
+    and the repr is Class(field=value, ...).  `__init__` stores the fields
+    in the instance `__dict__`; a subclass with `__slots__` or a hot
+    constructor binds them in its own `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = property(operator.attrgetter(*cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            names = fields[len(args):]
+            if len(args) > len(fields) or kwargs.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(fields)}")
+            args += tuple(map(kwargs.get, names))
+        self.__dict__.update(zip(fields, args))
+        self._check()
+
+    def _check(self):
+        """ValueError unless the fields make a valid value."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Point(Frozen):
     """The point x = X/Z^2, y = Y/Z^3 in lowest terms: gcd(X, Z) = 1 and
     Z >= 1, or (1, 1, 0) for the point at infinity O, where x and y are
     None.  `Curve.point` builds one from (x, y); `Curve.weighted` checks
     one."""
 
+    __slots__ = ("X", "Y", "Z")
     X: int
     Y: int
     Z: int
+
+    def __init__(self, X: int, Y: int, Z: int):
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "Z", Z)
+
+    # Points fill the sets of the oracle and the search: compare and hash
+    # them without the generic field tuple.
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.X == other.X and self.Y == other.Y and self.Z == other.Z
+
+    def __hash__(self):
+        return hash((self.X, self.Y, self.Z))
 
     @property
     def is_infinity(self) -> bool:
         return self.Z == 0
 
     @property
-    def x(self) -> Optional[Fraction]:  # no gcd: X/Z^2 is in lowest terms
+    def x(self) -> Fraction | None:  # no gcd: X/Z^2 is in lowest terms
         return Fraction(_Coprime(self.X, self.Z * self.Z)) if self.Z else None
 
     @property
-    def y(self) -> Optional[Fraction]:
+    def y(self) -> Fraction | None:
         return Fraction(_Coprime(self.Y, self.Z ** 3)) if self.Z else None
 
     def __repr__(self):
@@ -169,18 +236,20 @@ def _integer_cubic_roots(e1: int, e2: int, e3: int, peak: tuple[int, int],
     return roots
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Frozen):
     """The curve E(m,n): y^2 = x(x+m)(x+n), with m, n nonzero and distinct."""
 
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m == 0 or self.n == 0:
+    # Every check of a sweep builds two curves: bind the fields directly.
+    def __init__(self, m: int, n: int):
+        if m == 0 or n == 0:
             raise ValueError("degenerate cubic: m and n must be nonzero")
-        if self.m == self.n:
+        if m == n:
             raise ValueError("degenerate cubic: m and n must differ")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}
@@ -313,7 +382,7 @@ class Curve:
 
     # -- orders and halving ---------------------------------------------
 
-    def order_of(self, P: Point) -> Optional[int]:
+    def order_of(self, P: Point) -> int | None:
         """Exact order of a torsion point P on the curve; None for infinite
         order.
 

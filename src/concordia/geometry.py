@@ -11,10 +11,10 @@ test suite checks exactly on every conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _Coprime
+from .curves import Frozen
 from .quadrics import QuadricPoint
 from .serialize import frac_str
 from .triples import CongruentTriple, congruent_to_concordant
@@ -24,8 +24,7 @@ class DegenerateTriangleError(ValueError):
     """A triangle with a zero side or a tight triangle inequality."""
 
 
-@dataclass(frozen=True)
-class APTriple:
+class APTriple(Frozen):
     """alpha^2 < beta^2 < gamma^2 in arithmetic progression of step `step`,
     with the outer squares p resp. q steps away from the middle one."""
 
@@ -36,7 +35,7 @@ class APTriple:
     p: int
     q: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.step < 1 or self.p < 1 or self.q < 1:
             raise ValueError("step and gaps must be positive")
         if self.alpha < 0 or self.beta <= 0 or self.gamma <= 0:
@@ -58,8 +57,7 @@ class APTriple:
                 "p": self.p, "q": self.q}
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """Rational triangle with angle theta (cos theta = r/s) between the
     sides a and b; by convention a >= b."""
 
@@ -69,7 +67,7 @@ class Triangle:
     r: int
     s: int
 
-    def __post_init__(self):
+    def _check(self):
         # The sides times a common denominator, so every check below is an
         # integer identity.
         d = math.lcm(self.a.denominator, self.b.denominator,

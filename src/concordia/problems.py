@@ -9,10 +9,8 @@ search, so reports carry decidability="bounded".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .curves import Curve, Point, point_sort_key
+from .curves import Curve, Frozen, Point, point_sort_key
 from .geometry import APTriple, Triangle, ap_to_triangle, quadric_to_ap
 from .quadrics import QuadricPoint, point_to_quadric, quadric_to_point
 from .serialize import frac_str, point_json
@@ -23,12 +21,11 @@ from .triples import (ConcordantTriple, CongruentTriple,
                       curve_to_concordant)
 
 
-@dataclass(frozen=True)
-class SolutionEntry:
+class SolutionEntry(Frozen):
     point: Point
     quadric: QuadricPoint
     ap: APTriple
-    triangle: Optional[Triangle]
+    triangle: Triangle | None
     provenance: str  # "torsion" or "search"
 
     def to_json(self) -> dict:
@@ -43,14 +40,13 @@ class SolutionEntry:
         return out
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Frozen):
     problem: str
     triple: tuple
     curve: Curve
     torsion_class: TorsionClass
     solutions: tuple[SolutionEntry, ...]
-    search_bound: Optional[int]
+    search_bound: int | None
 
     @property
     def decidability(self) -> str:
@@ -87,7 +83,7 @@ class SolutionReport:
         return out
 
 
-def point_chain(c: Curve, P: Point, angle: Optional[tuple[int, int]]) -> tuple:
+def point_chain(c: Curve, P: Point, angle: tuple[int, int] | None) -> tuple:
     """The paper's dictionary for a point P of E(m,n): the quadric point S
     of P, S's progression on the curve's own concordant triple (None if S
     is trivial or m < 0 < n fails) and, for an angle (r, s), the triangle
@@ -101,14 +97,14 @@ def point_chain(c: Curve, P: Point, angle: Optional[tuple[int, int]]) -> tuple:
 
 
 def _entries(c: Curve, points, provenance: str,
-             angle: Optional[tuple[int, int]]) -> list[SolutionEntry]:
+             angle: tuple[int, int] | None) -> list[SolutionEntry]:
     return [SolutionEntry(P, *point_chain(c, P, angle), provenance)
             for P in sorted(points, key=point_sort_key)]
 
 
 def _solve(problem: str, triple_fields: tuple, c: Curve,
-           angle: Optional[tuple[int, int]],
-           search_bound: Optional[int]) -> SolutionReport:
+           angle: tuple[int, int] | None,
+           search_bound: int | None) -> SolutionReport:
     cls, torsion = torsion_subgroup(c)
     interesting = {P for P in torsion if not P.is_infinity and P.Y}
     entries = _entries(c, interesting, "torsion", angle)
@@ -122,14 +118,14 @@ def _solve(problem: str, triple_fields: tuple, c: Curve,
 
 
 def solve_concordant(t: ConcordantTriple,
-                     search_bound: Optional[int] = None) -> SolutionReport:
+                     search_bound: int | None = None) -> SolutionReport:
     """Nontrivial solutions of X^2 - pkY^2 = Z^2, X^2 + qkY^2 = W^2 found
     among torsion points of order > 2 and, optionally, a bounded search."""
     return _solve("concordant", (t.p, t.q, t.k), t.curve(), None, search_bound)
 
 
 def solve_theta_congruent(t: CongruentTriple,
-                          search_bound: Optional[int] = None) -> SolutionReport:
+                          search_bound: int | None = None) -> SolutionReport:
     """Rational theta-triangles with area k*sqrt(s^2-r^2), via the curve of
     the equivalent concordant triple."""
     return _solve("theta-congruent", (t.r, t.s, t.k),
@@ -140,8 +136,7 @@ def solve_theta_congruent(t: CongruentTriple,
 # Families of curves with prescribed torsion
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Frozen):
     family: str
     params: tuple
     m: int

@@ -16,14 +16,12 @@ as a weighted triple (X, Y, Z), and only `quadric_to_point` takes a gcd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import _smooth_gcd
-from .curves import INFINITY, Curve, Point, _point
+from .curves import INFINITY, Curve, Frozen, Point, _point
 
 
-@dataclass(frozen=True)
-class QuadricPoint:
+class QuadricPoint(Frozen):
     """Primitive integer representative of a projective 4-tuple.
 
     Normal form: gcd of the coordinates is 1 and the first nonzero
@@ -35,7 +33,7 @@ class QuadricPoint:
     x2: int
     x3: int
 
-    def __post_init__(self):
+    def _check(self):
         coords = self.coords()
         if not any(coords):
             raise ValueError("all-zero projective tuple")

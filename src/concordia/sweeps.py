@@ -16,7 +16,7 @@ sweeps are embarrassingly parallel over parameter tuples.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .curves import Curve
 from .problems import FamilyRecord, gen_order4_family, gen_order8_family, \

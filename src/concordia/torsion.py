@@ -23,11 +23,9 @@ class, and the rest is built by the group law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .arith import factorint, isqrt_exact
-from .curves import INFINITY, Curve, Point, _reduced_point
+from .curves import INFINITY, Curve, Frozen, Point, _reduced_point
 
 Z2xZ2 = "Z2xZ2"
 Z2xZ4 = "Z2xZ4"
@@ -56,10 +54,9 @@ class CertificateMismatch(ArithmeticError):
     an internal fault, never a ValueError (a usage error)."""
 
 
-@dataclass(frozen=True)
-class TorsionClass:
+class TorsionClass(Frozen):
     tag: str
-    certificate: Optional[tuple]
+    certificate: tuple | None
     base: Curve      # reduced model the certificate refers to
     shift: int       # reduced point (x,y) -> (scale^2 x + shift, scale^3 y)
     scale: int
@@ -107,7 +104,7 @@ def map_from_canonical(P: Point, shift: int, scale: int) -> Point:
     return _reduced_point(X, scale ** 3 * P.Y, P.Z, math.gcd(X, P.Z * P.Z))
 
 
-def _detect_order4(m: int, n: int) -> Optional[tuple]:
+def _detect_order4(m: int, n: int) -> tuple | None:
     u = isqrt_exact(-m)
     if u is None:
         return None
@@ -117,14 +114,14 @@ def _detect_order4(m: int, n: int) -> Optional[tuple]:
     return (u, v)
 
 
-def _refine_order8(u: int, v: int) -> Optional[tuple]:
+def _refine_order8(u: int, v: int) -> tuple | None:
     """(xi, eta, zeta) = (sqrt u, sqrt v, sqrt(u+v)) when all three are
     integers: -m = xi^4, n - m = eta^4 and xi^2 + eta^2 = zeta^2."""
     roots = tuple(isqrt_exact(w) for w in (u, v, u + v))
     return None if None in roots else roots
 
 
-def _detect_order3(m: int, n: int) -> Optional[tuple]:
+def _detect_order3(m: int, n: int) -> tuple | None:
     """Find coprime (a,b) with m = a^3(a+2b), n = b^3(2a+b), b > 0, on the
     reduced model (m < 0 < n), without factoring anything.
 

@@ -11,18 +11,16 @@ two solution sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .curves import Curve
+from .curves import Curve, Frozen
 
 
-@dataclass(frozen=True)
-class ConcordantTriple:
+class ConcordantTriple(Frozen):
     p: int
     q: int
     k: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.p < 1 or self.q < 1 or self.k < 1:
             raise ValueError("concordant triple components must be positive")
         if math.gcd(self.p, self.q) != 1:
@@ -42,13 +40,12 @@ def curve_to_concordant(c: Curve) -> ConcordantTriple:
     return ConcordantTriple(-c.m // k, c.n // k, k)
 
 
-@dataclass(frozen=True)
-class CongruentTriple:
+class CongruentTriple(Frozen):
     r: int
     s: int
     k: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.s < 1 or self.k < 1:
             raise ValueError("s and k must be positive")
         if abs(self.r) >= self.s:

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +16,7 @@ from concordia.cli import (DigitLimitError, _check_digits, build_parser, main,
 from concordia.curves import Curve, Point
 from concordia.geometry import DegenerateTriangleError, Triangle
 from concordia.serialize import point_json
-from concordia.torsion import classify_torsion
+from concordia.torsion import TorsionClass, classify_torsion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -193,8 +192,9 @@ def test_bound_over_limit_is_refused_at_once(argv, bound, reason,
         raise AssertionError("a refused bound reached the search")
 
     monkeypatch.setattr("concordia.curves.Curve.search", unreachable)
-    monkeypatch.setattr("concordia.cli.solve_concordant", unreachable)
-    monkeypatch.setattr("concordia.cli.solve_theta_congruent", unreachable)
+    monkeypatch.setattr("concordia.problems.solve_concordant", unreachable)
+    monkeypatch.setattr("concordia.problems.solve_theta_congruent",
+                        unreachable)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--bound", bound])
     assert exc.value.code == 1
@@ -265,7 +265,7 @@ def test_selftest_shallow(capsys):
 
 def test_selftest_pmax_picks_the_grid(monkeypatch, capsys):
     grids = []
-    monkeypatch.setattr("concordia.cli.oracle_equivalence_sweep",
+    monkeypatch.setattr("concordia.sweeps.oracle_equivalence_sweep",
                         lambda p_max, jobs: grids.append((p_max, jobs)) or [])
     assert main(["selftest"]) == 0
     assert main(["selftest", "--pmax", "9", "--jobs", "1"]) == 0
@@ -290,9 +290,9 @@ def _trivial_at_3(m, n, x, y, z, w):
 ], ids=["oracle", "family", "counterexample", "all"])
 def test_selftest_failures_set_the_exit_code(oracle, family, verifier, code,
                                              failures, monkeypatch, capsys):
-    monkeypatch.setattr("concordia.cli.oracle_equivalence_sweep",
+    monkeypatch.setattr("concordia.sweeps.oracle_equivalence_sweep",
                         lambda p_max, jobs: list(oracle))
-    monkeypatch.setattr("concordia.cli.family_sweep",
+    monkeypatch.setattr("concordia.sweeps.family_sweep",
                         lambda limit: list(family))
     if verifier is not None:
         monkeypatch.setattr("concordia.problems.verify_concordant_solution",
@@ -427,7 +427,7 @@ def test_main_restores_the_interpreters_limit(monkeypatch, capsys):
         assert sys.get_int_max_str_digits() == 5000
         assert main(order4) == 1
         assert sys.get_int_max_str_digits() == 5000
-        monkeypatch.setattr("concordia.cli.torsion_subgroup",
+        monkeypatch.setattr("concordia.torsion.torsion_subgroup",
                             lambda c: 1 // 0)
         assert main(["classify", "--m", "-1", "--n", "3"]) == 3
         assert sys.get_int_max_str_digits() == 5000
@@ -463,8 +463,9 @@ def test_a_refused_flag_is_not_echoed(capsys):
                    "131000-digit integer; the limit is 4300 digits")
 
 
-@pytest.mark.parametrize("value", ["x" + "9" * 130999, "9x" * 65500],
-                         ids=["digit-run", "no-number"])
+@pytest.mark.parametrize("value", ["x" + "9" * 130999, "9x" * 65500,
+                                   "x " * 65000],
+                         ids=["digit-run", "no-number", "spaced"])
 @pytest.mark.parametrize("argv", [
     ["classify", "--n", "3", "--m"],
     ["search", "--m", "-5", "--n", "5", "--bound"],
@@ -479,13 +480,23 @@ def test_a_long_non_number_is_refused_in_a_few_bytes(argv, value,
     # rule, or none, refused by the conversion, which echoes 32 characters
     # of the value's repr.  argparse itself echoes an unknown subcommand,
     # an invalid choice of --format and a stray positional, each cut to
-    # its first 32 characters.  argparse wraps the usage line at $COLUMNS,
-    # so pin it.
+    # its first 32 characters, spaces and all.  argparse wraps the usage
+    # line at $COLUMNS, so pin it.
     monkeypatch.setenv("COLUMNS", "80")
     assert exit_code(argv + [value]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("prefix", ["--=", "--help=", "--format="])
+def test_a_long_option_text_is_refused_in_a_few_bytes(prefix, capsys):
+    # argparse echoes an ambiguous option, an ignored explicit argument
+    # and an invalid choice given after "=", each cut to 32 characters.
+    assert exit_code([prefix + "x " * 65000, "classify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 400
 
 
 def test_the_parser_alone_checks_digits_before_converting(capsys):
@@ -585,9 +596,12 @@ def test_classify_huge_m_needs_no_divisors(capsys):
 
 def test_certificate_mismatch_exits_3(monkeypatch, capsys):
     # a certificate that does not fit the reduced model E(-1, 3)
+    def wrong_certificate(c):
+        t = classify_torsion(c)
+        return TorsionClass(t.tag, (1, 5), t.base, t.shift, t.scale)
+
     monkeypatch.setattr("concordia.torsion.classify_torsion",
-                        lambda c: replace(classify_torsion(c),
-                                          certificate=(1, 5)))
+                        wrong_certificate)
     assert main(["classify", "--m", "-1", "--n", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -610,7 +624,7 @@ def test_zero_division_is_an_internal_error(monkeypatch, capsys):
     def broken(*args):
         return 1 // 0
 
-    monkeypatch.setattr("concordia.cli.torsion_subgroup", broken)
+    monkeypatch.setattr("concordia.torsion.torsion_subgroup", broken)
     assert main(["classify", "--m", "-1", "--n", "3"]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", "internal error: integer division or modulo "
@@ -623,7 +637,7 @@ def test_a_chain_that_gives_no_triangle_exits_3(monkeypatch, capsys):
     def degenerate(self):
         raise DegenerateTriangleError("triangle inequality violated")
 
-    monkeypatch.setattr(Triangle, "__post_init__", degenerate)
+    monkeypatch.setattr(Triangle, "_check", degenerate)
     assert main(["convert", "chain", "--m", "-5", "--n", "5", "--x", "-4",
                  "--y", "6", "--r", "0", "--s", "1"]) == 3
     assert capsys.readouterr() == ("", "internal error: progression gave "

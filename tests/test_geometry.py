@@ -215,7 +215,7 @@ def test_ap_to_triangle_refused_past_its_checks_is_an_internal_fault(
     def degenerate(self):
         raise DegenerateTriangleError("sides must be positive")
 
-    monkeypatch.setattr(Triangle, "__post_init__", degenerate)
+    monkeypatch.setattr(Triangle, "_check", degenerate)
     ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
                   gamma=Fraction(7, 2), step=6, p=1, q=1)
     with pytest.raises(ArithmeticError, match="sides must be positive"):

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,17 +210,17 @@ def test_family_sweep_reports_a_wrong_field(field, value, message,
                                             monkeypatch):
     rec = gen_order8_family(3, 4, 5)
     monkeypatch.setattr("concordia.sweeps.family_grid", lambda limit: [
-        rec, replace(rec, **{field: value})])
+        rec, FamilyRecord(**{**vars(rec), field: value})])
     assert family_sweep() == [f"order8(3, 4, 5): {message}"]
 
 
 def test_family_sweep_message_does_not_depend_on_the_hash_seed():
     # The order4 family expects two tags; a set of them prints in an order
     # that PYTHONHASHSEED chooses, so each seed runs in its own process.
-    code = ("from dataclasses import replace\n"
-            "from concordia import sweeps\n"
-            "rec = replace(sweeps.gen_order4_family(1, 2), "
-            "torsion_tag='Z2xZ2')\n"
+    code = ("from concordia import problems, sweeps\n"
+            "rec = sweeps.gen_order4_family(1, 2)\n"
+            "rec = problems.FamilyRecord(**{**vars(rec), "
+            "'torsion_tag': 'Z2xZ2'})\n"
             "sweeps.family_grid = lambda limit: [rec]\n"
             "print(sweeps.family_sweep()[0])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")

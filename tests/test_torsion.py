@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd, isqrt
 
 import pytest
@@ -8,10 +7,11 @@ from hypothesis import strategies as st
 from concordia.arith import iroot_exact, isqrt_exact
 from concordia.curves import INFINITY, Curve, Point
 from concordia.sweeps import check_curve_against_oracle, family_grid
-from concordia.torsion import (CertificateMismatch, _detect_order3,
-                               _detect_order4, canonical_model,
-                               check_k_constraint, classify_torsion,
-                               map_from_canonical, torsion_subgroup)
+from concordia.torsion import (CertificateMismatch, TorsionClass,
+                               _detect_order3, _detect_order4,
+                               canonical_model, check_k_constraint,
+                               classify_torsion, map_from_canonical,
+                               torsion_subgroup)
 
 # (m, n) -> (tag, certificate tuple)
 CLASSIFIED = {
@@ -70,10 +70,12 @@ def test_certificate_mismatch_detected(monkeypatch):
     # each check of torsion_subgroup, driven by a wrong certificate or a
     # broken group law
     def mismatch(mn, tag, cert, match, add=None):
+        def relabelled(c):
+            t = classify_torsion(c)
+            return TorsionClass(tag, cert, t.base, t.shift, t.scale)
+
         with monkeypatch.context() as mp:
-            mp.setattr("concordia.torsion.classify_torsion",
-                       lambda c: replace(classify_torsion(c), tag=tag,
-                                         certificate=cert))
+            mp.setattr("concordia.torsion.classify_torsion", relabelled)
             if add is not None:
                 mp.setattr(Curve, "add", add)
             with pytest.raises(CertificateMismatch, match=match):
@@ -173,7 +175,9 @@ def test_check_k_constraint():
     # but k=2 would not be: borrow the class tag onto the k=2 model
     # E(-10, 54) = E(-5*2, 27*2)
     assert classify_torsion(Curve(-10, 54)).base == Curve(-10, 54)
-    assert not check_k_constraint(replace(tc, base=Curve(-10, 54)))
+    assert not check_k_constraint(TorsionClass(tc.tag, tc.certificate,
+                                               Curve(-10, 54), tc.shift,
+                                               tc.scale))
     # the step is read off the reduced model: E(-20, 108) has k = 1
     assert check_k_constraint(classify_torsion(Curve(-20, 108)))
     assert check_k_constraint(classify_torsion(Curve(-5, 27)))
