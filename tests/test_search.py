@@ -1,14 +1,19 @@
-"""Differential tests: the descent-factored `Curve.search` against the
-plain scan of every |u| <= H it replaced."""
+"""Differential tests: the sieved `Curve.search` against the row-by-row
+grid loop it replaced, and the descent-factored search against the plain
+scan of every |u| <= H before it."""
 
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.arith import _SQ_FILTERS, _prime_factors_up_to
-from concordia.curves import Curve, Point
+from concordia.arith import (_SQ_FILTERS, _prime_factors_up_to,
+                             _squarefree_products)
+from concordia.curves import _SIEVE_MIN_WMAX, Curve, Point
 
 
 def reference_search(c: Curve, height: int) -> frozenset[Point]:
@@ -37,7 +42,129 @@ def reference_search(c: Curve, height: int) -> frozenset[Point]:
     return frozenset(pts)
 
 
+def _grid_nonnegative_roots(s: int, d: int, mw: int, nw: int, amax: int):
+    """The a in [1, amax] with N = u(u+mw)(u+nw) >= 0 at u = s*d*a^2.
+
+    With t = d*a^2 > 0, N = s*t*(t + s*mw)*(t + s*nw): t must lie outside
+    (lo, hi) for s = 1 and inside [lo, hi] for s = -1, where lo <= hi are
+    -s*mw and -s*nw.
+    """
+    lo, hi = sorted((-s * mw, -s * nw))
+    # isqrt(v // d) is the last a with d*a^2 <= v (for v >= 0), and
+    # isqrt(ceil(v/d) - 1) + 1 the first a with d*a^2 >= v (for v >= 1).
+    if s > 0:
+        return itertools.chain(
+            range(1, min(amax, math.isqrt(max(lo, 0) // d)) + 1),
+            range(math.isqrt(-(-max(hi, 1) // d) - 1) + 1, amax + 1))
+    return range(math.isqrt(-(-max(lo, 1) // d) - 1) + 1,
+                 min(amax, math.isqrt(max(hi, 0) // d)) + 1)
+
+
+def grid_search(c: Curve, height: int) -> frozenset[Point]:
+    """`Curve.search` without the sieve: every cell a of every row
+    (d, s, w) in turn, through gcd(a, w), the _SQ_FILTERS and isqrt."""
+    m, n = c.m, c.n
+    gcd = math.gcd
+    isqrt = math.isqrt
+    filters = _SQ_FILTERS
+    wmax = isqrt(height)
+    primes = _prime_factors_up_to(abs(m * n), height)
+    pts = {Point(0, 0, 1)}
+    for d in _squarefree_products(primes, height):
+        amax = isqrt(height // d)
+        for w in range(1, wmax + 1):
+            if gcd(d, w) != 1:
+                continue
+            w2 = w * w
+            mw, nw = m * w2, n * w2
+            for s in (1, -1):
+                sd = s * d
+                for a in _grid_nonnegative_roots(s, d, mw, nw, amax):
+                    if w > 1 and gcd(a, w) != 1:
+                        continue
+                    u = sd * a * a
+                    N = u * (u + mw) * (u + nw)
+                    for mod, flags in filters:
+                        if not flags[N % mod]:
+                            break
+                    else:
+                        r = isqrt(N)
+                        if r * r == N:
+                            pts.add(Point(u, r, w))
+                            pts.add(Point(u, -r, w))
+    return frozenset(pts)
+
+
 nonzero = st.integers(-1000, 1000).filter(bool)
+# The least height bound whose search sieves its long rows.
+sieve_threshold = _SIEVE_MIN_WMAX ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero, nonzero, st.one_of(st.integers(1, sieve_threshold - 1),
+                                   st.integers(sieve_threshold, 3 * 10 ** 4)))
+def test_sieve_matches_grid(m, n, height):
+    if m == n:
+        n = -n
+    c = Curve(m, n)
+    assert c.search(height) == grid_search(c, height)
+
+
+# The curves of acceptance criterion 5 and those of the golden CLI calls.
+CRITERION_5_CURVES = [(-5, 5), (-6, 6), (-7, 7), (-31, 31), (-1, 3), (-2, 3),
+                      (-5, 27), (-1, 8), (-64, 125), (-96, 1029), (1, 4),
+                      (-20, 108)]
+
+
+def _golden_curves():
+    calls = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    curves = set()
+    for call in calls:
+        if call["stdout"].startswith("{"):
+            curve = json.loads(call["stdout"]).get("curve")
+            if curve:
+                curves.add((curve["m"], curve["n"]))
+    return sorted(curves)
+
+
+@pytest.mark.parametrize("mn", sorted(set(CRITERION_5_CURVES)
+                                      | set(_golden_curves())))
+def test_sieve_matches_grid_on_pinned_curves(mn):
+    c = Curve(*mn)
+    assert c.search(10 ** 4) == grid_search(c, 10 ** 4)
+
+
+@pytest.mark.parametrize("mn", [(-5, 5), (-6, 6), (-210, 330)])
+def test_sieve_matches_grid_deep(mn):
+    # wmax = 316 here: a coprimality mask that stopped at a smaller prime
+    # would let through points x = u/w^2 that are not in lowest terms.
+    c = Curve(*mn)
+    assert c.search(10 ** 5) == grid_search(c, 10 ** 5)
+
+
+def test_sieve_skips_the_cells(monkeypatch):
+    # E(-6, 6) at H = 10^4 has the rows d = 1, 2, 3, 6 and w <= 100, all
+    # sieved (amax >= 40).  The grid loop takes gcd(a, w) of each cell
+    # (18,784 calls); the sieve takes one gcd(d, w) per pair of rows, 400
+    # in all, and an isqrt for the sign bounds and for each cell that
+    # passes the four residue filters (2,037).  Counting calls, not timing
+    # them, keeps the test independent of the host's load.
+    calls = {"gcd": 0, "isqrt": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(math, "gcd", counted("gcd", math.gcd))
+    monkeypatch.setattr(math, "isqrt", counted("isqrt", math.isqrt))
+    c = Curve(-6, 6)
+    found = c.search(10 ** 4)
+    assert calls["gcd"] <= 400
+    assert calls["isqrt"] <= 2100
+    monkeypatch.undo()
+    assert found == grid_search(c, 10 ** 4)
 
 
 @settings(max_examples=150, deadline=None)
