@@ -8,13 +8,16 @@ import math
 import numbers
 
 # Quadratic-residue bitmasks used to reject non-squares cheaply before
-# paying for a big-integer isqrt.
+# paying for a big-integer isqrt, and the square classes of each modulus
+# M, {q: the bits r < M with r^2 = q mod M}, that `Curve.search` tiles.
 _SQ_FILTERS = []
+_SQ_CLASSES = []
 for _mod in (64, 63, 65, 11):
-    _flags = bytearray(_mod)
+    _classes = {}
     for _i in range(_mod):
-        _flags[_i * _i % _mod] = 1
-    _SQ_FILTERS.append((_mod, bytes(_flags)))
+        _classes[_i * _i % _mod] = _classes.get(_i * _i % _mod, 0) | 1 << _i
+    _SQ_FILTERS.append((_mod, bytes(_i in _classes for _i in range(_mod))))
+    _SQ_CLASSES.append(_classes)
 
 
 def isqrt_exact(v: int) -> int | None:

@@ -25,22 +25,20 @@ import math
 import operator
 from fractions import Fraction
 
-from .arith import (_SQ_FILTERS, _Coprime, _prime_factors_up_to,
+from .arith import (_SQ_CLASSES, _SQ_FILTERS, _Coprime, _prime_factors_up_to,
                     _smooth_gcd, _squarefree_products, divisors, isqrt_exact)
 
 # Moduli at which `Curve.torsion_oracle` checks that a candidate y^2 is a
 # value of x(x+m)(x+n) before it searches for the integer roots x.
 _ORACLE_MODULI = (32, 27, 25, 7, 11, 13)
 
-# `Curve.search` sieves the rows with amax >= _SIEVE_MIN_AMAX cells when
-# wmax >= _SIEVE_MIN_WMAX.  A sieved d first builds its patterns (about
-# 0.4 ms); a sieved row then costs about 1.2 us of masks, against 0.4 us
-# per cell of the loop.  On the 93 curves that the solve benchmark searches
-# (alternating runs, one core of a 2-vCPU host), the sieve ran at parity
-# with the loop at wmax = 60-64 and 1.2-1.5x as fast at 70-80.  There
-# amax >= 24 and 32 ran best; at wmax = 100 and 316, 12 to 32 ran alike.
-_SIEVE_MIN_AMAX = 24
-_SIEVE_MIN_WMAX = 64
+# `Curve.search` ANDs the residue patterns into the rows of a d with
+# amax >= _SIEVE_MIN_AMAX cells; building them costs about 0.13 ms per
+# (d, s).  On the 93 curves that the solve benchmark searches (best of 5
+# to 7, one core of a 2-vCPU host, two runs), 32 ran within 8% of the
+# fastest of 16-48 at each H = 10^3-10^5; 16 and 24 lost 20-50% at 10^3,
+# and 40 and 48 lost up to 16% at 10^4.
+_SIEVE_MIN_AMAX = 32
 
 
 class Frozen:
@@ -490,16 +488,15 @@ class Curve(Frozen):
         for which N < 0.  The cost is about H * sum(d^-1/2) cells, not
         2H^1.5.  Every cell tried has gcd(u, w) = 1, as `Point` needs.
 
-        A row (d, s, w) holds the cells a in [1, amax].  A long row is
-        sieved as in Stoll's `ratpoints`: bit a of an int stands for the
-        cell a, and the row's mask ANDs its sign range, the a prime to each
-        prime of w and, for each modulus M of _SQ_FILTERS, the a for which
-        N can be a square mod M.  That pattern depends on a^2 mod M alone,
-        and it is tiled over the row.  Only the bits left reach `isqrt`.
-        The sieve is exact, since a square is a square mod every M: both
-        loops try the same cells and find the same points.  Short rows, and
-        searches with few rows, keep the loop, because there the masks and
-        their patterns cost more than the cells they skip (_SIEVE_MIN_AMAX).
+        A row (d, s, w) holds the cells a in [1, amax], and it is sieved as
+        in Stoll's `ratpoints`: bit a of an int stands for the cell a, and
+        the row's mask ANDs its sign range and the a prime to each prime of
+        w.  When amax >= _SIEVE_MIN_AMAX it also ANDs, for each modulus M
+        of _SQ_FILTERS, the a for which N can be a square mod M.  That
+        pattern depends on a^2 mod M alone, and it is tiled over the row.
+        The bits left take `isqrt`, after the _SQ_FILTERS check when no
+        patterns were ANDed: both are exact, since a square is a square
+        mod every M.
         """
         if height < 1:
             raise ValueError("height bound must be >= 1")
@@ -509,47 +506,24 @@ class Curve(Frozen):
         filters = _SQ_FILTERS
         wmax = isqrt(height)
         primes = _prime_factors_up_to(abs(m * n), height)
+        wprimes = _prime_lists(wmax)
+        residues = [(mod, flags, classes, m % mod, n % mod)
+                    for (mod, flags), classes in zip(filters, _SQ_CLASSES)]
         pts = {Point(0, 0, 1)}
-        wprimes = None
         for d in _squarefree_products(primes, height):
             amax = isqrt(height // d)
-            sieve = amax >= _SIEVE_MIN_AMAX and wmax >= _SIEVE_MIN_WMAX
-            if sieve:
-                if wprimes is None:
-                    wprimes = _prime_lists(wmax)
-                    residues = [(mod, flags, m % mod, n % mod)
-                                for mod, flags in filters]
-                patterns = {s: _row_patterns(residues, s * d, amax)
-                            for s in (1, -1)}
-                coprime = {}
+            sieve = amax >= _SIEVE_MIN_AMAX
+            patterns = {s: _row_patterns(residues, s * d, amax) if sieve
+                        else () for s in (1, -1)}
+            checks = () if sieve else filters  # the patterns are exact
+            coprime = {}
             for w in range(1, wmax + 1):
                 if gcd(d, w) != 1:
                     continue
                 w2 = w * w
                 mw, nw = m * w2, n * w2
                 for s in (1, -1):
-                    sd = s * d
-                    bounds = _nonnegative_roots(s, d, mw, nw, amax)
-                    if not sieve:
-                        for lo, hi in bounds:
-                            for a in range(lo, hi):
-                                if w > 1 and gcd(a, w) != 1:
-                                    continue
-                                u = sd * a * a
-                                N = u * (u + mw) * (u + nw)
-                                for mod, flags in filters:
-                                    if not flags[N % mod]:
-                                        break
-                                else:
-                                    r = isqrt(N)
-                                    if r * r == N:
-                                        pts.add(Point(u, r, w))
-                                        pts.add(Point(u, -r, w))
-                        continue
-                    x = 0
-                    for lo, hi in bounds:
-                        if lo < hi:
-                            x |= (1 << hi) - (1 << lo)
+                    x = _nonnegative_roots(s, d, mw, nw, amax)
                     if not x:
                         continue
                     for mod, masks in patterns[s]:
@@ -558,22 +532,26 @@ class Curve(Frozen):
                         if p not in coprime:
                             coprime[p] = ~_repunit(p, amax)
                         x &= coprime[p]
+                    sd = s * d
                     while x:
-                        low = x & -x
-                        x ^= low
-                        a = low.bit_length() - 1
+                        a = x.bit_length() - 1
+                        x ^= 1 << a
                         u = sd * a * a
                         N = u * (u + mw) * (u + nw)
-                        r = isqrt(N)
-                        if r * r == N:
-                            pts.add(Point(u, r, w))
-                            pts.add(Point(u, -r, w))
+                        for mod, flags in checks:
+                            if not flags[N % mod]:
+                                break
+                        else:
+                            r = isqrt(N)
+                            if r * r == N:
+                                pts.add(Point(u, r, w))
+                                pts.add(Point(u, -r, w))
         return frozenset(pts)
 
 
-def _nonnegative_roots(s: int, d: int, mw: int, nw: int, amax: int):
+def _nonnegative_roots(s: int, d: int, mw: int, nw: int, amax: int) -> int:
     """The cells a in [1, amax] with N = u(u+mw)(u+nw) >= 0 at
-    u = s*d*a^2, as the (lo, hi) bounds of the ranges lo <= a < hi.
+    u = s*d*a^2, as the int with those bits a set.
 
     With t = d*a^2 > 0, N = s*t*(t + s*mw)*(t + s*nw): t must lie outside
     (lo, hi) for s = 1 and inside [lo, hi] for s = -1, where lo < hi are
@@ -585,10 +563,12 @@ def _nonnegative_roots(s: int, d: int, mw: int, nw: int, amax: int):
     # isqrt(v // d) is the last a with d*a^2 <= v (for v >= 0), and
     # isqrt((v - 1) // d) + 1 the first a with d*a^2 >= v (for v >= 1).
     if s > 0:
-        return ((1, min(amax, math.isqrt(lo // d)) + 1 if lo > 0 else 1),
-                (math.isqrt((hi - 1) // d) + 1 if hi > 0 else 1, amax + 1))
-    return ((math.isqrt((lo - 1) // d) + 1 if lo > 0 else 1,
-             min(amax, math.isqrt(hi // d)) + 1 if hi > 0 else 1),)
+        below = min(amax, math.isqrt(lo // d)) + 1 if lo > 0 else 1
+        above = min(amax, math.isqrt((hi - 1) // d)) + 1 if hi > 0 else 1
+        return (1 << below) - 2 | (1 << amax + 1) - (1 << above)
+    first = math.isqrt((lo - 1) // d) + 1 if lo > 0 else 1
+    last = min(amax, math.isqrt(hi // d)) + 1 if hi > 0 else 1
+    return (1 << last) - (1 << first) if first < last else 0
 
 
 def _repunit(period: int, amax: int) -> int:
@@ -599,16 +579,14 @@ def _repunit(period: int, amax: int) -> int:
 
 
 def _row_patterns(residues: list, sd: int, amax: int) -> list:
-    """(M, masks) for each (M, flags, m mod M, n mod M) of `residues`:
-    masks[c] has the bits a <= amax for which N = u(u + mw^2)(u + nw^2) at
-    u = sd*a^2 can be a square mod M when w^2 = c mod M.  N mod M depends
-    on a^2 mod M alone: one evaluation per square class of a mod M gives
-    an M-bit pattern, which the repunit tiles."""
+    """(M, masks) for each (M, flags, classes, m mod M, n mod M) of
+    `residues`: masks[c] has the bits a <= amax for which
+    N = u(u + mw^2)(u + nw^2) at u = sd*a^2 can be a square mod M when
+    w^2 = c mod M.  N mod M depends on a^2 mod M alone: one evaluation per
+    square class of a mod M gives an M-bit pattern, which the repunit
+    tiles."""
     out = []
-    for mod, flags, mr, nr in residues:
-        classes = {}  # q: the mask of the r < M with r^2 = q mod M
-        for r in range(mod):
-            classes[r * r % mod] = classes.get(r * r % mod, 0) | 1 << r
+    for mod, flags, classes, mr, nr in residues:
         ts = [(sd * q % mod, bits) for q, bits in classes.items()]
         tile, masks = _repunit(mod, amax), {}
         for c in classes:

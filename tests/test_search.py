@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from concordia.arith import (_SQ_FILTERS, _prime_factors_up_to,
                              _squarefree_products)
-from concordia.curves import _SIEVE_MIN_WMAX, Curve, Point
+from concordia.curves import _SIEVE_MIN_AMAX, Curve, Point
 
 
 def reference_search(c: Curve, height: int) -> frozenset[Point]:
@@ -96,8 +96,8 @@ def grid_search(c: Curve, height: int) -> frozenset[Point]:
 
 
 nonzero = st.integers(-1000, 1000).filter(bool)
-# The least height bound whose search sieves its long rows.
-sieve_threshold = _SIEVE_MIN_WMAX ** 2
+# The least height bound whose d = 1 rows AND in the residue patterns.
+sieve_threshold = _SIEVE_MIN_AMAX ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,13 +142,8 @@ def test_sieve_matches_grid_deep(mn):
     assert c.search(10 ** 5) == grid_search(c, 10 ** 5)
 
 
-def test_sieve_skips_the_cells(monkeypatch):
-    # E(-6, 6) at H = 10^4 has the rows d = 1, 2, 3, 6 and w <= 100, all
-    # sieved (amax >= 40).  The grid loop takes gcd(a, w) of each cell
-    # (18,784 calls); the sieve takes one gcd(d, w) per pair of rows, 400
-    # in all, and an isqrt for the sign bounds and for each cell that
-    # passes the four residue filters (2,037).  Counting calls, not timing
-    # them, keeps the test independent of the host's load.
+def count_calls(monkeypatch) -> dict:
+    """Counts of the calls to math.gcd and math.isqrt from now on."""
     calls = {"gcd": 0, "isqrt": 0}
 
     def counted(name, f):
@@ -159,12 +154,39 @@ def test_sieve_skips_the_cells(monkeypatch):
 
     monkeypatch.setattr(math, "gcd", counted("gcd", math.gcd))
     monkeypatch.setattr(math, "isqrt", counted("isqrt", math.isqrt))
+    return calls
+
+
+def test_sieve_skips_the_cells(monkeypatch):
+    # E(-6, 6) at H = 10^4 has the rows d = 1, 2, 3, 6 and w <= 100, all
+    # sieved (amax >= 40).  The grid loop takes gcd(a, w) of each cell
+    # (18,784 calls); the sieve takes one gcd(d, w) per pair of rows, 400
+    # in all, and an isqrt for the sign bounds and for each cell that
+    # passes the four residue filters (2,037).  Counting calls, not timing
+    # them, keeps the test independent of the host's load.
+    calls = count_calls(monkeypatch)
     c = Curve(-6, 6)
     found = c.search(10 ** 4)
     assert calls["gcd"] <= 400
     assert calls["isqrt"] <= 2100
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
+
+
+def test_short_rows_take_no_gcd_per_cell(monkeypatch):
+    # At H = 2000 the rows of E(-6, 6) have amax <= 44, and those of
+    # d = 2, 3, 6 build no residue patterns.  Their cells still pass
+    # through the coprimality masks: one gcd(d, w) per d = 1, 2, 3, 6 and
+    # w <= 44, 176 in all, where a gcd(a, w) per cell takes 3,701.  The
+    # isqrt calls, for the sign bounds and the cells that pass the
+    # residue filters, stay at the 515 of the grid loop.
+    calls = count_calls(monkeypatch)
+    c = Curve(-6, 6)
+    found = c.search(2000)
+    assert calls["gcd"] == 176
+    assert calls["isqrt"] <= 515
+    monkeypatch.undo()
+    assert found == grid_search(c, 2000)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,9 +242,14 @@ class CountingInt(int):
 def test_search_does_not_factor_mn(monkeypatch):
     # |mn| is about 10^210 with the primes 2^607 - 1 and 2^89 - 1, far past
     # the height bound and past what Pollard rho splits.  search only
-    # trial-divides up to H: it reduces |mn| 11 times in all, where one
-    # reduction per candidate up to H = 10^4 takes 5009.  Counting them,
-    # not timing them, keeps the test independent of the host's load.
+    # trial-divides up to H: the trial division reduces |mn| 11 times,
+    # where one reduction per candidate up to H = 10^4 takes 5009.  The
+    # count also takes the m % M and n % M of the residue patterns, 8 per
+    # search, so 19 in all; taken again for each of the 5 patterned d, or
+    # each (d, s), they would pass CAP.  The per-row // d of the sign
+    # bounds are not counted: -s * mw drops the subclass.  Counting
+    # reductions, not timing them, keeps the test independent of the
+    # host's load.
     def refuse(v):
         raise AssertionError("search must not factor")
 
