@@ -490,13 +490,14 @@ class Curve(Frozen):
 
         A row (d, s, w) holds the cells a in [1, amax], and it is sieved as
         in Stoll's `ratpoints`: bit a of an int stands for the cell a, and
-        the row's mask ANDs its sign range and the a prime to each prime of
-        w.  When amax >= _SIEVE_MIN_AMAX it also ANDs, for each modulus M
-        of _SQ_FILTERS, the a for which N can be a square mod M.  That
-        pattern depends on a^2 mod M alone, and it is tiled over the row.
-        The bits left take `isqrt`, after the _SQ_FILTERS check when no
-        patterns were ANDed: both are exact, since a square is a square
-        mod every M.
+        the row's mask ANDs its sign range and the mask of the a prime to
+        w, one of the non-negative masks built once per search for each
+        w <= isqrt(H) (about H/8 bytes, 1.25 MB at H = 10^7).  When
+        amax >= _SIEVE_MIN_AMAX it also ANDs, for each modulus M of
+        _SQ_FILTERS, the a for which N can be a square mod M.  That pattern
+        depends on a^2 mod M alone, and it is tiled over the row.  The bits
+        left take `isqrt`, after the _SQ_FILTERS check when no patterns were
+        ANDed: both are exact, since a square is a square mod every M.
         """
         if height < 1:
             raise ValueError("height bound must be >= 1")
@@ -506,7 +507,7 @@ class Curve(Frozen):
         filters = _SQ_FILTERS
         wmax = isqrt(height)
         primes = _prime_factors_up_to(abs(m * n), height)
-        wprimes = _prime_lists(wmax)
+        coprime = _coprime_masks(wmax)
         residues = [(mod, flags, classes, m % mod, n % mod)
                     for (mod, flags), classes in zip(filters, _SQ_CLASSES)]
         pts = {Point(0, 0, 1)}
@@ -516,7 +517,6 @@ class Curve(Frozen):
             patterns = {s: _row_patterns(residues, s * d, amax) if sieve
                         else () for s in (1, -1)}
             checks = () if sieve else filters  # the patterns are exact
-            coprime = {}
             for w in range(1, wmax + 1):
                 if gcd(d, w) != 1:
                     continue
@@ -528,10 +528,7 @@ class Curve(Frozen):
                         continue
                     for mod, masks in patterns[s]:
                         x &= masks[w2 % mod]
-                    for p in wprimes[w]:
-                        if p not in coprime:
-                            coprime[p] = ~_repunit(p, amax)
-                        x &= coprime[p]
+                    x &= coprime[w]
                     sd = s * d
                     while x:
                         a = x.bit_length() - 1
@@ -597,11 +594,14 @@ def _row_patterns(residues: list, sd: int, amax: int) -> list:
     return out
 
 
-def _prime_lists(limit: int) -> list[tuple[int, ...]]:
-    """The primes of each w <= limit, by a sieve."""
-    lists = [()] * (limit + 1)
-    for p in range(2, limit + 1):
-        if not lists[p]:
-            for w in range(p, limit + 1, p):
-                lists[w] += (p,)
-    return lists
+def _coprime_masks(wmax: int) -> list[int]:
+    """Bit a <= wmax of masks[w], 1 <= w <= wmax, is set iff gcd(a, w) = 1:
+    each prime p clears the bits 0, p, 2p, ... of its multiples' masks."""
+    full = (1 << wmax + 1) - 1
+    masks = [full] * (wmax + 1)
+    for p in range(2, wmax + 1):
+        if masks[p] == full:  # no prime below p divides p
+            clear = full ^ _repunit(p, wmax)
+            for w in range(p, wmax + 1, p):
+                masks[w] &= clear
+    return masks
