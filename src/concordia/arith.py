@@ -7,17 +7,17 @@ import itertools
 import math
 import numbers
 
-# Quadratic-residue bitmasks used to reject non-squares cheaply before
-# paying for a big-integer isqrt, and the square classes of each modulus
-# M, {q: the bits r < M with r^2 = q mod M}, that `Curve.search` tiles.
+# Bitmasks of the squares mod prime powers M, most selective first, that
+# reject non-squares before a big-integer isqrt, and {M: {q: the bits
+# r < M with r^2 = q mod M}}, the square classes that `Curve.search` tiles.
 _SQ_FILTERS = []
-_SQ_CLASSES = []
-for _mod in (64, 63, 65, 11):
+_SQ_CLASSES = {}
+for _mod in (64, 9, 13, 11, 7, 5):
     _classes = {}
     for _i in range(_mod):
         _classes[_i * _i % _mod] = _classes.get(_i * _i % _mod, 0) | 1 << _i
     _SQ_FILTERS.append((_mod, bytes(_i in _classes for _i in range(_mod))))
-    _SQ_CLASSES.append(_classes)
+    _SQ_CLASSES[_mod] = _classes
 
 
 def isqrt_exact(v: int) -> int | None:

@@ -32,7 +32,7 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
-# Curve.search takes 0.02-0.4 s at H = 10^6 and 0.2-1.8 s at H = 10^7 for
+# Curve.search takes 0.02-0.25 s at H = 10^6 and 0.18-1.7 s at H = 10^7 for
 # small m, n (E(-5,5) to E(-2310,221), one core of a 2-vCPU host); larger
 # bounds are refused rather than left to run for minutes.
 MAX_BOUND = 10 ** 7

@@ -32,13 +32,13 @@ from .arith import (_SQ_CLASSES, _SQ_FILTERS, _Coprime, _prime_factors_up_to,
 # value of x(x+m)(x+n) before it searches for the integer roots x.
 _ORACLE_MODULI = (32, 27, 25, 7, 11, 13)
 
-# `Curve.search` ANDs the residue patterns into the rows of a d with
-# amax >= _SIEVE_MIN_AMAX cells; building them costs about 0.13 ms per
-# (d, s).  On the 93 curves that the solve benchmark searches (best of 5
-# to 7, one core of a 2-vCPU host, two runs), 32 ran within 8% of the
-# fastest of 16-48 at each H = 10^3-10^5; 16 and 24 lost 20-50% at 10^3,
-# and 40 and 48 lost up to 16% at 10^4.
-_SIEVE_MIN_AMAX = 32
+# Rows with amax >= _SIEVE_MIN_AMAX cells take patterns.  ms of the solve
+# benchmark's 93 searches, best of 7 (3 at 10^5), one core of 2 vCPUs:
+#   amax >=     12    16    20    24    32
+#   H = 10^3    49    47    47    46    53
+#   H = 10^4   122   122   128   132   152
+#   H = 10^5   449   462   489   462   460
+_SIEVE_MIN_AMAX = 16
 
 
 class Frozen:
@@ -493,43 +493,42 @@ class Curve(Frozen):
         the row's mask ANDs its sign range and the mask of the a prime to
         w, one of the non-negative masks built once per search for each
         w <= isqrt(H) (about H/8 bytes, 1.25 MB at H = 10^7).  When
-        amax >= _SIEVE_MIN_AMAX it also ANDs, for each modulus M of
-        _SQ_FILTERS, the a for which N can be a square mod M.  That pattern
-        depends on a^2 mod M alone, and it is tiled over the row.  The bits
-        left take `isqrt`, after the _SQ_FILTERS check when no patterns were
-        ANDed: both are exact, since a square is a square mod every M.
+        amax >= _SIEVE_MIN_AMAX it also ANDs, for each prime power M of
+        _SQ_CLASSES, the a for which N can be a square mod M: a pattern of
+        a^2 mod M alone, tiled by a repunit built once per search.  By the
+        CRT, a composite M would reject no more.  The bits left take
+        `isqrt`, after the _SQ_FILTERS check when no patterns were ANDed:
+        both are exact, since a square is a square mod every M.
         """
         if height < 1:
             raise ValueError("height bound must be >= 1")
         m, n = self.m, self.n
         gcd = math.gcd
         isqrt = math.isqrt
-        filters = _SQ_FILTERS
         wmax = isqrt(height)
         primes = _prime_factors_up_to(abs(m * n), height)
         coprime = _coprime_masks(wmax)
-        residues = [(mod, flags, classes, m % mod, n % mod)
-                    for (mod, flags), classes in zip(filters, _SQ_CLASSES)]
+        residues = [(mod, classes, m % mod, n % mod, _repunit(mod, wmax))
+                    for mod, classes in _SQ_CLASSES.items()]
         pts = {Point(0, 0, 1)}
         for d in _squarefree_products(primes, height):
             amax = isqrt(height // d)
             sieve = amax >= _SIEVE_MIN_AMAX
-            patterns = {s: _row_patterns(residues, s * d, amax) if sieve
-                        else () for s in (1, -1)}
-            checks = () if sieve else filters  # the patterns are exact
+            signs = [(s, s * d, _row_patterns(residues, s * d) if sieve
+                      else ()) for s in (1, -1)]
+            checks = () if sieve else _SQ_FILTERS  # the patterns are exact
             for w in range(1, wmax + 1):
                 if gcd(d, w) != 1:
                     continue
                 w2 = w * w
                 mw, nw = m * w2, n * w2
-                for s in (1, -1):
+                for s, sd, patterns in signs:
                     x = _nonnegative_roots(s, d, mw, nw, amax)
                     if not x:
                         continue
-                    for mod, masks in patterns[s]:
+                    for mod, masks in patterns:
                         x &= masks[w2 % mod]
                     x &= coprime[w]
-                    sd = s * d
                     while x:
                         a = x.bit_length() - 1
                         x ^= 1 << a
@@ -568,28 +567,29 @@ def _nonnegative_roots(s: int, d: int, mw: int, nw: int, amax: int) -> int:
     return (1 << last) - (1 << first) if first < last else 0
 
 
-def _repunit(period: int, amax: int) -> int:
-    """The int with the bits 0, period, 2*period, ... up to amax: times a
-    pattern of `period` bits, it tiles the pattern over the bits 0..amax."""
-    k = amax // period + 1
+def _repunit(period: int, top: int) -> int:
+    """The int with the bits 0, period, 2*period, ... up to top: times a
+    pattern of `period` bits, it tiles the pattern over the bits 0..top."""
+    k = top // period + 1
     return ((1 << period * k) - 1) // ((1 << period) - 1)
 
 
-def _row_patterns(residues: list, sd: int, amax: int) -> list:
-    """(M, masks) for each (M, flags, classes, m mod M, n mod M) of
-    `residues`: masks[c] has the bits a <= amax for which
-    N = u(u + mw^2)(u + nw^2) at u = sd*a^2 can be a square mod M when
-    w^2 = c mod M.  N mod M depends on a^2 mod M alone: one evaluation per
-    square class of a mod M gives an M-bit pattern, which the repunit
-    tiles."""
+def _row_patterns(residues: list, sd: int) -> list:
+    """(M, masks) for each (M, square classes, m mod M, n mod M, tile) of
+    `residues`: masks[c] has the bits a <= wmax for which u = sd*a^2 can
+    make N = u(u + mw^2)(u + nw^2) a square mod M when w^2 = c mod M, from
+    one evaluation per pair of square classes, repeated by the tile."""
     out = []
-    for mod, flags, classes, mr, nr in residues:
+    for mod, classes, mr, nr, tile in residues:
         ts = [(sd * q % mod, bits) for q, bits in classes.items()]
-        tile, masks = _repunit(mod, amax), {}
+        masks = {}
         for c in classes:
             mc, nc = mr * c % mod, nr * c % mod
-            masks[c] = tile * sum(bits for t, bits in ts
-                                  if flags[t * (t + mc) * (t + nc) % mod])
+            acc = 0
+            for t, bits in ts:
+                if t * (t + mc) * (t + nc) % mod in classes:
+                    acc |= bits
+            masks[c] = tile * acc
         out.append((mod, masks))
     return out
 

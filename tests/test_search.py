@@ -6,16 +6,17 @@ import itertools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concordia import curves
-from concordia.arith import (_SQ_FILTERS, _prime_factors_up_to,
+from concordia.arith import (_SQ_CLASSES, _SQ_FILTERS, _prime_factors_up_to,
                              _squarefree_products)
 from concordia.curves import (_SIEVE_MIN_AMAX, Curve, Point,
-                             _coprime_masks)
+                             _coprime_masks, _repunit, _row_patterns)
 
 
 def reference_search(c: Curve, height: int) -> frozenset[Point]:
@@ -164,7 +165,7 @@ def test_sieve_skips_the_cells(monkeypatch):
     # sieved (amax >= 40).  The grid loop takes gcd(a, w) of each cell
     # (18,784 calls); the sieve takes one gcd(d, w) per pair of rows, 400
     # in all, and an isqrt for the sign bounds and for each cell that
-    # passes the four residue filters (2,037).  Counting calls, not timing
+    # passes the six residue filters (2,037).  Counting calls, not timing
     # them, keeps the test independent of the host's load.
     calls = count_calls(monkeypatch)
     c = Curve(-6, 6)
@@ -176,12 +177,12 @@ def test_sieve_skips_the_cells(monkeypatch):
 
 
 def test_short_rows_take_no_gcd_per_cell(monkeypatch):
-    # At H = 2000 the rows of E(-6, 6) have amax <= 44, and those of
-    # d = 2, 3, 6 build no residue patterns.  Their cells still pass
-    # through the coprimality masks: one gcd(d, w) per d = 1, 2, 3, 6 and
-    # w <= 44, 176 in all, where a gcd(a, w) per cell takes 3,701.  The
-    # isqrt calls, for the sign bounds and the cells that pass the
-    # residue filters, stay at the 515 of the grid loop.
+    # At H = 2000 the rows of E(-6, 6) have amax 44, 31, 25 and 18 for
+    # d = 1, 2, 3, 6, so every d builds residue patterns.  The cells pass
+    # through the coprimality masks: one gcd(d, w) per d and w <= 44, 176
+    # in all, where a gcd(a, w) per cell takes 3,701.  The isqrt calls,
+    # for the sign bounds and the cells that pass the patterns, stay at
+    # 515, where the grid loop takes 737.
     calls = count_calls(monkeypatch)
     c = Curve(-6, 6)
     found = c.search(2000)
@@ -189,6 +190,149 @@ def test_short_rows_take_no_gcd_per_cell(monkeypatch):
     assert calls["isqrt"] <= 515
     monkeypatch.undo()
     assert found == grid_search(c, 2000)
+
+
+lookups = {"patterns": 0, "cells": 0}
+
+
+class CountingClasses(dict):
+    """Square classes that count the membership tests of the patterns."""
+
+    def __contains__(self, q):
+        lookups["patterns"] += 1
+        return dict.__contains__(self, q)
+
+
+class CountingFlags(bytes):
+    """A residue filter that counts the per-cell checks."""
+
+    def __getitem__(self, i):
+        lookups["cells"] += 1
+        return bytes.__getitem__(self, i)
+
+
+def count_lookups(monkeypatch) -> list:
+    """From now on, `lookups` counts the search's residue lookups, and
+    the returned list gets the pattern lookups of each `_row_patterns`
+    call, one per patterned (d, s)."""
+    builds = []
+
+    def counted(*args):
+        before = lookups["patterns"]
+        out = _row_patterns(*args)
+        builds.append(lookups["patterns"] - before)
+        return out
+
+    lookups.update(patterns=0, cells=0)
+    monkeypatch.setattr(curves, "_SQ_CLASSES", {
+        mod: CountingClasses(classes) for mod, classes in _SQ_CLASSES.items()})
+    monkeypatch.setattr(curves, "_SQ_FILTERS", [
+        (mod, CountingFlags(flags)) for mod, flags in _SQ_FILTERS])
+    monkeypatch.setattr(curves, "_row_patterns", counted)
+    return builds
+
+
+def test_short_rows_check_the_residues_per_cell(monkeypatch):
+    # At H = 500 the rows of E(-6, 6) have amax 22, 15, 12 and 9 for
+    # d = 1, 2, 3, 6: only d = 1 builds residue patterns, and the cells of
+    # the other rows take the _SQ_FILTERS check before isqrt.  One
+    # gcd(d, w) per d and w <= 22 makes 88 calls, where a gcd(a, w) per
+    # cell takes 924.  isqrt runs 187 times, where the grid loop takes 297.
+    assert math.isqrt(500 // 2) < _SIEVE_MIN_AMAX <= math.isqrt(500)
+    builds = count_lookups(monkeypatch)
+    calls = count_calls(monkeypatch)
+    c = Curve(-6, 6)
+    found = c.search(500)
+    assert calls["gcd"] == 88
+    assert calls["isqrt"] <= 187
+    assert len(builds) == 2
+    assert lookups["cells"] > 0
+    monkeypatch.undo()
+    assert found == grid_search(c, 500)
+
+
+def test_patterns_take_one_lookup_per_pair_of_square_classes(monkeypatch):
+    # Each patterned (d, s) evaluates N mod M once per pair of square
+    # classes of M: 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2 = 270 lookups over
+    # the prime powers 64, 9, 13, 11, 7 and 5, where the composite moduli
+    # 64, 63, 65 and 11 took 12^2 + 16^2 + 21^2 + 6^2 = 877.  Counting
+    # lookups, not timing them, keeps the test independent of the host.
+    builds = count_lookups(monkeypatch)
+    c = Curve(-2310, 221)
+    found = c.search(10 ** 4)
+    assert builds and set(builds) == {270}
+    monkeypatch.undo()
+    assert found == grid_search(c, 10 ** 4)
+
+
+def _square_classes(mod: int) -> dict:
+    """{q: the bits i < mod with i^2 = q mod mod}."""
+    classes = {}
+    for i in range(mod):
+        classes[i * i % mod] = classes.get(i * i % mod, 0) | 1 << i
+    return classes
+
+
+def composite_row_patterns(m: int, n: int, sd: int, amax: int) -> list:
+    """The residue patterns of a row of length amax over the composite
+    moduli 64, 63, 65 and 11, each tiled to amax bits: the reference that
+    `_row_patterns` over their prime-power factors must agree with."""
+    out = []
+    for mod in (64, 63, 65, 11):
+        classes = _square_classes(mod)
+        flags = bytes(i in classes for i in range(mod))
+        mr, nr = m % mod, n % mod
+        ts = [(sd * q % mod, bits) for q, bits in classes.items()]
+        tile, masks = _repunit(mod, amax), {}
+        for c in classes:
+            mc, nc = mr * c % mod, nr * c % mod
+            masks[c] = tile * sum(bits for t, bits in ts
+                                  if flags[t * (t + mc) * (t + nc) % mod])
+        out.append((mod, masks))
+    return out
+
+
+def test_prime_power_filters_accept_the_composite_residues():
+    # By the CRT, N passes the composite filters iff it passes every
+    # prime-power factor's: check each r mod 64, 63, 65 and 11.
+    filters = dict(_SQ_FILTERS)
+    assert sorted(filters) == [5, 7, 9, 11, 13, 64]
+    for mod, factors in ((64, (64,)), (63, (9, 7)), (65, (5, 13)),
+                         (11, (11,))):
+        squares = _square_classes(mod)
+        for r in range(mod):
+            assert (r in squares) == all(filters[f][r % f] for f in factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero, nonzero, st.integers(-3000, 3000).filter(bool),
+       st.integers(_SIEVE_MIN_AMAX, 120), st.data(), st.integers(1, 10 ** 9))
+def test_row_patterns_match_composite_moduli(m, n, sd, wmax, data, w):
+    # The residues of a search at H = wmax^2, with the tiles it builds at
+    # wmax bits: cut to the bits a <= amax <= wmax, the AND of a row's
+    # masks is the composite moduli's, for every w mod 63 * 65 and for
+    # one large w.
+    if m == n:
+        n = -n
+    amax = data.draw(st.integers(1, wmax))
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _row_patterns(*args)
+
+    with mock.patch.object(curves, "_row_patterns", record):
+        Curve(m, n).search(wmax * wmax)
+    residues = calls[0][0]  # d = 1 has amax = wmax: it takes patterns
+    new = _row_patterns(residues, sd)
+    old = composite_row_patterns(m, n, sd, amax)
+    row = (1 << amax + 1) - 1
+    for v in (*range(63 * 65), w):
+        masks = [row, row]
+        for i, patterns in enumerate((new, old)):
+            for mod, by_class in patterns:
+                masks[i] &= by_class[v * v % mod]
+        assert masks[0] == masks[1], v
 
 
 @pytest.mark.parametrize("wmax", [*range(1, 61), 331])
@@ -206,8 +350,9 @@ def test_coprime_masks_match_gcd(wmax):
 def test_search_builds_the_coprimality_masks_once(monkeypatch):
     # E(-2310, 221) at H = 10^4 has 2-descent rows d over the primes 2, 3,
     # 5, 7, 11, 13 and 17.  One repunit per prime p <= 100 (25) builds the
-    # coprimality masks for the whole search, and 48 tile the residue
-    # patterns: 73 in all.  Masks rebuilt for every d took 2,367.
+    # coprimality masks for the whole search, and one per modulus (6)
+    # the tiles of the residue patterns: 31 in all.  Masks rebuilt for
+    # every d took 2,367, and tiles built per patterned (d, s) 48.
     calls = []
     repunit = curves._repunit
 
@@ -218,7 +363,7 @@ def test_search_builds_the_coprimality_masks_once(monkeypatch):
     monkeypatch.setattr(curves, "_repunit", counted)
     c = Curve(-2310, 221)
     found = c.search(10 ** 4)
-    assert len(calls) <= 100
+    assert len(calls) == 31
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
 
@@ -278,8 +423,8 @@ def test_search_does_not_factor_mn(monkeypatch):
     # the height bound and past what Pollard rho splits.  search only
     # trial-divides up to H: the trial division reduces |mn| 11 times,
     # where one reduction per candidate up to H = 10^4 takes 5009.  The
-    # count also takes the m % M and n % M of the residue patterns, 8 per
-    # search, so 19 in all; taken again for each of the 5 patterned d, or
+    # count also takes the m % M and n % M of the residue patterns, 12 per
+    # search, so 23 in all; taken again for each of the 8 patterned d, or
     # each (d, s), they would pass CAP.  The per-row // d of the sign
     # bounds are not counted: -s * mw drops the subclass.  Counting
     # reductions, not timing them, keeps the test independent of the
