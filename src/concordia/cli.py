@@ -32,9 +32,9 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
-# Curve.search takes 0.02-0.25 s at H = 10^6 and 0.18-1.7 s at H = 10^7 for
-# small m, n (E(-5,5) to E(-2310,221), one core of a 2-vCPU host); larger
-# bounds are refused rather than left to run for minutes.
+# For small m, n (E(-5,5) to E(-2310,221)) Curve.search takes 0.02-0.25 s
+# at H = 10^6 and 0.18-1.7 s at H = 10^7 on one core of a 2-vCPU host, and
+# larger bounds are refused; 4000-digit m, n take 16 s at 10^6, 162 s at 10^7.
 MAX_BOUND = 10 ** 7
 # The whole selftest at p, q <= 60 (an oracle grid of 17,624 curves) takes
 # about 5 s (4.2-6.1 s over five runs) in one process on a 2-vCPU host.

@@ -12,10 +12,10 @@ y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
 A sum comes out as (X3, Y3, Z3) = (lam^2 X, lam^3 Y, lam Z) for its
 lowest-terms (X, Y, Z): the chord finds lam^2 with one gcd, the tangent
 over the primes of mn(m-n) alone (`_smooth_gcd`), and both divide
-exactly.  `Point.x` and `Point.y` give the coordinates as `Fraction`s
-for output.  The torsion oracle is a Nagell-Lutz enumeration that is
-independent of the closed-form torsion classifier in `concordia.torsion`;
-the number theory on bare integers lives in `concordia.arith`.
+exactly.  Output prints from X, Y and Z (`concordia.serialize`), and
+`Point.x`, `Point.y` are `Fraction` views for callers.  The torsion oracle
+is a Nagell-Lutz enumeration, independent of the closed-form classifier in
+`concordia.torsion`; the number theory on bare integers is `concordia.arith`.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class Point(Frozen):
         return Fraction(_Coprime(self.Y, self.Z ** 3)) if self.Z else None
 
     def __repr__(self):
-        return f"({self.x}, {self.y})" if self.Z else "O"
+        from .serialize import point_json
+        return "(%s, %s)" % tuple(point_json(self)) if self.Z else "O"
 
 
 INFINITY = Point(1, 1, 0)

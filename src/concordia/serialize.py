@@ -1,19 +1,19 @@
 """Exact-string serialization helpers shared by the library and the CLI.
 
-Rationals cross every boundary as "num/den" strings in lowest terms
-(integers as plain "num"); the point at infinity is the string "O".
+A rational prints from its lowest-terms integers as "num/den" ("num" over
+1), and a point as [x, y] with x = X/Z^2, y = Y/Z^3; O is the string "O".
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
 
 
 def frac_str(v) -> str:
-    return str(Fraction(v))
+    return _ratio(v.numerator, v.denominator)
+
+
+def _ratio(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def point_json(P):
     if P.is_infinity:
         return "O"
-    return [frac_str(P.x), frac_str(P.y)]
+    return [_ratio(P.X, P.Z * P.Z), _ratio(P.Y, P.Z ** 3)]

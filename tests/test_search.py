@@ -176,7 +176,7 @@ def test_sieve_skips_the_cells(monkeypatch):
     assert found == grid_search(c, 10 ** 4)
 
 
-def test_short_rows_take_no_gcd_per_cell(monkeypatch):
+def test_patterned_rows_take_one_gcd_per_d_and_w(monkeypatch):
     # At H = 2000 the rows of E(-6, 6) have amax 44, 31, 25 and 18 for
     # d = 1, 2, 3, 6, so every d builds residue patterns.  The cells pass
     # through the coprimality masks: one gcd(d, w) per d and w <= 44, 176
