@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 # Each handler imports the package modules it runs, so that a process
 # loads only what its subcommand needs.
@@ -80,13 +79,14 @@ def _check_digits(what: str, text: str) -> None:
                                   f"the limit is {MAX_DIGITS} digits")
 
 
-def _number(kind=int, cap=None):
-    """Argument type: the flag's text as a `kind` (int or Fraction), from 1
-    to `cap` if one is given.  The text is checked before it is converted:
-    with underscores dropped, a run of more than MAX_DIGITS digits or a
-    decimal exponent of MAX_DIGITS or more (Fraction would expand
-    "1e999999999" in full) is refused.  A text that does not convert is
-    echoed as at most 32 characters of its repr, of at most 4 bytes each."""
+def _number(cap=None, rational=False):
+    """Argument type: the flag's text as an int, or a Fraction if
+    `rational`, from 1 to `cap` if one is given.  The text is checked
+    before it is converted: with underscores dropped, a run of more than
+    MAX_DIGITS digits or a decimal exponent of MAX_DIGITS or more
+    (Fraction would expand "1e999999999" in full) is refused.  A text
+    that does not convert is echoed as at most 32 characters of its repr,
+    of at most 4 bytes each."""
     def parse(text: str):
         body = text.replace("_", "")
         _check_digits("the value", body)
@@ -96,6 +96,9 @@ def _number(kind=int, cap=None):
                          or int(exponent[1]) >= MAX_DIGITS):
             raise DigitLimitError(f"the value's decimal exponent gives more "
                                   f"than {MAX_DIGITS} digits")
+        kind = int
+        if rational:
+            from fractions import Fraction as kind
         try:
             value = kind(text)
         except ZeroDivisionError:
@@ -239,7 +242,7 @@ def _cmd_chain(args):
 
 def _cmd_verify(args):
     from .curves import Curve
-    from .problems import verify_concordant_solution
+    from .quadrics import verify_concordant_solution
     verdict = verify_concordant_solution(args.m, args.n, args.x, args.y,
                                          args.z, args.w)
     payload = {"verdict": verdict,
@@ -285,59 +288,99 @@ def _cmd_selftest(args):
     return {"failures": failures, "passed": not failures}, code
 
 
-def _leaf(sub, name, func, required="", optional="", extra=(), **kw):
-    """Add the subcommand `name`, run by `func`, with an integer flag
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when argparse selects one.
+    Every name is in `choices` from the start, so that usage, help and
+    "invalid choice" list them all; until it is selected, a name maps to
+    the function that fills its parser."""
+
+    def parser(self, name) -> _Parser:
+        """The parser of the subcommand `name`, built at the first call
+        with the prog that `add_parser` gives."""
+        fill = self.choices[name]
+        if isinstance(fill, argparse.ArgumentParser):
+            return fill
+        parser = self.choices[name] = self._parser_class(
+            prog=f"{self._prog_prefix} {name}")
+        fill(parser)
+        return parser
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.parser(values[0])  # argparse has checked the name
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _group(dest, *entries):
+    """The filler of a parser with a required subcommand, stored as
+    `dest`: one of `entries`, each a (name, help or None, filler)."""
+    def fill(parser):
+        sub = parser.add_subparsers(dest=dest, required=True,
+                                    action=_Subcommands)
+        for name, help, leaf in entries:
+            if help is not None:  # the --help line add_parser(help=) adds
+                sub._choices_actions.append(
+                    sub._ChoicesPseudoAction(name, (), help))
+            sub.choices[name] = leaf
+    return fill
+
+
+def _leaf(func, required="", optional="", extra=()):
+    """The filler of a subcommand run by `func`, with an integer flag
     --WORD for each word of `required` (required) and of `optional` (not
     required), and the (flag, add_argument keywords) pairs of `extra`
-    between the two; `kw` (help=) goes to add_parser."""
-    p = sub.add_parser(name, **kw)
-    for word in required.split():
-        p.add_argument(f"--{word}", type=_number(), required=True)
-    for flag, spec in extra:
-        p.add_argument(flag, **spec)
-    for word in optional.split():
-        p.add_argument(f"--{word}", type=_number())
-    p.set_defaults(func=func)
+    between the two."""
+    def fill(parser):
+        for word in required.split():
+            parser.add_argument(f"--{word}", type=_number(), required=True)
+        for flag, spec in extra:
+            parser.add_argument(flag, **spec)
+        for word in optional.split():
+            parser.add_argument(f"--{word}", type=_number())
+        parser.set_defaults(func=func)
+    return fill
 
 
 def build_parser() -> _Parser:
+    """The top-level parser.  It builds a subcommand's parser only when
+    that subcommand is parsed (`_Subcommands`)."""
     parser = _Parser(prog="concordia",
                      description="theta-congruent numbers, concordant forms "
                                  "and torsion on E(m,n), in exact arithmetic")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
     bound = ("--bound", {"type": _number(cap=MAX_BOUND)})
-
-    _leaf(sub, "classify", _cmd_classify, optional="m n p q k",
-          help="torsion class and full torsion list")
-    p = sub.add_parser("solve", help="solution pipelines")
-    solve = p.add_subparsers(dest="problem", required=True)
-    _leaf(solve, "concordant", _cmd_solve_concordant, "p q k", extra=[bound])
-    _leaf(solve, "theta", _cmd_solve_theta, "r s k", extra=[bound])
-    p = sub.add_parser("convert", help="triple encodings and object chains")
-    conv = p.add_subparsers(dest="conversion", required=True)
-    _leaf(conv, "to-concordant", _cmd_to_concordant, "r s k")
-    _leaf(conv, "to-congruent", _cmd_to_congruent, "p q k")
-    _leaf(conv, "chain", _cmd_chain, "m n", "r s",
-          extra=[("--x", {"type": _number(Fraction), "required": True}),
-                 ("--y", {"type": _number(Fraction), "required": True})])
-    p = sub.add_parser("verify", help="check a concordant-form solution")
-    verify = p.add_subparsers(dest="target", required=True)
-    _leaf(verify, "concordant", _cmd_verify, "m n x y z w")
-    _leaf(sub, "search", _cmd_search, "m n",
-          extra=[("--bound", {"type": _number(cap=MAX_BOUND),
-                              "required": True})],
-          help="height-bounded point search")
-    p = sub.add_parser("family", help="torsion-solution family generators")
-    family = p.add_subparsers(dest="family", required=True)
-    _leaf(family, "order4", _cmd_order4, "u v")
-    _leaf(family, "order8", _cmd_order8, "xi eta zeta")
-    _leaf(family, "order36", _cmd_order36, "a b")
-    _leaf(sub, "selftest", _cmd_selftest, help="run the invariant suites",
-          extra=[("--pmax", {"type": _number(cap=MAX_PMAX), "default": 6,
-                             "help": "oracle-equivalence grid p, q <= PMAX"}),
-                 ("--jobs", {"type": _number(cap=os.cpu_count() or 1),
-                             "default": 1})])
+    rational = {"type": _number(rational=True), "required": True}
+    _group(
+        "command",
+        ("classify", "torsion class and full torsion list",
+         _leaf(_cmd_classify, optional="m n p q k")),
+        ("solve", "solution pipelines", _group(
+            "problem",
+            ("concordant", None,
+             _leaf(_cmd_solve_concordant, "p q k", extra=[bound])),
+            ("theta", None, _leaf(_cmd_solve_theta, "r s k", extra=[bound])))),
+        ("convert", "triple encodings and object chains", _group(
+            "conversion",
+            ("to-concordant", None, _leaf(_cmd_to_concordant, "r s k")),
+            ("to-congruent", None, _leaf(_cmd_to_congruent, "p q k")),
+            ("chain", None, _leaf(_cmd_chain, "m n", "r s", extra=[
+                ("--x", rational), ("--y", rational)])))),
+        ("verify", "check a concordant-form solution", _group(
+            "target",
+            ("concordant", None, _leaf(_cmd_verify, "m n x y z w")))),
+        ("search", "height-bounded point search", _leaf(
+            _cmd_search, "m n", extra=[
+                ("--bound", {**bound[1], "required": True})])),
+        ("family", "torsion-solution family generators", _group(
+            "family",
+            ("order4", None, _leaf(_cmd_order4, "u v")),
+            ("order8", None, _leaf(_cmd_order8, "xi eta zeta")),
+            ("order36", None, _leaf(_cmd_order36, "a b")))),
+        ("selftest", "run the invariant suites", _leaf(_cmd_selftest, extra=[
+            ("--pmax", {"type": _number(cap=MAX_PMAX), "default": 6,
+                        "help": "oracle-equivalence grid p, q <= PMAX"}),
+            ("--jobs", {"type": _number(cap=os.cpu_count() or 1),
+                        "default": 1})])),
+    )(parser)
     return parser
 
 

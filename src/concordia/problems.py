@@ -12,7 +12,8 @@ import math
 
 from .curves import Curve, Frozen, Point, point_sort_key
 from .geometry import APTriple, Triangle, ap_to_triangle, quadric_to_ap
-from .quadrics import QuadricPoint, point_to_quadric, quadric_to_point
+from .quadrics import (QuadricPoint, point_to_quadric, quadric_to_point,
+                       verify_concordant_solution)
 from .serialize import frac_str, point_json
 from .torsion import (CertificateMismatch, TorsionClass, classify_torsion,
                       torsion_subgroup)
@@ -214,19 +215,6 @@ def gen_order36_family(a: int, b: int) -> FamilyRecord:
 
 # ---------------------------------------------------------------------------
 # Verifiers
-
-
-def verify_concordant_solution(m: int, n: int, X: int, Y: int, Z: int,
-                               W: int) -> str:
-    """Classify an integral 4-tuple as a solution of the concordant system:
-    returns "nontrivial", "trivial" or "invalid".  Raises ValueError for
-    the degenerate m = 0, n = 0 or m = n, as `Curve` does."""
-    Curve(m, n)
-    if (X, Y, Z, W) == (0, 0, 0, 0):
-        return "invalid"
-    if X * X + m * Y * Y != Z * Z or X * X + n * Y * Y != W * W:
-        return "invalid"
-    return "trivial" if Y == 0 else "nontrivial"
 
 
 def four_torsion_counterexamples() -> list[str]:

@@ -11,6 +11,7 @@ the classical congruent-number literature are provided as
 and `concordant_form_map`; they equal doubling-after-isomorphism up to
 sign, which the test suite checks exactly.  All three build their image
 as a weighted triple (X, Y, Z), and only `quadric_to_point` takes a gcd.
+`verify_concordant_solution` checks an integral solution of the system.
 """
 
 from __future__ import annotations
@@ -154,3 +155,16 @@ def concordant_form_map(S: QuadricPoint, c: Curve) -> Point:
     """Degree-4 map Q(m,n) -> E(m,n); the negated-doubling companion of
     `right_triangle_map` with the opposite sign in the second coordinate."""
     return _degree_four_map(S, c, +1)
+
+
+def verify_concordant_solution(m: int, n: int, X: int, Y: int, Z: int,
+                               W: int) -> str:
+    """Classify an integral 4-tuple as a solution of the concordant system:
+    returns "nontrivial", "trivial" or "invalid".  Raises ValueError for
+    the degenerate m = 0, n = 0 or m = n, as `Curve` does."""
+    Curve(m, n)
+    if (X, Y, Z, W) == (0, 0, 0, 0):
+        return "invalid"
+    if X * X + m * Y * Y != Z * Z or X * X + n * Y * Y != W * W:
+        return "invalid"
+    return "trivial" if Y == 0 else "nontrivial"

@@ -2,6 +2,7 @@
 it replaced.  sympy is a test-only dependency; the package itself must
 not import it."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import concordia
-from concordia.arith import _is_prime, divisors, factorint, iroot_exact
+from concordia.arith import (_SMALL_PRIMES, _is_prime, divisors, factorint,
+                             iroot_exact)
 from concordia.cli import main
 
 # Known primes above the deterministic Miller-Rabin range (3.3e24), so
@@ -21,6 +23,12 @@ BIG_PRIMES = (2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1, 2 ** 521 - 1,
               sympy.nextprime(10 ** 30))
 
 small_primes = st.integers(3, 10 ** 6).map(sympy.prevprime)
+
+
+def test_small_primes_match_trial_division():
+    # The sieve of Eratosthenes against trial division of every p < 1000.
+    assert _SMALL_PRIMES == [p for p in range(2, 1000) if all(
+        p % q for q in range(2, math.isqrt(p) + 1))]
 
 
 def agrees_with_sympy(n):

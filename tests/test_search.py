@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia import curves
+from concordia import sieve
 from concordia.arith import (_SQ_CLASSES, _SQ_FILTERS, _prime_factors_up_to,
                              _squarefree_products)
-from concordia.curves import (_SIEVE_MIN_AMAX, Curve, Point,
-                             _coprime_masks, _repunit, _row_patterns)
+from concordia.curves import Curve, Point
+from concordia.sieve import (_SIEVE_MIN_AMAX, _coprime_masks, _repunit,
+                             _row_patterns)
 
 
 def reference_search(c: Curve, height: int) -> frozenset[Point]:
@@ -224,11 +225,11 @@ def count_lookups(monkeypatch) -> list:
         return out
 
     lookups.update(patterns=0, cells=0)
-    monkeypatch.setattr(curves, "_SQ_CLASSES", {
+    monkeypatch.setattr(sieve, "_SQ_CLASSES", {
         mod: CountingClasses(classes) for mod, classes in _SQ_CLASSES.items()})
-    monkeypatch.setattr(curves, "_SQ_FILTERS", [
+    monkeypatch.setattr(sieve, "_SQ_FILTERS", [
         (mod, CountingFlags(flags)) for mod, flags in _SQ_FILTERS])
-    monkeypatch.setattr(curves, "_row_patterns", counted)
+    monkeypatch.setattr(sieve, "_row_patterns", counted)
     return builds
 
 
@@ -293,15 +294,20 @@ def composite_row_patterns(m: int, n: int, sd: int, amax: int) -> list:
 
 
 def test_prime_power_filters_accept_the_composite_residues():
-    # By the CRT, N passes the composite filters iff it passes every
-    # prime-power factor's: check each r mod 64, 63, 65 and 11.
+    # The short rows' per-cell check reads the squares mod 64, 63, 65 and
+    # 11, and the patterns the square classes of their prime-power
+    # factors.  By the CRT, r is a square mod a composite iff it is one
+    # mod every prime-power factor: check each r against both tables.
     filters = dict(_SQ_FILTERS)
-    assert sorted(filters) == [5, 7, 9, 11, 13, 64]
+    assert sorted(filters) == [11, 63, 64, 65]
+    assert sorted(_SQ_CLASSES) == [5, 7, 9, 11, 13, 64]
     for mod, factors in ((64, (64,)), (63, (9, 7)), (65, (5, 13)),
                          (11, (11,))):
         squares = _square_classes(mod)
         for r in range(mod):
-            assert (r in squares) == all(filters[f][r % f] for f in factors)
+            assert filters[mod][r] == (r in squares)
+            assert (r in squares) == all(r % f in _SQ_CLASSES[f]
+                                         for f in factors)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,7 +327,7 @@ def test_row_patterns_match_composite_moduli(m, n, sd, wmax, data, w):
         calls.append(args)
         return _row_patterns(*args)
 
-    with mock.patch.object(curves, "_row_patterns", record):
+    with mock.patch.object(sieve, "_row_patterns", record):
         Curve(m, n).search(wmax * wmax)
     residues = calls[0][0]  # d = 1 has amax = wmax: it takes patterns
     new = _row_patterns(residues, sd)
@@ -354,13 +360,13 @@ def test_search_builds_the_coprimality_masks_once(monkeypatch):
     # the tiles of the residue patterns: 31 in all.  Masks rebuilt for
     # every d took 2,367, and tiles built per patterned (d, s) 48.
     calls = []
-    repunit = curves._repunit
+    repunit = sieve._repunit
 
     def counted(period, amax):
         calls.append(period)
         return repunit(period, amax)
 
-    monkeypatch.setattr(curves, "_repunit", counted)
+    monkeypatch.setattr(sieve, "_repunit", counted)
     c = Curve(-2310, 221)
     found = c.search(10 ** 4)
     assert len(calls) == 31
