@@ -5,7 +5,6 @@ Nothing here knows about curves."""
 
 import itertools
 import math
-import numbers
 
 # {M: {q: the bits r < M with r^2 = q mod M}} for prime powers M, most
 # selective first: the square classes that `Curve.search` tiles.  And the
@@ -229,15 +228,15 @@ class _Coprime:
     """n/d with gcd(n, d) = 1 and d > 0.  Registered as a
     `numbers.Rational`, whose numerator and denominator are in lowest
     terms by contract, so `Fraction(_Coprime(n, d))` takes them as they
-    are instead of spending a gcd to find the common factor 1."""
+    are instead of spending a gcd to find the common factor 1.  The
+    modules that build such a `Fraction` register it, `geometry` when it
+    is imported and `curves` when `Point.x` or `Point.y` first runs, so
+    that a process that builds no rational never imports `numbers`."""
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, n: int, d: int):
         self.numerator, self.denominator = n, d
-
-
-numbers.Rational.register(_Coprime)
 
 
 def _smooth_gcd(N: int, *vals: int) -> int:

@@ -15,9 +15,11 @@ over the primes of mn(m-n) alone (`_smooth_gcd`), and both divide
 exactly.  Output prints from X, Y and Z (`concordia.serialize`), and
 `Point.x`, `Point.y` are `Fraction` views for callers.  The torsion oracle
 is a Nagell-Lutz enumeration, independent of the closed-form classifier in
-`concordia.torsion`; the number theory on bare integers is `concordia.arith`,
-and the kernel of `Curve.search` is `concordia.sieve`, imported when a
-search runs.  `fractions` is imported only where a rational is read or built.
+`concordia.torsion`; the number theory on bare integers is `concordia.arith`.
+The kernels of `Curve.torsion_oracle` and `Curve.search` are
+`concordia.oracle` and `concordia.sieve`, each imported when it runs.
+`fractions` and `numbers` are imported only where a rational is read or
+built.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ import functools
 import math
 import operator
 
-from .arith import _Coprime, _smooth_gcd, divisors, isqrt_exact
+from .arith import _Coprime, _smooth_gcd, isqrt_exact
 
-# Moduli at which `Curve.torsion_oracle` checks that a candidate y^2 is a
-# value of x(x+m)(x+n) before it searches for the integer roots x.
-_ORACLE_MODULI = (32, 27, 25, 7, 11, 13)
 
 class Frozen:
     """Base of the package's immutable values.  Its fields are the names a
@@ -117,13 +116,15 @@ class Point(Frozen):
 
     @property
     def x(self) -> Fraction | None:  # no gcd: X/Z^2 is in lowest terms
-        from fractions import Fraction
-        return Fraction(_Coprime(self.X, self.Z * self.Z)) if self.Z else None
+        if not self.Z:
+            return None
+        return _fraction_class()(_Coprime(self.X, self.Z * self.Z))
 
     @property
     def y(self) -> Fraction | None:
-        from fractions import Fraction
-        return Fraction(_Coprime(self.Y, self.Z ** 3)) if self.Z else None
+        if not self.Z:
+            return None
+        return _fraction_class()(_Coprime(self.Y, self.Z ** 3))
 
     def __repr__(self):
         from .serialize import point_json
@@ -131,6 +132,25 @@ class Point(Frozen):
 
 
 INFINITY = Point(1, 1, 0)
+
+
+@functools.cache
+def _oracle_kernel():
+    """`concordia.oracle.torsion_oracle`, imported on the first call.  An
+    import statement in every call took about 1.3 us on a 2-vCPU host,
+    4% of the oracle of a small curve."""
+    from .oracle import torsion_oracle
+    return torsion_oracle
+
+
+@functools.cache
+def _fraction_class() -> type:
+    """`Fraction`, imported on the first call together with `numbers`, in
+    which `_Coprime` is then registered as a `Rational` (see there)."""
+    import numbers
+    from fractions import Fraction
+    numbers.Rational.register(_Coprime)
+    return Fraction
 
 
 def _point(X: int, Y: int, Z: int) -> Point:
@@ -159,82 +179,6 @@ def point_sort_key(P: Point):
     """Canonical ordering: infinity first, then (X, Z, Y), which orders
     points by x's numerator, then its denominator Z^2, then y."""
     return (1, P.X, P.Z, P.Y) if P.Z else (0,)
-
-
-def _cubic_peak(e1: int, e2: int, e3: int) -> tuple[int, int]:
-    """(f(xc), xc) for the integer xc in [e1, e2] where
-    f(x) = (x-e1)(x-e2)(x-e3), e1 < e2 < e3, is largest.
-
-    f is 0 at e1 and e2, rises up to its smaller critical point
-    c = (s - sqrt(D))/3 and falls after it, with s = e1+e2+e3 and
-    D = s^2 - 3(e1e2 + e1e3 + e2e3) > 0.  So xc is floor(c) or floor(c)+1,
-    and both lie within one of k = (s - isqrt(D)) // 3.
-    """
-    s = e1 + e2 + e3
-    k = (s - math.isqrt(s * s - 3 * (e1 * e2 + e1 * e3 + e2 * e3))) // 3
-    return max(((x - e1) * (x - e2) * (x - e3), x)
-               for x in range(max(e1, k - 1), min(e2, k + 1) + 1))
-
-
-def _cubic_value_tables(m: int, n: int) -> list[tuple[int, bytearray]]:
-    """(M, flags) for each M in _ORACLE_MODULI, with flags[r] = 1 iff
-    r = x(x+m)(x+n) mod M for some integer x."""
-    tables = []
-    for M in _ORACLE_MODULI:
-        a, b = m % M, n % M
-        flags = bytearray(M)
-        for x in range(M):
-            flags[x * (x + a) * (x + b) % M] = 1
-        tables.append((M, flags))
-    return tables
-
-
-def _integer_cubic_roots(e1: int, e2: int, e3: int, peak: tuple[int, int],
-                         y2: int) -> list[int]:
-    """All integer roots, ascending, of g(x) = (x-e1)(x-e2)(x-e3) - y2 for
-    e1 < e2 < e3 and y2 > 0, with `peak` = _cubic_peak(e1, e2, e3).
-
-    g is negative at each e_i and below e1, so its roots lie in (e1, e2)
-    or above e3.  In (e1, e2) there are none unless y2 is at most the
-    peak f(xc), and then g rises up to xc and falls after it: one
-    bisection on each side.  A root r <= xc has y2 >= (r-e1)(e2-xc)(e3-xc)
-    and a root r >= xc has y2 >= (xc-e1)(e2-r)(e3-e2), which narrows the
-    two brackets for small y2.  Above e3, g is increasing and convex with
-    exactly one root, at most e3 + cbrt(y2) because f(e3 + t) >= t^3
-    there.  Newton steps from e3 + 2^ceil(bits(y2)/3), rounded down, never
-    pass that root and end on it if it is an integer, else just below it.
-    """
-    roots = []
-    top, xc = peak
-    if y2 <= top:
-        lo, hi = e1, min(xc, e1 + y2 // ((e2 - xc) * (e3 - xc)))  # g(lo) < 0
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if (mid - e1) * (mid - e2) * (mid - e3) < y2:
-                lo = mid
-            else:
-                hi = mid
-        if (hi - e1) * (hi - e2) * (hi - e3) == y2:
-            roots.append(hi)
-        lo, hi = max(xc, e2 - y2 // ((xc - e1) * (e3 - e2))), e2  # g(hi) < 0
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if (mid - e1) * (mid - e2) * (mid - e3) >= y2:
-                lo = mid
-            else:
-                hi = mid
-        if (lo - e1) * (lo - e2) * (lo - e3) == y2 and lo not in roots:
-            roots.append(lo)
-    x = e3 + (1 << -(-y2.bit_length() // 3))
-    while True:
-        a, b, c = x - e1, x - e2, x - e3
-        v = a * b * c - y2
-        if v <= 0:
-            break
-        x -= -(-v // (a * b + (a + b) * c))
-    if v == 0:
-        roots.append(x)
-    return roots
 
 
 class Curve(Frozen):
@@ -446,23 +390,7 @@ class Curve(Frozen):
         y^2 = f(x mod M) mod M.  The tables of values depend on m and n
         alone, so the oracle stays independent of the classifier.
         """
-        pts = {INFINITY}
-        pts.update(self.two_torsion)
-        e1, e2, e3 = sorted((0, -self.m, -self.n))
-        peak = _cubic_peak(e1, e2, e3)
-        tables = _cubic_value_tables(self.m, self.n)
-        for y in divisors(self.discriminant_root()):
-            y2 = y * y
-            for M, flags in tables:
-                if not flags[y2 % M]:
-                    break
-            else:
-                for x in _integer_cubic_roots(e1, e2, e3, peak, y2):
-                    P = Point(x, y, 1)
-                    if self.order_of(P) is not None:
-                        pts.add(P)
-                        pts.add(Point(x, -y, 1))
-        return frozenset(pts)
+        return _oracle_kernel()(self)
 
     # -- bounded-height point search ------------------------------------
 
@@ -487,13 +415,20 @@ class Curve(Frozen):
         in Stoll's `ratpoints`: bit a of an int stands for the cell a, and
         the row's mask ANDs its sign range and the mask of the a prime to
         w, one of the non-negative masks built once per search for each
-        w <= isqrt(H) (about H/8 bytes, 1.25 MB at H = 10^7).  When
-        amax >= _SIEVE_MIN_AMAX it also ANDs, for each prime power M of
-        _SQ_CLASSES, the a for which N can be a square mod M: a pattern of
-        a^2 mod M alone, tiled by a repunit built once per search.  By the
-        CRT, a composite M would reject no more.  The bits left take
-        `isqrt`, after the _SQ_FILTERS check when no patterns were ANDed:
-        both are exact, since a square is a square mod every M.
+        w <= isqrt(H) (about H/8 bytes, 1.25 MB at H = 10^7).  The sign
+        range's bounds are isqrt(K*w^2/d) for constants K, so they only
+        grow with w: once each has reached amax, or the range is empty
+        for good, the range is kept for the larger w of (d, s).  When
+        amax >= _SIEVE_MIN_AMAX the row also ANDs, for each prime power M
+        of _SQ_CLASSES, the a for which N can be a square mod M: a
+        pattern of a^2 mod M alone, tiled by a repunit built once per
+        search.  For w prime to M, N = w^6 F(u/w^2) with
+        F(x) = x(x+m)(x+n), so one evaluation of F per square class mod M
+        gives the patterns of every such w; the other w take one per
+        square class of a^2.  By the CRT, a composite M would reject no
+        more.  The bits left take `isqrt`, after the _SQ_FILTERS check
+        when no patterns were ANDed: both are exact, since a square is a
+        square mod every M.
         """
         from .sieve import search
         return search(self.m, self.n, height)

@@ -11,6 +11,7 @@ test suite checks exactly on every conversion.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from .arith import _Coprime
@@ -18,6 +19,9 @@ from .curves import Frozen
 from .quadrics import QuadricPoint
 from .serialize import frac_str
 from .triples import CongruentTriple, congruent_to_concordant
+
+
+numbers.Rational.register(_Coprime)
 
 
 class DegenerateTriangleError(ValueError):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concordia.arith import isqrt_exact
-from concordia.curves import (Curve, INFINITY, Point, point_sort_key,
-                              _cubic_peak, _integer_cubic_roots)
+from concordia.curves import Curve, INFINITY, Point, point_sort_key
+from concordia.oracle import _cubic_peak, _integer_cubic_roots
 from concordia.torsion import canonical_model, map_from_canonical
 
 

@@ -27,8 +27,9 @@ def test_imports_first(name):
 
 
 # The package modules each subcommand loads, besides `cli` itself, and
-# whether it may load `fractions` (and with it `decimal`): only the
-# subcommands that read or build a rational do.
+# whether it may load `fractions` (and with it `decimal` and `numbers`):
+# only the subcommands that read or build a rational do.  Only `selftest`
+# runs the torsion oracle, and only it loads `oracle`.
 PROBLEMS = {"arith", "curves", "geometry", "problems", "quadrics",
             "serialize", "torsion", "triples"}
 SUBCOMMAND_MODULES = [
@@ -60,7 +61,7 @@ SUBCOMMAND_MODULES = [
                  id="order8"),
     pytest.param("family order36 --a -2 --b 7", PROBLEMS, True,
                  id="order36"),
-    pytest.param("selftest --pmax 1", PROBLEMS | {"sweeps"}, True,
+    pytest.param("selftest --pmax 1", PROBLEMS | {"oracle", "sweeps"}, True,
                  id="selftest"),
 ]
 
@@ -84,7 +85,21 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, modules,
             if name.startswith("concordia.")} == modules | {"cli"}
     assert not {"dataclasses", "inspect", "typing"} & set(loaded)
     if not rationals:
-        assert not {"fractions", "decimal"} & set(loaded)
+        assert not {"fractions", "decimal", "numbers"} & set(loaded)
+
+
+def test_point_views_build_fractions_without_geometry():
+    # `geometry` registers `_Coprime` as a `numbers.Rational` when it is
+    # imported; without it, `Point.x` and `Point.y` register it themselves.
+    code = ("import sys\n"
+            "from concordia.curves import Point\n"
+            "loaded = 'numbers' in sys.modules\n"
+            "P = Point(5, -7, 3)\n"
+            "print(loaded, P.x, P.y, 'concordia.geometry' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    assert out.split() == ["False", "5/9", "-7/27", "False"]
 
 
 @pytest.mark.parametrize("argv,built", [

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia import curves
+from concordia import oracle
 from concordia.arith import divisors
-from concordia.curves import (INFINITY, Curve, Point, _cubic_peak,
-                              _cubic_value_tables, _integer_cubic_roots)
+from concordia.curves import INFINITY, Curve, Point
+from concordia.oracle import (_cubic_peak, _cubic_value_tables,
+                              _integer_cubic_roots)
 from concordia.problems import (gen_order4_family, gen_order8_family,
                                 gen_order36_family)
 from concordia.torsion import torsion_subgroup
@@ -172,7 +173,7 @@ def test_residue_filter_skips_most_root_searches(monkeypatch):
         calls.append(args)
         return _integer_cubic_roots(*args)
 
-    monkeypatch.setattr(curves, "_integer_cubic_roots", counted)
+    monkeypatch.setattr(oracle, "_integer_cubic_roots", counted)
     c = Curve(-420, 330)
     assert len(divisors(c.discriminant_root())) == 480
     assert len(c.torsion_oracle()) == 4

@@ -5,6 +5,7 @@ scan of every |u| <= H before it."""
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +17,8 @@ from concordia import sieve
 from concordia.arith import (_SQ_CLASSES, _SQ_FILTERS, _prime_factors_up_to,
                              _squarefree_products)
 from concordia.curves import Curve, Point
-from concordia.sieve import (_SIEVE_MIN_AMAX, _coprime_masks, _repunit,
-                             _row_patterns)
+from concordia.sieve import (_SIEVE_MIN_AMAX, _coprime_masks,
+                             _nonnegative_roots, _repunit, _row_patterns)
 
 
 def reference_search(c: Curve, height: int) -> frozenset[Point]:
@@ -104,6 +105,27 @@ nonzero = st.integers(-1000, 1000).filter(bool)
 sieve_threshold = _SIEVE_MIN_AMAX ** 2
 
 
+@settings(max_examples=300, deadline=None)
+@given(nonzero, nonzero, st.integers(1, 3000), st.integers(1, 60),
+       st.integers(1, 80))
+def test_sign_ranges_match_grid(m, n, d, amax, wmax):
+    # The sign range of every w, against the grid's; once a row is
+    # reported as fixed, every larger w gives that row.
+    if m == n:
+        n = -n
+    for s in (1, -1):
+        kept = None
+        for w in range(1, wmax + 1):
+            mw, nw = m * w * w, n * w * w
+            row, fixed = _nonnegative_roots(s, d, mw, nw, amax)
+            assert row == sum(1 << a for a in
+                              _grid_nonnegative_roots(s, d, mw, nw, amax))
+            if kept is not None:
+                assert row == kept, w
+            elif fixed:
+                kept = row
+
+
 @settings(max_examples=60, deadline=None)
 @given(nonzero, nonzero, st.one_of(st.integers(1, sieve_threshold - 1),
                                    st.integers(sieve_threshold, 3 * 10 ** 4)))
@@ -165,14 +187,15 @@ def test_sieve_skips_the_cells(monkeypatch):
     # E(-6, 6) at H = 10^4 has the rows d = 1, 2, 3, 6 and w <= 100, all
     # sieved (amax >= 40).  The grid loop takes gcd(a, w) of each cell
     # (18,784 calls); the sieve takes one gcd(d, w) per pair of rows, 400
-    # in all, and an isqrt for the sign bounds and for each cell that
-    # passes the six residue filters (2,037).  Counting calls, not timing
-    # them, keeps the test independent of the host's load.
+    # in all, and an isqrt for the sign bounds until a row stops changing
+    # in w and for each cell that passes the six residue filters (1,745;
+    # 2,037 with the bounds taken for every row).  Counting calls, not
+    # timing them, keeps the test independent of the host's load.
     calls = count_calls(monkeypatch)
     c = Curve(-6, 6)
     found = c.search(10 ** 4)
     assert calls["gcd"] <= 400
-    assert calls["isqrt"] <= 2100
+    assert calls["isqrt"] <= 1745
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
 
@@ -182,13 +205,14 @@ def test_patterned_rows_take_one_gcd_per_d_and_w(monkeypatch):
     # d = 1, 2, 3, 6, so every d builds residue patterns.  The cells pass
     # through the coprimality masks: one gcd(d, w) per d and w <= 44, 176
     # in all, where a gcd(a, w) per cell takes 3,701.  The isqrt calls,
-    # for the sign bounds and the cells that pass the patterns, stay at
-    # 515, where the grid loop takes 737.
+    # for the sign bounds until a row stops changing and for the cells that
+    # pass the patterns, stay at 389, where bounds taken for every row
+    # made 515 and the grid loop takes 737.
     calls = count_calls(monkeypatch)
     c = Curve(-6, 6)
     found = c.search(2000)
     assert calls["gcd"] == 176
-    assert calls["isqrt"] <= 515
+    assert calls["isqrt"] <= 389
     monkeypatch.undo()
     assert found == grid_search(c, 2000)
 
@@ -238,32 +262,98 @@ def test_short_rows_check_the_residues_per_cell(monkeypatch):
     # d = 1, 2, 3, 6: only d = 1 builds residue patterns, and the cells of
     # the other rows take the _SQ_FILTERS check before isqrt.  One
     # gcd(d, w) per d and w <= 22 makes 88 calls, where a gcd(a, w) per
-    # cell takes 924.  isqrt runs 187 times, where the grid loop takes 297.
+    # cell takes 924.  isqrt runs 127 times, where bounds taken for every
+    # row made 187 and the grid loop takes 297.
     assert math.isqrt(500 // 2) < _SIEVE_MIN_AMAX <= math.isqrt(500)
     builds = count_lookups(monkeypatch)
     calls = count_calls(monkeypatch)
     c = Curve(-6, 6)
     found = c.search(500)
     assert calls["gcd"] == 88
-    assert calls["isqrt"] <= 187
+    assert calls["isqrt"] <= 127
     assert len(builds) == 2
     assert lookups["cells"] > 0
     monkeypatch.undo()
     assert found == grid_search(c, 500)
 
 
-def test_patterns_take_one_lookup_per_pair_of_square_classes(monkeypatch):
-    # Each patterned (d, s) evaluates N mod M once per pair of square
-    # classes of M: 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2 = 270 lookups over
-    # the prime powers 64, 9, 13, 11, 7 and 5, where the composite moduli
-    # 64, 63, 65 and 11 took 12^2 + 16^2 + 21^2 + 6^2 = 877.  Counting
-    # lookups, not timing them, keeps the test independent of the host.
+def test_patterns_take_one_lookup_per_square_class(monkeypatch):
+    # Each patterned (d, s) evaluates F(sd*g) mod M once per square class g
+    # of the prime powers 64, 9, 13, 11, 7 and 5: 12 + 4 + 7 + 6 + 4 + 3
+    # = 36 lookups, which serve every unit class of w^2.  The classes of
+    # w^2 that are not units, 0, 4, 16 and 36 mod 64 and 0 mod each odd
+    # prime power, take one lookup per square class of a^2:
+    # 4*12 + 4 + 7 + 6 + 4 + 3 = 72.  That is 108 in all, where one lookup
+    # per pair of square classes took 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2
+    # = 270, and the composite moduli 64, 63, 65 and 11 took
+    # 12^2 + 16^2 + 21^2 + 6^2 = 877.  Counting lookups, not timing them,
+    # keeps the test independent of the host.
     builds = count_lookups(monkeypatch)
     c = Curve(-2310, 221)
     found = c.search(10 ** 4)
-    assert builds and set(builds) == {270}
+    assert builds and set(builds) == {108}
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
+
+
+def test_sign_ranges_are_kept_once_they_stop_changing(monkeypatch):
+    # E(-2310, 221) at H = 10^4 has 2-descent rows (d, s, w) over the
+    # squarefree d of the primes 2, 3, 5, 7, 11, 13 and 17, and w <= 100
+    # prime to d.  A sign range is computed until it can no longer change
+    # in w, then kept: 679 calls, where one call per row took 10,356.
+    calls = []
+    roots = sieve._nonnegative_roots
+
+    def counted(*args):
+        calls.append(args)
+        return roots(*args)
+
+    monkeypatch.setattr(sieve, "_nonnegative_roots", counted)
+    c = Curve(-2310, 221)
+    found = c.search(10 ** 4)
+    assert len(calls) <= 679
+    monkeypatch.undo()
+    assert found == grid_search(c, 10 ** 4)
+
+
+def pairwise_row_patterns(residues: list, sd: int) -> list:
+    """`_row_patterns` by one evaluation of N mod M per pair of square
+    classes, for every class c of w^2: the reference for the one that
+    serves the unit classes c from one evaluation per square class."""
+    out = []
+    for mod, classes, mr, nr, tile in residues:
+        ts = [(sd * q % mod, bits) for q, bits in classes.items()]
+        masks = {}
+        for c in classes:
+            mc, nc = mr * c % mod, nr * c % mod
+            acc = 0
+            for t, bits in ts:
+                if t * (t + mc) * (t + nc) % mod in classes:
+                    acc |= bits
+            masks[c] = tile * acc
+        out.append((mod, masks))
+    return out
+
+
+@pytest.mark.parametrize("mod", [mod for mod in _SQ_CLASSES if mod % 2])
+def test_row_patterns_match_pairwise_on_every_residue(mod):
+    # Every (m, n, sd) mod M, untiled.
+    classes = _SQ_CLASSES[mod]
+    for mr, nr, sd in itertools.product(range(mod), repeat=3):
+        residues = [(mod, classes, mr, nr, 1)]
+        assert _row_patterns(residues, sd) == \
+            pairwise_row_patterns(residues, sd), (mr, nr, sd)
+
+
+def test_row_patterns_match_pairwise_mod_64():
+    # 2000 drawn (m, n, sd) mod 64 of the 64^3, tiled over 100 bits.
+    draw = random.Random(64).randrange
+    classes, tile = _SQ_CLASSES[64], _repunit(64, 100)
+    for _ in range(2000):
+        mr, nr, sd = draw(64), draw(64), draw(-10 ** 6, 10 ** 6)
+        residues = [(64, classes, mr, nr, tile)]
+        assert _row_patterns(residues, sd) == \
+            pairwise_row_patterns(residues, sd), (mr, nr, sd)
 
 
 def _square_classes(mod: int) -> dict:
