@@ -228,10 +228,10 @@ class _Coprime:
     """n/d with gcd(n, d) = 1 and d > 0.  Registered as a
     `numbers.Rational`, whose numerator and denominator are in lowest
     terms by contract, so `Fraction(_Coprime(n, d))` takes them as they
-    are instead of spending a gcd to find the common factor 1.  The
-    modules that build such a `Fraction` register it, `geometry` when it
-    is imported and `curves` when `Point.x` or `Point.y` first runs, so
-    that a process that builds no rational never imports `numbers`."""
+    are instead of spending a gcd to find the common factor 1.
+    `curves._fraction_class` registers it on its first call, which the
+    `Fraction` views of `Point` and `geometry.APTriple` make, so that a
+    process that builds no rational never imports `numbers`."""
 
     __slots__ = ("numerator", "denominator")
 

@@ -8,13 +8,15 @@ search, so reports carry decidability="bounded".
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .curves import Curve, Frozen, Point, point_sort_key
-from .geometry import APTriple, Triangle, ap_to_triangle, quadric_to_ap
+from .geometry import (APTriple, Triangle, _check_angle, _triangle,
+                       quadric_to_ap)
 from .quadrics import (QuadricPoint, point_to_quadric, quadric_to_point,
                        verify_concordant_solution)
-from .serialize import frac_str, point_json
+from .serialize import point_json
 from .torsion import (CertificateMismatch, TorsionClass, classify_torsion,
                       torsion_subgroup)
 from .triples import (ConcordantTriple, CongruentTriple,
@@ -54,14 +56,21 @@ class SolutionReport(Frozen):
         return "bounded"
 
     def triangles(self) -> list[tuple[Triangle, list[Point]]]:
-        """Distinct triangles with the points generating each."""
+        """Distinct triangles with the points generating each, ordered by
+        their sides, ascending, as rationals.
+
+        A triangle's (A, B, C, D) is primitive, so two are the same
+        triangle iff their sorted sides and D are equal, and the sides
+        compare over two denominators by cross-multiplying."""
         seen: dict[tuple, tuple[Triangle, list[Point]]] = {}
         for entry in self.solutions:
-            if entry.triangle is None:
+            tri = entry.triangle
+            if tri is None:
                 continue
-            key = tuple(sorted(entry.triangle.sides()))
-            seen.setdefault(key, (entry.triangle, []))[1].append(entry.point)
-        return [seen[key] for key in sorted(seen)]
+            key = (*sorted((tri.A, tri.B, tri.C)), tri.D)
+            seen.setdefault(key, (tri, []))[1].append(entry.point)
+        order = functools.cmp_to_key(_side_order)
+        return [seen[key] for key in sorted(seen, key=order)]
 
     def to_json(self) -> dict:
         out = {
@@ -76,7 +85,7 @@ class SolutionReport(Frozen):
         if self.problem == "theta-congruent":
             out["triangles"] = [
                 {
-                    "sides": [frac_str(v) for v in tri.sides()],
+                    "sides": tri.side_strings(),
                     "points": [point_json(P) for P in pts],
                 }
                 for tri, pts in self.triangles()
@@ -84,37 +93,59 @@ class SolutionReport(Frozen):
         return out
 
 
+def _side_order(u: tuple, v: tuple) -> int:
+    """Order (s1, s2, s3, D) keys by s1/D, then s2/D, then s3/D."""
+    for x, y in zip(u[:3], v[:3]):
+        x, y = x * v[3], y * u[3]
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
 def point_chain(c: Curve, P: Point, angle: tuple[int, int] | None) -> tuple:
     """The paper's dictionary for a point P of E(m,n): the quadric point S
     of P, S's progression on the curve's own concordant triple (None if S
     is trivial or m < 0 < n fails) and, for an angle (r, s), the triangle
     of that progression (else None)."""
-    S = point_to_quadric(P, c)
-    if S.is_trivial or not c.m < 0 < c.n:
-        return S, None, None
-    t = curve_to_concordant(c)
-    ap = quadric_to_ap(S, t.p, t.q, t.k)
-    return S, ap, None if angle is None else ap_to_triangle(ap, *angle)
+    return _point_chains(c, [P], angle)[0]
 
 
-def _entries(c: Curve, points, provenance: str,
-             angle: tuple[int, int] | None) -> list[SolutionEntry]:
-    return [SolutionEntry(P, *point_chain(c, P, angle), provenance)
-            for P in sorted(points, key=point_sort_key)]
+def _point_chains(c: Curve, points, angle: tuple[int, int] | None) -> list:
+    """`point_chain` of each of the points, with the curve's work done
+    once: its concordant triple, and `ap_to_triangle`'s check that the
+    angle fits that triple's gaps, at the first progression."""
+    out = []
+    t = None
+    for P in points:
+        S = point_to_quadric(P, c)
+        if S.is_trivial or not c.m < 0 < c.n:
+            out.append((S, None, None))
+            continue
+        if t is None:
+            t = curve_to_concordant(c)
+            if angle is not None:
+                _check_angle(t.p, t.q, t.k, *angle)
+        ap = quadric_to_ap(S, t.p, t.q, t.k)
+        out.append((S, ap, None if angle is None else _triangle(ap, *angle)))
+    return out
 
 
 def _solve(problem: str, triple_fields: tuple, c: Curve,
            angle: tuple[int, int] | None,
            search_bound: int | None) -> SolutionReport:
     cls, torsion = torsion_subgroup(c)
-    interesting = {P for P in torsion if not P.is_infinity and P.Y}
-    entries = _entries(c, interesting, "torsion", angle)
+    found = [("torsion", {P for P in torsion if not P.is_infinity and P.Y})]
     if search_bound is not None:
         # torsion holds O and the three points of order 2
-        hits = {P for P in c.search(search_bound) if P not in torsion}
-        entries += _entries(c, hits, "search", angle)
+        found.append(("search", {P for P in c.search(search_bound)
+                                 if P not in torsion}))
+    tagged = [(P, provenance) for provenance, points in found
+              for P in sorted(points, key=point_sort_key)]
+    chains = _point_chains(c, [P for P, _ in tagged], angle)
+    entries = tuple(SolutionEntry(P, *chain, provenance)
+                    for (P, provenance), chain in zip(tagged, chains))
     return SolutionReport(problem=problem, triple=triple_fields, curve=c,
-                          torsion_class=cls, solutions=tuple(entries),
+                          torsion_class=cls, solutions=entries,
                           search_bound=search_bound)
 
 

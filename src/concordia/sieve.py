@@ -21,10 +21,11 @@ from .curves import Point
 #   H = 10^5   395   382   403   377   400   396
 _SIEVE_MIN_AMAX = 16
 
-# For each prime power M of _SQ_CLASSES, three tables of M alone:
+# For each prime power M = p^k of _SQ_CLASSES, four tables of M alone:
 # - (g, packed) for each square class g, where packed holds the bits
 #   classes[c*g mod M] at bit M*i for the i-th unit square class c;
 # - (c, M*i) for each unit square class c;
+# - the prime p;
 # - the square classes that are not units.
 _CLASS_TABLES = {}
 for _mod, _classes in _SQ_CLASSES.items():
@@ -33,6 +34,7 @@ for _mod, _classes in _SQ_CLASSES.items():
         [(g, sum(_classes[c * g % _mod] << _mod * i
                  for i, c in enumerate(_units))) for g in _classes],
         [(c, _mod * i) for i, c in enumerate(_units)],
+        next(p for p in range(2, _mod + 1) if _mod % p == 0),
         [c for c in _classes if math.gcd(c, _mod) > 1])
 
 
@@ -51,9 +53,9 @@ def search(m: int, n: int, height: int) -> frozenset[Point]:
     for d in _squarefree_products(primes, height):
         amax = isqrt(height // d)
         sieve = amax >= _SIEVE_MIN_AMAX
-        # [s, s*d, patterns, the sign range once it stops changing in w]
-        signs = [[s, s * d, _row_patterns(residues, s * d) if sieve else (),
-                  None] for s in (1, -1)]
+        # [s, s*d, patterns (None until the first non-empty row), the sign
+        # range once it stops changing in w]
+        signs = [[s, s * d, None if sieve else (), None] for s in (1, -1)]
         checks = () if sieve else _SQ_FILTERS  # the patterns are exact
         for w in range(1, wmax + 1):
             if gcd(d, w) != 1:
@@ -68,6 +70,8 @@ def search(m: int, n: int, height: int) -> frozenset[Point]:
                         sign[3] = x
                 if not x:
                     continue
+                if patterns is None:
+                    patterns = sign[2] = _row_patterns(residues, sd)
                 for mod, masks in patterns:
                     x &= masks[w2 % mod]
                 x &= coprime[w]
@@ -150,15 +154,19 @@ def _row_patterns(residues: list, sd: int) -> list:
     those g, and masks[c] is the sum of the disjoint classes[c*g] over
     g in G: one sum of the packed rows of _CLASS_TABLES gives every unit
     c's mask.  A class c that is not a unit takes one evaluation per
-    square class of a^2."""
+    square class of a^2, and has no mask when M's prime p divides sd:
+    a row of sd only reads w prime to d, whose w^2 is a unit mod M."""
     out = []
     for mod, classes, mr, nr, tile in residues:
-        products, units, non_units = _CLASS_TABLES[mod]
+        products, units, p, non_units = _CLASS_TABLES[mod]
         packed = sum([row for g, row in products
                       if (t := sd * g % mod) * (t + mr) * (t + nr) % mod
                       in classes])
         low = (1 << mod) - 1
         masks = {c: tile * (packed >> shift & low) for c, shift in units}
+        out.append((mod, masks))
+        if sd % p == 0:
+            continue
         ts = [(sd * q % mod, bits) for q, bits in classes.items()]
         for c in non_units:
             mc, nc = mr * c % mod, nr * c % mod
@@ -167,7 +175,6 @@ def _row_patterns(residues: list, sd: int) -> list:
                 if t * (t + mc) * (t + nc) % mod in classes:
                     acc |= bits
             masks[c] = tile * acc
-        out.append((mod, masks))
     return out
 
 

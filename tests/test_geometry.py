@@ -120,23 +120,20 @@ def test_bijection_roundtrip_reverse(p, q, k):
 
 
 def test_ap_triple_validation():
-    APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2), gamma=Fraction(7, 2),
-             step=6, p=1, q=1)
+    APTriple(a=1, b=5, g=7, d=2, step=6, p=1, q=1)
     with pytest.raises(ValueError):
-        APTriple(alpha=Fraction(1), beta=Fraction(2), gamma=Fraction(3),
-                 step=1, p=1, q=1)
+        APTriple(a=1, b=2, g=3, d=1, step=1, p=1, q=1)
     with pytest.raises(ValueError, match="^step and gaps must be positive$"):
-        APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
-                 gamma=Fraction(7, 2), step=0, p=1, q=1)
+        APTriple(a=1, b=5, g=7, d=2, step=0, p=1, q=1)
 
 
 def test_triangle_validation():
-    Triangle(a=Fraction(2), b=Fraction(2), c=Fraction(2), r=1, s=2)
+    Triangle(A=2, B=2, C=2, D=1, r=1, s=2)
     with pytest.raises(ValueError):
-        Triangle(a=Fraction(1), b=Fraction(1), c=Fraction(3), r=1, s=2)
+        Triangle(A=1, B=1, C=3, D=1, r=1, s=2)
     with pytest.raises(ValueError):
         # law of cosines must hold exactly for the given (r, s)
-        Triangle(a=Fraction(3), b=Fraction(2), c=Fraction(2), r=1, s=2)
+        Triangle(A=3, B=2, C=2, D=1, r=1, s=2)
 
 
 def test_quadric_ap_roundtrip():
@@ -163,22 +160,19 @@ def test_quadric_to_ap_refuses_the_trivial_point():
 def test_a_non_integral_area_coefficient_is_refused():
     # 31/12, 41/12, 49/12 has step 5 and gaps (1, 1); at (r, s) = (1, 3)
     # the coefficient is (1 + 1) * 5 / (2 * 3).
-    ap = APTriple(alpha=Fraction(31, 12), beta=Fraction(41, 12),
-                  gamma=Fraction(49, 12), step=5, p=1, q=1)
+    ap = APTriple(a=31, b=41, g=49, d=12, step=5, p=1, q=1)
     with pytest.raises(ValueError, match="^area coefficient 5/3 is not an "
                                          "integer$"):
         ap_to_triangle(ap, 1, 3)
     # The right triangle 2, 3/2, 5/2 has coefficient 2 * (3/2) / (2 * 1).
-    tri = Triangle(a=Fraction(2), b=Fraction(3, 2), c=Fraction(5, 2), r=0,
-                   s=1)
+    tri = Triangle(A=4, B=3, C=5, D=2, r=0, s=1)
     with pytest.raises(ValueError, match="^area coefficient 3/2 is not an "
                                          "integer$"):
         triangle_to_ap(tri)
 
 
 def test_ap_to_triangle_equilateral():
-    ap = APTriple(alpha=Fraction(0), beta=Fraction(1), gamma=Fraction(2),
-                  step=1, p=1, q=3)
+    ap = APTriple(a=0, b=1, g=2, d=1, step=1, p=1, q=3)
     tri = ap_to_triangle(ap, 1, 2)
     assert tri.sides() == (Fraction(2), Fraction(2), Fraction(2))
     assert tri.is_isosceles()
@@ -188,8 +182,7 @@ def test_ap_to_triangle_equilateral():
 
 def test_ap_to_triangle_345_right_angle():
     # theta = pi/2: (r, s) = (0, 1); the 3-4-5 triangle scaled by 1
-    ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
-                  gamma=Fraction(7, 2), step=6, p=1, q=1)
+    ap = APTriple(a=1, b=5, g=7, d=2, step=6, p=1, q=1)
     tri = ap_to_triangle(ap, 0, 1)
     assert tri.sides() == (Fraction(4), Fraction(3), Fraction(5))
     assert tri.area_coefficient() == 6
@@ -197,15 +190,13 @@ def test_ap_to_triangle_345_right_angle():
 
 
 def test_ap_to_triangle_rejects_s_zero_before_dividing_by_it():
-    ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
-                  gamma=Fraction(7, 2), step=6, p=1, q=1)
+    ap = APTriple(a=1, b=5, g=7, d=2, step=6, p=1, q=1)
     with pytest.raises(ValueError, match="s must be positive"):
         ap_to_triangle(ap, 0, 0)
 
 
 def test_ap_to_triangle_rejects_wrong_angle():
-    ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
-                  gamma=Fraction(7, 2), step=6, p=1, q=1)
+    ap = APTriple(a=1, b=5, g=7, d=2, step=6, p=1, q=1)
     with pytest.raises(ValueError):
         ap_to_triangle(ap, 1, 2)  # gaps of (1,2) are (1,3), not (1,1)
 
@@ -216,8 +207,7 @@ def test_ap_to_triangle_refused_past_its_checks_is_an_internal_fault(
         raise DegenerateTriangleError("sides must be positive")
 
     monkeypatch.setattr(Triangle, "_check", degenerate)
-    ap = APTriple(alpha=Fraction(1, 2), beta=Fraction(5, 2),
-                  gamma=Fraction(7, 2), step=6, p=1, q=1)
+    ap = APTriple(a=1, b=5, g=7, d=2, step=6, p=1, q=1)
     with pytest.raises(ArithmeticError, match="sides must be positive"):
         ap_to_triangle(ap, 0, 1)
 

@@ -28,8 +28,8 @@ def test_imports_first(name):
 
 # The package modules each subcommand loads, besides `cli` itself, and
 # whether it may load `fractions` (and with it `decimal` and `numbers`):
-# only the subcommands that read or build a rational do.  Only `selftest`
-# runs the torsion oracle, and only it loads `oracle`.
+# only `convert chain`, which reads the rationals --x and --y, does.  Only
+# `selftest` runs the torsion oracle, and only it loads `oracle`.
 PROBLEMS = {"arith", "curves", "geometry", "problems", "quadrics",
             "serialize", "torsion", "triples"}
 SUBCOMMAND_MODULES = [
@@ -48,20 +48,20 @@ SUBCOMMAND_MODULES = [
                  {"arith", "curves", "triples"}, False, id="to-congruent"),
     pytest.param("verify concordant --m -1 --n 3 --x 1 --y 0 --z 1 --w 1",
                  {"arith", "curves", "quadrics"}, False, id="verify"),
-    pytest.param("solve concordant --p 1 --q 3 --k 1", PROBLEMS, True,
+    pytest.param("solve concordant --p 1 --q 3 --k 1", PROBLEMS, False,
                  id="solve-concordant"),
     pytest.param("solve concordant --p 1 --q 3 --k 1 --bound 10",
-                 PROBLEMS | {"sieve"}, True, id="solve-bounded"),
-    pytest.param("solve theta --r 0 --s 1 --k 5", PROBLEMS, True,
+                 PROBLEMS | {"sieve"}, False, id="solve-bounded"),
+    pytest.param("solve theta --r 0 --s 1 --k 5", PROBLEMS, False,
                  id="solve-theta"),
     pytest.param("convert chain --m -5 --n 5 --x -4 --y 6", PROBLEMS, True,
                  id="chain"),
-    pytest.param("family order4 --u 1 --v 2", PROBLEMS, True, id="order4"),
-    pytest.param("family order8 --xi 3 --eta 4 --zeta 5", PROBLEMS, True,
+    pytest.param("family order4 --u 1 --v 2", PROBLEMS, False, id="order4"),
+    pytest.param("family order8 --xi 3 --eta 4 --zeta 5", PROBLEMS, False,
                  id="order8"),
-    pytest.param("family order36 --a -2 --b 7", PROBLEMS, True,
+    pytest.param("family order36 --a -2 --b 7", PROBLEMS, False,
                  id="order36"),
-    pytest.param("selftest --pmax 1", PROBLEMS | {"oracle", "sweeps"}, True,
+    pytest.param("selftest --pmax 1", PROBLEMS | {"oracle", "sweeps"}, False,
                  id="selftest"),
 ]
 
@@ -89,8 +89,8 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, modules,
 
 
 def test_point_views_build_fractions_without_geometry():
-    # `geometry` registers `_Coprime` as a `numbers.Rational` when it is
-    # imported; without it, `Point.x` and `Point.y` register it themselves.
+    # `Point.x` and `Point.y` register `_Coprime` as a `numbers.Rational`
+    # themselves, through `curves._fraction_class`, with no `geometry`.
     code = ("import sys\n"
             "from concordia.curves import Point\n"
             "loaded = 'numbers' in sys.modules\n"

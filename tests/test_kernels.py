@@ -1,6 +1,7 @@
 """Differential tests: the integer kernels for membership, the group law,
-halving, the quadric maps and the progression/triangle validators against
-the Fraction code they replaced, kept here as references."""
+halving, the quadric maps, the progression/triangle validators and the
+solution chain against the Fraction code they replaced, kept here as
+references."""
 
 import math
 from fractions import Fraction
@@ -14,11 +15,16 @@ from hypothesis import strategies as st
 from concordia.arith import _smooth_gcd, factorint, isqrt_exact
 from concordia.curves import INFINITY, Curve, Point, point_sort_key
 from concordia.geometry import (APTriple, DegenerateTriangleError, Triangle,
-                                ap_to_quadric, ap_to_triangle, quadric_to_ap)
+                                ap_to_quadric, ap_to_triangle, quadric_to_ap,
+                                triangle_to_ap)
+from concordia.problems import SolutionReport, solve_theta_congruent
 from concordia.quadrics import (QuadricPoint, concordant_form_map,
                                 point_to_quadric, quadric_to_point,
                                 right_triangle_map)
-from concordia.triples import CongruentTriple, congruent_to_concordant
+from concordia.torsion import torsion_subgroup
+from concordia.triples import (ConcordantTriple, CongruentTriple,
+                               concordant_to_congruent,
+                               congruent_to_concordant)
 
 # -- references: the Fraction bodies the kernels replaced -------------------
 
@@ -163,12 +169,85 @@ def reference_triangle_error(a, b, c, r, s):
     return None
 
 
+def reference_quadric_to_ap(S: QuadricPoint, p: int, q: int, step: int
+                            ) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma) of `quadric_to_ap` in Fractions, or its
+    ValueError."""
+    if S.is_trivial:
+        raise ValueError("trivial quadric points carry no progression")
+    x1 = abs(S.x1)
+    terms = tuple(Fraction(abs(v), x1) for v in (S.x2, S.x0, S.x3))
+    error = reference_ap_error(*terms, step, p, q)
+    if error is not None:
+        raise ValueError(error)
+    return terms
+
+
+def reference_ap_to_triangle(terms, p: int, q: int, step: int, r: int,
+                             s: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The sides (a, b, c) of `ap_to_triangle` in Fractions, or its
+    ValueError or ArithmeticError."""
+    alpha, beta, gamma = terms
+    if s < 1:
+        raise ValueError("s must be positive")
+    k = Fraction((p + q) * step, 2 * s)
+    if k.denominator != 1:
+        raise ValueError(f"area coefficient {k} is not an integer")
+    gaps = congruent_to_concordant(CongruentTriple(r, s, int(k)))
+    if (gaps.p, gaps.q, gaps.k) != (p, q, step):
+        raise ValueError("progression gaps do not match the angle (r, s)")
+    sides = (gamma + alpha, gamma - alpha, 2 * beta)
+    error = reference_triangle_error(*sides, r, s)
+    if error is not None:
+        raise ArithmeticError(f"progression gave no triangle: {error[1]}")
+    return sides
+
+
+def reference_ap_json(terms, step: int, p: int, q: int) -> dict:
+    alpha, beta, gamma = terms
+    return {"alpha": str(alpha), "beta": str(beta), "gamma": str(gamma),
+            "step": step, "p": p, "q": q}
+
+
+def reference_triangle_json(sides, r: int, s: int) -> dict:
+    a, b, c = sides
+    return {"a": str(a), "b": str(b), "c": str(c), "r": r, "s": s}
+
+
+def reference_triangles(report: SolutionReport) -> list:
+    """`SolutionReport.triangles`, keyed and sorted by Fraction sides."""
+    seen = {}
+    for entry in report.solutions:
+        if entry.triangle is None:
+            continue
+        key = tuple(sorted(entry.triangle.sides()))
+        seen.setdefault(key, (entry.triangle, []))[1].append(entry.point)
+    return [seen[key] for key in sorted(seen)]
+
+
 def _error(cls, *args):
     try:
         cls(*args)
     except ValueError as exc:
         return type(exc), str(exc)
     return None
+
+
+def over_one_denominator(*terms: Fraction) -> tuple[int, ...]:
+    """(n1, ..., L): the terms as n_i/L over their least common
+    denominator L, a primitive tuple, the form of `APTriple`'s (a, b, g, d)
+    and `Triangle`'s (A, B, C, D)."""
+    L = math.lcm(*(v.denominator for v in terms))
+    return (*(v.numerator * (L // v.denominator) for v in terms), L)
+
+
+def ap_error(alpha, beta, gamma, step, p, q):
+    return _error(APTriple, *over_one_denominator(alpha, beta, gamma), step,
+                  p, q)
+
+
+def triangle_error(a, b, c, r, s):
+    return _error(Triangle, *over_one_denominator(a, b, c), r, s)
 
 
 # -- inputs -----------------------------------------------------------------
@@ -645,7 +724,7 @@ def test_ap_validator_matches_reference(i, k, how):
     else:
         alpha = -alpha
     want = reference_ap_error(alpha, beta, gamma, step, p, q)
-    got = _error(APTriple, alpha, beta, gamma, step, p, q)
+    got = ap_error(alpha, beta, gamma, step, p, q)
     assert got == (None if want is None else (ValueError, want))
 
 
@@ -658,7 +737,7 @@ def test_ap_validator_matches_reference_on_small_progressions():
                         step // (d * d) if step % (d * d) == 0 else step,
                         1, 1)
                 want = reference_ap_error(*args)
-                got = _error(APTriple, *args)
+                got = ap_error(*args)
                 assert got == (None if want is None else (ValueError, want))
 
 
@@ -698,7 +777,7 @@ def test_triangle_validator_matches_reference(i, k, how):
     else:
         b = -b
     want = reference_triangle_error(a, b, c, r, s)
-    assert _error(Triangle, a, b, c, r, s) == want
+    assert triangle_error(a, b, c, r, s) == want
 
 
 def test_triangle_validator_matches_reference_on_small_triangles():
@@ -708,4 +787,145 @@ def test_triangle_validator_matches_reference_on_small_triangles():
                           (3, 5, 4, 0, 1), (5, 3, 4, 2, 1),
                           (5 * third, third, 2 * third * 2, 0, 1)]:
         args = (Fraction(a), Fraction(b), Fraction(c), r, s)
-        assert _error(Triangle, *args) == reference_triangle_error(*args)
+        assert triangle_error(*args) == reference_triangle_error(*args)
+
+
+# -- the solution chain -----------------------------------------------------
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of its ValueError or
+    ArithmeticError."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_chain_matches_reference(S: QuadricPoint, p: int, q: int,
+                                   step: int, r: int, s: int):
+    """The progression of S and its triangle at (r, s) against the
+    references: the views (a Fraction compares its numerator and
+    denominator, so an unreduced view fails), the JSON and the errors."""
+    ap = _outcome(quadric_to_ap, S, p, q, step)
+    terms = _outcome(reference_quadric_to_ap, S, p, q, step)
+    if not isinstance(ap, APTriple):
+        assert ap == terms
+        return
+    assert (ap.alpha, ap.beta, ap.gamma) == terms
+    # Past the int->str digit limit both raise Python's own ValueError.
+    assert _outcome(ap.to_json) == \
+        _outcome(reference_ap_json, terms, step, p, q)
+    tri = _outcome(ap_to_triangle, ap, r, s)
+    sides = _outcome(reference_ap_to_triangle, terms, p, q, step, r, s)
+    if not isinstance(tri, Triangle):
+        assert tri == sides
+        return
+    assert tri.sides() == sides
+    assert _outcome(tri.to_json) == \
+        _outcome(reference_triangle_json, sides, r, s)
+    # (A, B, C, D) and (a, b, g, d) are the primitive representatives, so
+    # the inverse map gives back the very same value.
+    assert math.gcd(ap.b, ap.d) == 1 == math.gcd(tri.A, tri.B, tri.C, tri.D)
+    assert triangle_to_ap(tri) == ap
+
+
+@lru_cache(maxsize=None)
+def small_points(p: int, q: int, k: int) -> tuple[Point, ...]:
+    """The torsion and search(300) points of E(-pk, qk), with their
+    doubles and triples."""
+    c = Curve(-p * k, q * k)
+    pts = c.search(300) | torsion_subgroup(c)[1]
+    pts |= {c.multiply(P, j) for P in pts for j in (2, 3)}
+    return tuple(sorted(pts, key=point_sort_key))
+
+
+def _own_angle(p: int, q: int, k: int) -> tuple[int, int] | None:
+    try:
+        t = concordant_to_congruent(ConcordantTriple(p, q, k))
+    except ValueError:
+        return None
+    return t.r, t.s
+
+
+angles = st.tuples(st.integers(-30, 30), st.integers(-2, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
+       st.sampled_from([0, 0, 0, 1]), st.booleans(), angles, st.data())
+def test_chain_matches_reference_on_quadric_points(p, q, k, shift, own,
+                                                   angle, data):
+    # Primitive points of Q(-pk, qk), at their curve's own angle or
+    # another; with shift 1 they are taken off Q(-p(k+1), q(k+1)).
+    assume(math.gcd(p, q) == 1)
+    c = Curve(-p * k, q * k)
+    S = point_to_quadric(data.draw(st.sampled_from(small_points(p, q, k))),
+                         c)
+    if own and _own_angle(p, q, k) is not None:
+        angle = _own_angle(p, q, k)
+    assert_chain_matches_reference(S, p, q, k + shift, *angle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_index, multiple_index, st.booleans(), st.booleans(), angles)
+def test_chain_matches_reference_on_multiples(i, k, negate, own, angle):
+    c, pts = chain(i)
+    r, s, kk = CHAINS[i][2]
+    ct = congruent_to_concordant(CongruentTriple(r, s, kk))
+    Q = c.negate(pts[k]) if negate else pts[k]
+    assert_chain_matches_reference(point_to_quadric(Q, c), ct.p, ct.q, ct.k,
+                                   *((r, s) if own else angle))
+
+
+# (r, s) with |r| < s, before the gcd(r, s) = 1 filter
+near_angles = st.integers(1, 21).flatmap(
+    lambda s: st.tuples(st.integers(1 - s, s - 1), st.just(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_angles, st.integers(1, 30), st.data())
+def test_triangles_match_reference_order(angle, k, data):
+    # triangles() dedupes and sorts by the integers (A, B, C, D), whatever
+    # the order of the entries; each triangle's points keep that order.
+    r, s = angle
+    assume(math.gcd(r, s) == 1)
+    report = solve_theta_congruent(CongruentTriple(r, s, k), 300)
+    entries = data.draw(st.permutations(report.solutions))
+    shuffled = SolutionReport(report.problem, report.triple, report.curve,
+                              report.torsion_class, tuple(entries),
+                              report.search_bound)
+    for rep in (report, shuffled):
+        assert rep.triangles() == reference_triangles(rep)
+    assert [t["sides"] for t in shuffled.to_json()["triangles"]] == \
+        [t["sides"] for t in report.to_json()["triangles"]]
+
+
+def test_triangles_match_reference_on_a_deep_search():
+    report = solve_theta_congruent(CongruentTriple(0, 1, 5), 10 ** 4)
+    got = report.triangles()
+    assert len(got) > 1 and got == reference_triangles(report)
+    assert report.to_json()["triangles"] == [
+        {"sides": [str(v) for v in tri.sides()],
+         "points": [json_point for json_point in
+                    (e["point"] for e in report.to_json()["solutions"]
+                     if e.get("triangle") == tri.to_json())]}
+        for tri, _ in got]
+
+
+def test_theta_solve_builds_no_fraction(monkeypatch):
+    # The chain runs on the quadric point's integers: 14 entries, which
+    # took 7 Fractions each when the progression and triangle held them.
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    report = solve_theta_congruent(CongruentTriple(0, 1, 5), 10 ** 4)
+    out = report.to_json()
+    monkeypatch.undo()
+    assert built == []
+    assert len(report.solutions) == 14 and len(out["triangles"]) > 1

@@ -238,14 +238,14 @@ class CountingFlags(bytes):
 
 def count_lookups(monkeypatch) -> list:
     """From now on, `lookups` counts the search's residue lookups, and
-    the returned list gets the pattern lookups of each `_row_patterns`
-    call, one per patterned (d, s)."""
+    the returned list gets (sd, the pattern lookups) of each
+    `_row_patterns` call, one per patterned (d, s)."""
     builds = []
 
-    def counted(*args):
+    def counted(residues, sd):
         before = lookups["patterns"]
-        out = _row_patterns(*args)
-        builds.append(lookups["patterns"] - before)
+        out = _row_patterns(residues, sd)
+        builds.append((sd, lookups["patterns"] - before))
         return out
 
     lookups.update(patterns=0, cells=0)
@@ -282,16 +282,36 @@ def test_patterns_take_one_lookup_per_square_class(monkeypatch):
     # of the prime powers 64, 9, 13, 11, 7 and 5: 12 + 4 + 7 + 6 + 4 + 3
     # = 36 lookups, which serve every unit class of w^2.  The classes of
     # w^2 that are not units, 0, 4, 16 and 36 mod 64 and 0 mod each odd
-    # prime power, take one lookup per square class of a^2:
-    # 4*12 + 4 + 7 + 6 + 4 + 3 = 72.  That is 108 in all, where one lookup
-    # per pair of square classes took 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2
-    # = 270, and the composite moduli 64, 63, 65 and 11 took
-    # 12^2 + 16^2 + 21^2 + 6^2 = 877.  Counting lookups, not timing them,
-    # keeps the test independent of the host.
+    # prime power, take one lookup per square class of a^2, but only for
+    # the M whose prime does not divide d: a row reads w prime to d, whose
+    # w^2 is a unit mod such an M.  So 2 | d saves 4*12 = 48 lookups, and
+    # 3, 13, 11, 7 and 5 save 4, 7, 6, 4 and 3: 108 lookups for d prime to
+    # 2*3*5*7*11*13, where one lookup per pair of square classes took
+    # 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2 = 270, and the composite moduli
+    # 64, 63, 65 and 11 took 12^2 + 16^2 + 21^2 + 6^2 = 877.  Counting
+    # lookups, not timing them, keeps the test independent of the host.
     builds = count_lookups(monkeypatch)
     c = Curve(-2310, 221)
     found = c.search(10 ** 4)
-    assert builds and set(builds) == {108}
+    saved = {2: 48, 3: 4, 13: 7, 11: 6, 7: 4, 5: 3}
+    assert builds and all(
+        count == 108 - sum(v for p, v in saved.items() if sd % p == 0)
+        for sd, count in builds)
+    # d = 1, 2 and 2*13 are among the 40 patterned (d, s)
+    assert {count for sd, count in builds} >= {108, 108 - 48, 108 - 48 - 7}
+    monkeypatch.undo()
+    assert found == grid_search(c, 10 ** 4)
+
+
+def test_a_sign_builds_its_patterns_at_its_first_non_empty_row(monkeypatch):
+    # On E(-5, -7), u = -d*a^2 < 0 gives N = u(u - 5w^2)(u - 7w^2) < 0 at
+    # every w: the rows of s = -1 are all empty.  So only the 4 signs
+    # s = 1 of d = 1, 5, 7, 35 build patterns, where building both signs
+    # of every d took 8.
+    builds = count_lookups(monkeypatch)
+    c = Curve(-5, -7)
+    found = c.search(10 ** 4)
+    assert sorted(sd for sd, count in builds) == [1, 5, 7, 35]
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
 
@@ -335,14 +355,23 @@ def pairwise_row_patterns(residues: list, sd: int) -> list:
     return out
 
 
+def assert_row_patterns_match_pairwise(residues: list, sd: int):
+    """`_row_patterns` has a mask for exactly the classes c of w^2 that a
+    row of sd reads, the units mod M and, when M's prime does not divide
+    sd, the rest, and each is the pairwise reference's."""
+    for (mod, got), (_, want) in zip(_row_patterns(residues, sd),
+                                     pairwise_row_patterns(residues, sd)):
+        prime = min(p for p in range(2, mod + 1) if mod % p == 0)
+        readable = {c for c in want if sd % prime or math.gcd(c, mod) == 1}
+        assert got == {c: want[c] for c in readable}, (mod, sd)
+
+
 @pytest.mark.parametrize("mod", [mod for mod in _SQ_CLASSES if mod % 2])
 def test_row_patterns_match_pairwise_on_every_residue(mod):
     # Every (m, n, sd) mod M, untiled.
     classes = _SQ_CLASSES[mod]
     for mr, nr, sd in itertools.product(range(mod), repeat=3):
-        residues = [(mod, classes, mr, nr, 1)]
-        assert _row_patterns(residues, sd) == \
-            pairwise_row_patterns(residues, sd), (mr, nr, sd)
+        assert_row_patterns_match_pairwise([(mod, classes, mr, nr, 1)], sd)
 
 
 def test_row_patterns_match_pairwise_mod_64():
@@ -351,9 +380,7 @@ def test_row_patterns_match_pairwise_mod_64():
     classes, tile = _SQ_CLASSES[64], _repunit(64, 100)
     for _ in range(2000):
         mr, nr, sd = draw(64), draw(64), draw(-10 ** 6, 10 ** 6)
-        residues = [(64, classes, mr, nr, tile)]
-        assert _row_patterns(residues, sd) == \
-            pairwise_row_patterns(residues, sd), (mr, nr, sd)
+        assert_row_patterns_match_pairwise([(64, classes, mr, nr, tile)], sd)
 
 
 def _square_classes(mod: int) -> dict:
@@ -407,7 +434,7 @@ def test_row_patterns_match_composite_moduli(m, n, sd, wmax, data, w):
     # The residues of a search at H = wmax^2, with the tiles it builds at
     # wmax bits: cut to the bits a <= amax <= wmax, the AND of a row's
     # masks is the composite moduli's, for every w mod 63 * 65 and for
-    # one large w.
+    # one large w, each prime to sd as the w of a row of sd are.
     if m == n:
         n = -n
     amax = data.draw(st.integers(1, wmax))
@@ -424,6 +451,8 @@ def test_row_patterns_match_composite_moduli(m, n, sd, wmax, data, w):
     old = composite_row_patterns(m, n, sd, amax)
     row = (1 << amax + 1) - 1
     for v in (*range(63 * 65), w):
+        if math.gcd(v, sd) != 1:
+            continue
         masks = [row, row]
         for i, patterns in enumerate((new, old)):
             for mod, by_class in patterns:

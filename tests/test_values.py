@@ -4,7 +4,6 @@ and pickled whole, and checked on construction with fixed messages."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from concordia.quadrics import QuadricPoint
 from concordia.torsion import TorsionClass
 from concordia.triples import ConcordantTriple, CongruentTriple
 
-HALF = Fraction(1, 2)
 REPORT = solve_concordant(ConcordantTriple(1, 3, 1))
 ENTRY_FIELDS = "point quadric ap triangle provenance"
 REPORT_FIELDS = "problem triple curve torsion_class solutions search_bound"
@@ -39,11 +37,9 @@ VALUES = {
     ConcordantTriple: ("p q k", (1, 3, 5), (2, 3, 5)),
     CongruentTriple: ("r s k", (1, 3, 5), (2, 3, 5)),
     QuadricPoint: ("x0 x1 x2 x3", (1, 0, 1, 1), (3, 1, 2, 4)),
-    APTriple: ("alpha beta gamma step p q",
-               (HALF, 5 * HALF, 7 * HALF, 6, 1, 1),
-               (Fraction(1), Fraction(5), Fraction(7), 24, 1, 1)),
-    Triangle: ("a b c r s", (Fraction(4), Fraction(3), Fraction(5), 0, 1),
-               (Fraction(8), Fraction(6), Fraction(10), 0, 1)),
+    APTriple: ("a b g d step p q", (1, 5, 7, 2, 6, 1, 1),
+               (1, 5, 7, 1, 24, 1, 1)),
+    Triangle: ("A B C D r s", (4, 3, 5, 1, 0, 1), (8, 6, 10, 1, 0, 1)),
     SolutionEntry: (ENTRY_FIELDS,
                     _fields_of(REPORT.solutions[0], ENTRY_FIELDS), None),
     SolutionReport: (REPORT_FIELDS, _fields_of(REPORT, REPORT_FIELDS), None),
@@ -110,24 +106,28 @@ def test_a_point_has_no_instance_dict():
      "coordinates are not primitive"),
     (lambda: QuadricPoint(0, -1, 1, 1), ValueError,
      "first nonzero coordinate must be positive"),
-    (lambda: APTriple(HALF, 5 * HALF, 7 * HALF, 0, 1, 1), ValueError,
+    (lambda: APTriple(1, 5, 7, 2, 0, 1, 1), ValueError,
      "step and gaps must be positive"),
-    (lambda: APTriple(-HALF, 5 * HALF, 7 * HALF, 6, 1, 1), ValueError,
+    (lambda: APTriple(-1, 5, 7, 2, 6, 1, 1), ValueError,
      "progression terms must be nonnegative magnitudes"),
-    (lambda: APTriple(3 * HALF, 5 * HALF, 7 * HALF, 6, 1, 1), ValueError,
+    (lambda: APTriple(3, 5, 7, 2, 6, 1, 1), ValueError,
      "lower gap mismatch"),
-    (lambda: APTriple(HALF, 5 * HALF, 9 * HALF, 6, 1, 1), ValueError,
+    (lambda: APTriple(1, 5, 9, 2, 6, 1, 1), ValueError,
      "upper gap mismatch"),
-    (lambda: Triangle(Fraction(4), Fraction(0), Fraction(5), 0, 1),
+    (lambda: APTriple(-1, -5, -7, -2, 6, 1, 1), ValueError,
+     "the common denominator must be positive"),
+    (lambda: Triangle(4, 0, 5, 1, 0, 1),
      DegenerateTriangleError, "sides must be positive"),
-    (lambda: Triangle(Fraction(3), Fraction(4), Fraction(5), 0, 1),
+    (lambda: Triangle(3, 4, 5, 1, 0, 1),
      ValueError, "side labels must satisfy a >= b"),
-    (lambda: Triangle(Fraction(4), Fraction(3), Fraction(7), 0, 1),
+    (lambda: Triangle(4, 3, 7, 1, 0, 1),
      DegenerateTriangleError, "triangle inequality violated"),
-    (lambda: Triangle(Fraction(4), Fraction(3), Fraction(5), 2, 2),
+    (lambda: Triangle(4, 3, 5, 1, 2, 2),
      ValueError, "cos(theta) = r/s must be reduced with |r| < s"),
-    (lambda: Triangle(Fraction(4), Fraction(3), Fraction(5), 1, 2),
+    (lambda: Triangle(4, 3, 5, 1, 1, 2),
      ValueError, "law of cosines fails for the given angle"),
+    (lambda: Triangle(-4, -3, -5, -1, 0, 1),
+     ValueError, "the common denominator must be positive"),
 ])
 def test_construction_checks_keep_their_messages(build, error, message):
     with pytest.raises(error) as exc:
