@@ -5,7 +5,8 @@ rational point of this integral model is x = X/Z^2, y = Y/Z^3 with
 gcd(X, Z) = 1 and Z >= 1, and `Point` stores that triple (X, Y, Z); O is
 (1, 1, 0).  `Curve.point` is the one place where a rational pair becomes
 a triple.  Membership is one integer identity in (X, Y, Z), checked by
-the one gate that every method reading a point passes, `Curve.weighted`;
+the one gate that every method reading a point passes, `Curve.weighted`,
+once per point and curve: a point that passes records the curve's (m, n);
 halving tests X, X + mZ^2 and X + nZ^2 for squares; and the group law is
 the chord-tangent construction on the expanded model
 y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
@@ -88,17 +89,19 @@ class Point(Frozen):
     """The point x = X/Z^2, y = Y/Z^3 in lowest terms: gcd(X, Z) = 1 and
     Z >= 1, or (1, 1, 0) for the point at infinity O, where x and y are
     None.  `Curve.point` builds one from (x, y); `Curve.weighted` checks
-    one."""
+    one, and records in the slot `_mark`, which is not a field, the key
+    of the last curve on which it passed."""
 
-    __slots__ = ("X", "Y", "Z")
+    __slots__ = ("X", "Y", "Z", "_mark")
     X: int
     Y: int
     Z: int
 
     def __init__(self, X: int, Y: int, Z: int):
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Z", Z)
+        _set_X(self, X)
+        _set_Y(self, Y)
+        _set_Z(self, Z)
+        _set_mark(self, None)
 
     # Points fill the sets of the oracle and the search: compare and hash
     # them without the generic field tuple.
@@ -130,6 +133,12 @@ class Point(Frozen):
         from .serialize import point_json
         return "(%s, %s)" % tuple(point_json(self)) if self.Z else "O"
 
+
+# The setters of Point's slots, past Frozen.__setattr__: a call takes
+# about half the time of object.__setattr__, and every hot path builds or
+# marks points.
+_set_X, _set_Y, _set_Z, _set_mark = (getattr(Point, name).__set__
+                                     for name in Point.__slots__)
 
 INFINITY = Point(1, 1, 0)
 
@@ -195,6 +204,7 @@ class Curve(Frozen):
             raise ValueError("degenerate cubic: m and n must differ")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_key", (m, n))
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}
@@ -211,9 +221,16 @@ class Curve(Frozen):
 
     def weighted(self, P: Point) -> tuple[int, int, int]:
         """(X, Y, Z) of P if `contains(P)`, else ValueError "(x, y) is not
-        on E(m,n)": the gate through which every method reads a point."""
-        if not self.contains(P):
-            raise ValueError(f"{P} is not on E({self.m},{self.n})")
+        on E(m,n)": the gate through which every method reads a point.
+
+        A point that passes is marked with the curve's key (m, n), and a
+        point so marked passes at once: a `Point` is immutable, so the
+        check holds for good.  Each point is checked once per curve, not
+        once per read."""
+        if P._mark != self._key:
+            if not self.contains(P):
+                raise ValueError(f"{P} is not on E({self.m},{self.n})")
+            _set_mark(P, self._key)
         return P.X, P.Y, P.Z
 
     def satisfies(self, X: int, Y: int, Z: int) -> bool:

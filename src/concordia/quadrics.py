@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .arith import _smooth_gcd
-from .curves import INFINITY, Curve, Frozen, Point, _point
+from .curves import INFINITY, Curve, Frozen, Point, _point, _set_mark
 
 
 class QuadricPoint(Frozen):
@@ -56,10 +56,20 @@ class QuadricPoint(Frozen):
         return self.x1 == 0
 
     def on_quadric(self, c: Curve) -> bool:
+        """Is the point on Q(m,n) of the curve c = E(m,n)?  A True answer
+        is recorded with c's key (m, n) in the instance `__dict__`, which
+        equality, hashing and pickling do not read, and a later call on
+        that key returns True at once: each point is checked once per
+        quadric, not once per read."""
+        if self.__dict__.get("_quadric") == c._key:
+            return True
         s = self.x0 * self.x0
         t = self.x1 * self.x1
-        return (s + c.m * t == self.x2 * self.x2
-                and s + c.n * t == self.x3 * self.x3)
+        if (s + c.m * t == self.x2 * self.x2
+                and s + c.n * t == self.x3 * self.x3):
+            self.__dict__["_quadric"] = c._key
+            return True
+        return False
 
 
 TRIVIAL_BASE = QuadricPoint(1, 0, 1, 1)
@@ -89,7 +99,9 @@ def quadric_to_point(S: QuadricPoint, c: Curve) -> Point:
     if r or Z * Z != Zs or not c.satisfies(X, Y, Z):
         raise ArithmeticError(f"the image of {S} is not a point of "
                               f"E({m},{n}) in lowest terms")
-    return Point(X, Y, Z)
+    P = Point(X, Y, Z)
+    _set_mark(P, c._key)  # `Curve.weighted` would pass
+    return P
 
 
 def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:

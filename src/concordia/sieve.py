@@ -49,6 +49,7 @@ def search(m: int, n: int, height: int) -> frozenset[Point]:
     coprime = _coprime_masks(wmax)
     residues = [(mod, classes, m % mod, n % mod, _repunit(mod, wmax))
                 for mod, classes in _SQ_CLASSES.items()]
+    memo = {}  # the masks of each (M, sd mod M), shared by the rows
     pts = {Point(0, 0, 1)}
     for d in _squarefree_products(primes, height):
         amax = isqrt(height // d)
@@ -71,7 +72,7 @@ def search(m: int, n: int, height: int) -> frozenset[Point]:
                 if not x:
                     continue
                 if patterns is None:
-                    patterns = sign[2] = _row_patterns(residues, sd)
+                    patterns = sign[2] = _row_patterns(residues, sd, memo)
                 for mod, masks in patterns:
                     x &= masks[w2 % mod]
                 x &= coprime[w]
@@ -142,11 +143,13 @@ def _repunit(period: int, top: int) -> int:
     return ((1 << period * k) - 1) // ((1 << period) - 1)
 
 
-def _row_patterns(residues: list, sd: int) -> list:
+def _row_patterns(residues: list, sd: int, memo: dict) -> list:
     """(M, masks) for each (M, square classes, m mod M, n mod M, tile) of
     `residues`: masks[c] has the bits a <= wmax for which u = sd*a^2 can
     make N = u(u + mw^2)(u + nw^2) a square mod M when w^2 = c mod M,
-    repeated by the tile.
+    repeated by the tile.  They depend on sd mod M alone, so the masks of
+    each (M, sd mod M) are built once, into `memo`, and read from it by
+    every later row of the search; no row writes to them.
 
     For a unit c, N = c^3 F(sd*a^2/c) with F(x) = x(x+m)(x+n), and c^3 is
     a unit square, so N is a square mod M iff F(sd*g) is, for the class
@@ -158,23 +161,26 @@ def _row_patterns(residues: list, sd: int) -> list:
     a row of sd only reads w prime to d, whose w^2 is a unit mod M."""
     out = []
     for mod, classes, mr, nr, tile in residues:
-        products, units, p, non_units = _CLASS_TABLES[mod]
-        packed = sum([row for g, row in products
-                      if (t := sd * g % mod) * (t + mr) * (t + nr) % mod
-                      in classes])
-        low = (1 << mod) - 1
-        masks = {c: tile * (packed >> shift & low) for c, shift in units}
+        r = sd % mod
+        masks = memo.get((mod, r))
+        if masks is None:
+            products, units, p, non_units = _CLASS_TABLES[mod]
+            packed = sum([row for g, row in products
+                          if (t := r * g % mod) * (t + mr) * (t + nr) % mod
+                          in classes])
+            low = (1 << mod) - 1
+            masks = memo[mod, r] = {c: tile * (packed >> shift & low)
+                                    for c, shift in units}
+            if r % p:
+                ts = [(r * q % mod, bits) for q, bits in classes.items()]
+                for c in non_units:
+                    mc, nc = mr * c % mod, nr * c % mod
+                    acc = 0
+                    for t, bits in ts:
+                        if t * (t + mc) * (t + nc) % mod in classes:
+                            acc |= bits
+                    masks[c] = tile * acc
         out.append((mod, masks))
-        if sd % p == 0:
-            continue
-        ts = [(sd * q % mod, bits) for q, bits in classes.items()]
-        for c in non_units:
-            mc, nc = mr * c % mod, nr * c % mod
-            acc = 0
-            for t, bits in ts:
-                if t * (t + mc) * (t + nc) % mod in classes:
-                    acc |= bits
-            masks[c] = tile * acc
     return out
 
 

@@ -236,23 +236,29 @@ class CountingFlags(bytes):
         return bytes.__getitem__(self, i)
 
 
-def count_lookups(monkeypatch) -> list:
-    """From now on, `lookups` counts the search's residue lookups, and
-    the returned list gets (sd, the pattern lookups) of each
-    `_row_patterns` call, one per patterned (d, s)."""
-    builds = []
-
-    def counted(residues, sd):
-        before = lookups["patterns"]
-        out = _row_patterns(residues, sd)
-        builds.append((sd, lookups["patterns"] - before))
-        return out
-
+def count_residue_lookups(monkeypatch):
+    """From now on, `lookups` counts the search's residue lookups."""
     lookups.update(patterns=0, cells=0)
     monkeypatch.setattr(sieve, "_SQ_CLASSES", {
         mod: CountingClasses(classes) for mod, classes in _SQ_CLASSES.items()})
     monkeypatch.setattr(sieve, "_SQ_FILTERS", [
         (mod, CountingFlags(flags)) for mod, flags in _SQ_FILTERS])
+
+
+def count_lookups(monkeypatch) -> list:
+    """From now on, `lookups` counts the search's residue lookups, and
+    the returned list gets (sd, the pattern lookups, the keys (M, sd mod M)
+    new to the search's memo) of each `_row_patterns` call, one per
+    patterned (d, s)."""
+    builds = []
+
+    def counted(residues, sd, memo):
+        before, known = lookups["patterns"], set(memo)
+        out = _row_patterns(residues, sd, memo)
+        builds.append((sd, lookups["patterns"] - before, set(memo) - known))
+        return out
+
+    count_residue_lookups(monkeypatch)
     monkeypatch.setattr(sieve, "_row_patterns", counted)
     return builds
 
@@ -277,28 +283,53 @@ def test_short_rows_check_the_residues_per_cell(monkeypatch):
     assert found == grid_search(c, 500)
 
 
+# (prime, lookups for the unit classes of w^2, lookups for the classes
+# that are not units) of each M: one evaluation per square class mod M
+# serves every unit class, and a class that is not a unit takes one per
+# square class of a^2, unless M's prime divides sd.
+_LOOKUPS = {64: (2, 12, 4 * 12), 9: (3, 4, 4), 13: (13, 7, 7),
+            11: (11, 6, 6), 7: (7, 4, 4), 5: (5, 3, 3)}
+
+
 def test_patterns_take_one_lookup_per_square_class(monkeypatch):
-    # Each patterned (d, s) evaluates F(sd*g) mod M once per square class g
-    # of the prime powers 64, 9, 13, 11, 7 and 5: 12 + 4 + 7 + 6 + 4 + 3
+    # Each new (M, sd mod M) evaluates F(sd*g) mod M once per square class
+    # g of the prime powers 64, 9, 13, 11, 7 and 5: 12 + 4 + 7 + 6 + 4 + 3
     # = 36 lookups, which serve every unit class of w^2.  The classes of
     # w^2 that are not units, 0, 4, 16 and 36 mod 64 and 0 mod each odd
     # prime power, take one lookup per square class of a^2, but only for
-    # the M whose prime does not divide d: a row reads w prime to d, whose
-    # w^2 is a unit mod such an M.  So 2 | d saves 4*12 = 48 lookups, and
-    # 3, 13, 11, 7 and 5 save 4, 7, 6, 4 and 3: 108 lookups for d prime to
-    # 2*3*5*7*11*13, where one lookup per pair of square classes took
-    # 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2 = 270, and the composite moduli
-    # 64, 63, 65 and 11 took 12^2 + 16^2 + 21^2 + 6^2 = 877.  Counting
-    # lookups, not timing them, keeps the test independent of the host.
+    # the M whose prime does not divide sd: a row reads w prime to d,
+    # whose w^2 is a unit mod such an M.  So 2 | sd saves 4*12 = 48
+    # lookups, and 3, 13, 11, 7 and 5 save 4, 7, 6, 4 and 3: 108 lookups
+    # for the first sd prime to 2*3*5*7*11*13, where one lookup per pair
+    # of square classes took 12^2 + 4^2 + 7^2 + 6^2 + 4^2 + 3^2 = 270.  A
+    # key (M, sd mod M) already in the search's memo takes no lookup.
+    # Counting lookups, not timing them, keeps the test independent of
+    # the host.
     builds = count_lookups(monkeypatch)
     c = Curve(-2310, 221)
     found = c.search(10 ** 4)
-    saved = {2: 48, 3: 4, 13: 7, 11: 6, 7: 4, 5: 3}
-    assert builds and all(
-        count == 108 - sum(v for p, v in saved.items() if sd % p == 0)
-        for sd, count in builds)
-    # d = 1, 2 and 2*13 are among the 40 patterned (d, s)
-    assert {count for sd, count in builds} >= {108, 108 - 48, 108 - 48 - 7}
+    seen = set()
+    for sd, count, new in builds:
+        assert new == {(mod, sd % mod) for mod in _SQ_CLASSES} - seen
+        seen |= new
+        assert count == sum(units + (non_units if sd % prime else 0)
+                            for prime, units, non_units in
+                            (_LOOKUPS[mod] for mod, r in new))
+    assert builds[0][:2] == (1, 108)  # d = 1 comes first
+    assert len(builds) == 40 and len(seen) == 82
+    monkeypatch.undo()
+    assert found == grid_search(c, 10 ** 4)
+
+
+def test_each_residue_of_sd_is_evaluated_once_per_search(monkeypatch):
+    # The masks of M depend on sd mod M alone.  The 40 patterned (d, s) of
+    # E(-2310, 221) at H = 10^4 hold 82 distinct (M, sd mod M) of their
+    # 240, and the search evaluates each once: 2,044 pattern lookups,
+    # where evaluating the six moduli of every (d, s) took 3,356.
+    count_residue_lookups(monkeypatch)
+    c = Curve(-2310, 221)
+    found = c.search(10 ** 4)
+    assert lookups["patterns"] == 2044
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
 
@@ -311,7 +342,7 @@ def test_a_sign_builds_its_patterns_at_its_first_non_empty_row(monkeypatch):
     builds = count_lookups(monkeypatch)
     c = Curve(-5, -7)
     found = c.search(10 ** 4)
-    assert sorted(sd for sd, count in builds) == [1, 5, 7, 35]
+    assert sorted(sd for sd, count, new in builds) == [1, 5, 7, 35]
     monkeypatch.undo()
     assert found == grid_search(c, 10 ** 4)
 
@@ -359,7 +390,7 @@ def assert_row_patterns_match_pairwise(residues: list, sd: int):
     """`_row_patterns` has a mask for exactly the classes c of w^2 that a
     row of sd reads, the units mod M and, when M's prime does not divide
     sd, the rest, and each is the pairwise reference's."""
-    for (mod, got), (_, want) in zip(_row_patterns(residues, sd),
+    for (mod, got), (_, want) in zip(_row_patterns(residues, sd, {}),
                                      pairwise_row_patterns(residues, sd)):
         prime = min(p for p in range(2, mod + 1) if mod % p == 0)
         readable = {c for c in want if sd % prime or math.gcd(c, mod) == 1}
@@ -447,7 +478,7 @@ def test_row_patterns_match_composite_moduli(m, n, sd, wmax, data, w):
     with mock.patch.object(sieve, "_row_patterns", record):
         Curve(m, n).search(wmax * wmax)
     residues = calls[0][0]  # d = 1 has amax = wmax: it takes patterns
-    new = _row_patterns(residues, sd)
+    new = _row_patterns(residues, sd, {})
     old = composite_row_patterns(m, n, sd, amax)
     row = (1 << amax + 1) - 1
     for v in (*range(63 * 65), w):
