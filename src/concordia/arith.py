@@ -217,11 +217,16 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
+    """All positive divisors of n >= 1, ascending: the run for p^k is the
+    run for p^(k-1) times p, and a sort per prime merges the e + 1 runs."""
     divs = [1]
     for p, e in factorint(n).items():
-        divs = [d * p ** k for k in range(e + 1) for d in divs]
-    return sorted(divs)
+        run = divs
+        for _ in range(e):
+            run = [d * p for d in run]
+            divs += run
+        divs.sort()
+    return divs
 
 
 class _Coprime:

@@ -35,8 +35,8 @@ EXIT_INTERNAL = 3
 # at H = 10^6 and 0.18-1.7 s at H = 10^7 on one core of a 2-vCPU host, and
 # larger bounds are refused; 4000-digit m, n take 16 s at 10^6, 162 s at 10^7.
 MAX_BOUND = 10 ** 7
-# The whole selftest at p, q <= 60 (an oracle grid of 17,624 curves) takes
-# about 5 s (4.2-6.1 s over five runs) in one process on a 2-vCPU host.
+# The whole selftest at p, q <= 60 (17,624 oracle curves) takes 1.9-2.3 s
+# in one process on a 2-vCPU host (ten runs), 1.1-1.8 s with --jobs 2 (five).
 MAX_PMAX = 60
 # The largest number, in decimal digits, that the CLI reads from a flag or
 # prints, whatever the interpreter's int<->str limit

@@ -397,15 +397,15 @@ class Curve(Frozen):
         """Complete set of rational torsion points, by brute enumeration.
 
         Candidate y values run over the divisors of |mn(m-n)| (so that
-        y^2 divides the discriminant); integer x values are recovered as
-        roots of x(x+m)(x+n) - y^2, located from the known roots 0, -m,
-        -n of x(x+m)(x+n), then filtered by order.
-
-        A y is dropped before the root search when y^2 mod M is not a
-        value of f(x) = x(x+m)(x+n) mod M, for one of _ORACLE_MODULI.
-        That is exact: an integer x with f(x) = y^2 gives
-        y^2 = f(x mod M) mod M.  The tables of values depend on m and n
-        alone, so the oracle stays independent of the classifier.
+        y^2 divides the discriminant).  One pass over them tests y^2 mod M
+        against the values of f(x) = x(x+m)(x+n) mod M for M = 11, 27, 13,
+        17, 19, 23, 29, 7, 8, 5 in turn (`oracle._ORACLE_MODULI`), and drops
+        y at the first M where it is not one.  That is exact: an integer x
+        with f(x) = y^2 gives y^2 = f(x mod M) mod M.  For each y left, the
+        integer x are the roots of f(x) - y^2, located from the known roots
+        0, -m, -n of f, then filtered by order.  The tables are built per
+        curve from m and n alone, so the oracle stays independent of the
+        classifier.
         """
         return _oracle_kernel()(self)
 

@@ -6,11 +6,11 @@ E(-p*k, q*k); any disagreement is reported as a discrepancy string.
 Both sides compare full point sets.  The oracle works in integers only:
 its x candidates are located from the known roots 0, -m, -n, and its
 orders come from a multiple chain that stops at the first inexact
-division (`Curve.torsion_oracle`, `Curve.order_of`).  Before it searches
-for the x of a candidate y, the oracle drops every y whose y^2 is not a
-value of x(x+m)(x+n) modulo a few small prime powers; that is exact,
-since an integer point reduces to a solution modulo each of them.  The
-sweeps are embarrassingly parallel over parameter tuples.
+division (`Curve.torsion_oracle`, `Curve.order_of`).  Of its candidates,
+the divisors y of |mn(m-n)|, it drops each y at the first of the moduli
+11, 27, 13, 17, 19, 23, 29, 7, 8, 5 where y^2 is not a value of
+x(x+m)(x+n); that is exact, as an integer point reduces to a solution
+mod each.  The sweeps are embarrassingly parallel over parameter tuples.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 oracle against the bisection root finder and the Fraction multiple
 chain they replaced, and guards for the oracle's residue filter."""
 
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 from concordia import oracle
 from concordia.arith import divisors
 from concordia.curves import INFINITY, Curve, Point
-from concordia.oracle import (_cubic_peak, _cubic_value_tables,
-                              _integer_cubic_roots)
+from concordia.oracle import (_ORACLE_MODULI, _cubic_peak,
+                              _cubic_value_tables, _integer_cubic_roots)
 from concordia.problems import (gen_order4_family, gen_order8_family,
                                 gen_order36_family)
+from concordia.sweeps import DEFAULT_K_VALUES, curve_grid
 from concordia.torsion import torsion_subgroup
 
 
@@ -165,8 +168,10 @@ def test_order_of_rejects_non_integral_points():
 
 
 def test_residue_filter_skips_most_root_searches(monkeypatch):
-    # E(-420,330) has 480 candidate y | mn(m-n); 49 of them pass the
-    # tables, and every one would reach the root search without them.
+    # E(-420,330) has 480 candidate y | mn(m-n), and every one would reach
+    # the root search without the tables; 4 of them pass (49 passed the
+    # moduli 32, 27, 25, 7, 11 and 13).  Over the criterion-3 grid,
+    # p, q <= 30, 12,909 searches are left (57,145 with those moduli).
     calls = []
 
     def counted(*args):
@@ -177,12 +182,50 @@ def test_residue_filter_skips_most_root_searches(monkeypatch):
     c = Curve(-420, 330)
     assert len(divisors(c.discriminant_root())) == 480
     assert len(c.torsion_oracle()) == 4
-    assert len(calls) <= 60
+    assert len(calls) == 4
+    calls.clear()
+    for p, q, k in curve_grid(30, DEFAULT_K_VALUES):
+        Curve(-p * k, q * k).torsion_oracle()
+    assert len(calls) == 12_909
 
 
 @settings(max_examples=300, deadline=None)
 @given(nonzero, nonzero, st.integers(-10 ** 9, 10 ** 9))
 def test_residue_filter_passes_every_value_of_the_cubic(m, n, x):
     y2 = x * (x + m) * (x + n)
-    for M, flags in _cubic_value_tables(m, n):
+    tables = _cubic_value_tables(m, n)
+    assert len(tables) == len(_ORACLE_MODULI)
+    for M, flags in zip(_ORACLE_MODULI, tables):
+        assert len(flags) == M
         assert flags[y2 % M], (M, y2 % M)
+        assert {r for r in range(M) if flags[r]} == \
+            {t * (t + m) * (t + n) % M for t in range(M)}, M
+
+
+def test_filter_checks_each_table_at_its_modulus():
+    # `torsion_oracle` unpacks the tables into f<M> and tests f<M>[y2 % M]
+    # for each M of _ORACLE_MODULI, in that order.
+    src = inspect.getsource(oracle.torsion_oracle)
+    names = re.search(r"([f\d,\s]+)\)? = _cubic_value_tables", src)
+    assert re.findall(r"f(\d+)", names.group(1)) == \
+        [str(M) for M in _ORACLE_MODULI]
+    checks = re.findall(r"f(\d+)\[y2 % (\d+)\]", src)
+    assert checks == [(str(M), str(M)) for M in _ORACLE_MODULI]
+
+
+# M runs over the filter moduli and the higher prime powers 2^5 and 5^2.
+# M divides m, n and m - n in turn, then all three, and M^2 divides all
+# three of E(-81 M^2, 175 M^2), which is isomorphic to E(-81, 175)
+# (x -> M^2 x) and keeps its Z2xZ8 torsion: there the tables of M's prime
+# see f(x) = x^3.
+FILTER_PRIME_POWERS = (32, 25, *_ORACLE_MODULI)
+
+
+@pytest.mark.parametrize("M", FILTER_PRIME_POWERS)
+def test_oracle_where_a_filter_prime_divides_the_curve(M):
+    for mn in ((-M, 1), (-1, M), (-1, M - 1), (-2 * M, 3 * M),
+               (-81 * M * M, 175 * M * M)):
+        c = Curve(*mn)
+        cls, closed_form = torsion_subgroup(c)
+        assert check_oracle(c) == closed_form, mn
+    assert cls.tag == "Z2xZ8"
