@@ -245,14 +245,14 @@ class _Coprime:
 
 
 def _smooth_gcd(N: int, *vals: int) -> int:
-    """gcd(*vals) for values, not all zero, whose common prime factors
-    all divide N != 0.
+    """The N-smooth part of gcd(*vals), for N != 0 and values not all
+    zero: the part made of the primes of N.  That is the whole gcd when
+    every common prime factor of the values divides N.
 
     Repeats d = gcd(N, *vals), which costs one long division of each
     value by the small N, divides d out of the values and multiplies it
-    into the result, until d = 1.  Stopping there is exact: a prime left
-    common to the reduced values divides the original gcd, so it divides
-    N and therefore d.
+    into the result, until d = 1.  Stopping there is exact: a prime of N
+    left common to the reduced values would divide d.
     """
     g = 1
     d = math.gcd(N, *vals)

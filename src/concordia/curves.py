@@ -11,16 +11,17 @@ halving tests X, X + mZ^2 and X + nZ^2 for squares; and the group law is
 the chord-tangent construction on the expanded model
 y^2 = x^3 + (m+n)x^2 + mn*x in these weighted projective coordinates.
 A sum comes out as (X3, Y3, Z3) = (lam^2 X, lam^3 Y, lam Z) for its
-lowest-terms (X, Y, Z): the chord finds lam^2 with one gcd, the tangent
-over the primes of mn(m-n) alone (`_smooth_gcd`), and both divide
-exactly.  Output prints from X, Y and Z (`concordia.serialize`), and
-`Point.x`, `Point.y` are `Fraction` views for callers.  The torsion oracle
-is a Nagell-Lutz enumeration, independent of the closed-form classifier in
-`concordia.torsion`; the number theory on bare integers is `concordia.arith`.
-The kernels of `Curve.torsion_oracle` and `Curve.search` are
-`concordia.oracle` and `concordia.sieve`, each imported when it runs.
-`fractions` and `numbers` are imported only where a rational is read or
-built.
+lowest-terms (X, Y, Z), and no full-size gcd finds lam: for the chord it is
+Z1*Z2 except at the primes of gcd(Z1, Z2), as the kernel of reduction E_1(Q_p)
+is a group (Silverman VII.2.2), and for the tangent it has only primes of
+mn(m-n) (`_smooth_gcd`; lemmas at `Curve.add`).  Output prints from X, Y and Z
+(`concordia.serialize`), and `Point.x`, `Point.y` are `Fraction` views for
+callers.  The torsion oracle is a Nagell-Lutz enumeration, independent of the
+closed-form classifier in `concordia.torsion`; the number theory on bare
+integers is `concordia.arith`.  The kernels of `Curve.torsion_oracle` and
+`Curve.search` are `concordia.oracle` and `concordia.sieve`, each imported
+when it runs.  `fractions` and `numbers` are imported only where a rational is
+read or built.
 """
 
 from __future__ import annotations
@@ -168,20 +169,18 @@ def _point(X: int, Y: int, Z: int) -> Point:
     return Point(X, Y, Z) if Z > 0 else Point(X, -Y, -Z)
 
 
-def _reduced_point(X3: int, Y3: int, Z3: int, lam2: int) -> Point:
-    """The point X3/Z3^2, Y3/Z3^3 of y^2 = x(x+m)(x+n), given
-    lam2 = gcd(X3, Z3^2).  In lowest terms it is X/Z^2, Y/Z^3 (see
-    `Curve.point`), so Z3 = lam*Z, X3 = lam^2*X, Y3 = lam^3*Y and
-    lam2 = lam^2 * gcd(X, Z^2) = lam^2: each coordinate is an exact
-    division.  ArithmeticError, an internal fault and not a usage error,
-    when lam2 is not a square or a division is not exact."""
-    lam = math.isqrt(lam2)
+def _reduced_point(X3: int, Y3: int, Z: int, lam: int) -> Point:
+    """The sum X/Z^2, Y/Z^3 of `Curve.add` for X3 = lam^2*X, Y3 = lam^3*Y.
+    ArithmeticError, an internal fault and not a usage error, when a
+    division is not exact.  A lam too large at a prime leaves a division
+    here or the caller's Z3/lam inexact; one too small leaves gcd(X, Z) > 1,
+    which `Curve.weighted` refuses at the point's first read."""
+    lam2 = lam * lam
     X, r = divmod(X3, lam2)
     Y, s = divmod(Y3, lam2 * lam)
-    if r or s or lam * lam != lam2:
-        raise ArithmeticError(
-            "weighted point: the common factor is not lam^2, lam^3")
-    return _point(X, Y, Z3 // lam)
+    if r or s:
+        raise ArithmeticError("weighted point: lam^2, lam^3 do not divide")
+    return _point(X, Y, Z)
 
 
 def point_sort_key(P: Point):
@@ -273,18 +272,24 @@ class Curve(Frozen):
         Silverman-Tate I.4, Cohen 7.1).  ValueError from `weighted` unless
         both P and Q are on the curve, O included.
 
-        The slope is R/(H*Z1*Z2) for the chord, with R and H first
-        divided by gcd(R, H), which is about as long as Z1 when P and Q
-        are multiples of one point, and M/(2*Y1*Z1) for the tangent.  The
-        sum is X3/Z3^2, Y3/Z3^3, and `_reduced_point` divides out
-        lam^2 = gcd(X3, Z3^2).  The chord takes that gcd; on chains of
-        multiples lam is about as long as Z1.
+        The slope is R/(H*Z1*Z2) for the chord (R, H over gcd(R, H), its
+        one full-size gcd) and M/(2*Y1*Z1) for the tangent.  The sum
+        X3/Z3^2, Y3/Z3^3 is reduced by lam^2 = gcd(X3, Z3^2), as below.
 
-        The tangent needs no full-size gcd.  Lemma: a prime p dividing
-        both X3 and Z3 = 2*Y1*Z1 divides N = mn(m-n), so
-        lam^2 = _smooth_gcd(N, X3, Z3^2).  Proof, for P in lowest terms
-        with Y1 != 0, where M = Z1^4 f'(x1), Y1^2 = Z1^6 f(x1) and
-        f(x) = x(x+m)(x+n):
+        Chord lemma: for e = gcd(Z1, Z2), lam = W*s with W = Z1*Z2 stripped of
+        the primes of e and s^2 = _smooth_gcd(e, X3, Z3^2); at e = 1 the sum's
+        Z is H.  Proof, at a prime p not dividing e, where Z3 = Z1*Z2*H and
+        gcd(R, H) = 1.  If p divides Z1 alone, it divides neither X1 nor H,
+        and v_p(Z3) = v_p(Z1).  O and the points with v_p(x) < 0 form a group,
+        E_1(Q_p) (Silverman VII.2.2, Silverman-Tate II.4), with P in it and Q
+        not, so P + Q is not: v_p(lam) = v_p(Z1); Z2 alone likewise.  If p
+        divides H alone, it does not divide R, and X3 = R^2 mod p gives
+        v_p(lam) = 0, as when p does not divide Z3.
+
+        Tangent lemma: a prime p dividing both X3 and Z3 = 2*Y1*Z1
+        divides N = mn(m-n), so lam^2 = _smooth_gcd(N, X3, Z3^2).  Proof,
+        for P in lowest terms with Y1 != 0, where M = Z1^4 f'(x1),
+        Y1^2 = Z1^6 f(x1) and f(x) = x(x+m)(x+n):
         - p = 2 divides N: m, n and m-n are never all odd.
         - p | Z1: then p does not divide X1, M = 3X1^2 and Y1^2 = X1^3
           mod p, so X3 = M^2 - 8X1*Y1^2 = X1^4 is not 0 mod p.
@@ -306,11 +311,12 @@ class Curve(Frozen):
             # then Q = P: both are on the curve
             M = (3 * X1 + 2 * A * Z1s) * X1 + self.m * self.n * Z1s * Z1s
             Z3 = 2 * Y1 * Z1
+            Z3s = Z3 * Z3
             Y1s = Y1 * Y1
             V = 4 * X1 * Y1s  # x1 * Z3^2
-            X3 = M * M - A * Z3 * Z3 - 2 * V
+            X3 = M * M - A * Z3s - 2 * V
             Y3 = M * (V - X3) - 8 * Y1s * Y1s
-            lam2 = _smooth_gcd(self.discriminant_root(), X3, Z3 * Z3)
+            W, e = 1, self.discriminant_root()
         else:
             Z2s = Z2 * Z2
             U1, U2 = X1 * Z2s, X2 * Z1s
@@ -318,13 +324,23 @@ class Curve(Frozen):
             H, R = U2 - U1, Y2 * Z1s * Z1 - S1
             g = math.gcd(R, H)
             H, R = H // g, R // g
-            Z3 = Z1 * Z2 * H
+            W = Z1 * Z2
+            Z3 = W * H
+            Z3s = Z3 * Z3
             H2 = H * H
             V = U1 * H2  # x1 * Z3^2
-            X3 = R * R - A * Z3 * Z3 - V - U2 * H2
+            X3 = R * R - A * Z3s - V - U2 * H2
             Y3 = R * (V - X3) - S1 * H2 * H
-            lam2 = math.gcd(X3, Z3 * Z3)
-        return _reduced_point(X3, Y3, Z3, lam2)
+            e = math.gcd(Z1, Z2)
+            if e == 1:
+                return _reduced_point(X3, Y3, H, W)
+            W //= _smooth_gcd(e, W)
+        s2 = _smooth_gcd(e, X3, Z3s)
+        s = math.isqrt(s2)
+        Z, r = divmod(Z3, W * s)
+        if r or s * s != s2:
+            raise ArithmeticError("weighted point: wrong common factor lam")
+        return _reduced_point(X3, Y3, Z, W * s)
 
     def negate(self, P: Point) -> Point:
         # Not gated: it computes nothing from the coordinates.

@@ -156,7 +156,7 @@ def quadric_to_ap(S: QuadricPoint, p: int, q: int, step: int) -> APTriple:
 def ap_to_quadric(t: APTriple) -> QuadricPoint:
     """(beta : 1 : alpha : gamma) as (b, d, a, g): gcd(b, d) = 1 makes
     that tuple primitive, and b > 0 makes its first coordinate positive."""
-    return QuadricPoint(t.b, t.d, t.a, t.g)
+    return QuadricPoint._primitive(t.b, t.d, t.a, t.g)
 
 
 def _check_angle(p: int, q: int, step: int, r: int, s: int) -> None:

@@ -44,6 +44,13 @@ class QuadricPoint(Frozen):
         if first < 0:
             raise ValueError("first nonzero coordinate must be positive")
 
+    @classmethod
+    def _primitive(cls, *coords: int) -> QuadricPoint:
+        """A tuple in normal form by its maker's lemma, built unchecked."""
+        S = object.__new__(cls)
+        S.__dict__.update(zip(cls._fields, coords))
+        return S
+
     def coords(self) -> tuple[int, int, int, int]:
         return (self.x0, self.x1, self.x2, self.x3)
 
@@ -125,6 +132,7 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
       X + mZ^2 or X + nZ^2.  If p | X, the first coordinate gives
       p | mn.  If p | X + mZ^2 and not X, it reads mZ^4(n - m) = 0 mod p
       with p not dividing m, so p | m - n; X + nZ^2 likewise.
+    So the tuple over g is primitive, and the sign below makes it normal.
     """
     X, Y, Z = c.weighted(P)
     if Z == 0:
@@ -136,7 +144,7 @@ def point_to_quadric(P: Point, c: Curve) -> QuadricPoint:
     g = _smooth_gcd(c.discriminant_root(), *coords)
     if coords[0] < 0 or coords[0] == 0 and coords[1] < 0:
         g = -g
-    return QuadricPoint(*(v // g for v in coords))
+    return QuadricPoint._primitive(*(v // g for v in coords))
 
 
 def _degree_four_map(S: QuadricPoint, c: Curve, sign: int) -> Point:

@@ -466,8 +466,57 @@ def test_double_divides_out_a_prime_of_m_minus_n():
     _assert_lowest_terms(D)
 
 
-# X3 = 35^2 * 121 and Y3 = 35^3 * 143: 9 does not divide X3, 11^3 does not
-# divide Y3, and 5^2 * 7 is not a square.
+def test_chord_matches_reference_on_sums_of_multiples():
+    # jP + kP and jP - kP for 1 <= k <= j <= 24 (all of K takes ten times
+    # as long).  By strong divisibility gcd(Z_j, Z_k) is Z_gcd(j,k) up to
+    # small primes.  With P integral, e = gcd(Z1, Z2) is 1 where
+    # gcd(j, k) = 1 and > 1 where it is not; with Z(P) = 3, 3 divides
+    # every Z, so e > 1 on every step.  Each case occurs.
+    big = 1 << 64
+    for i, integral in ((2, True), (0, False)):
+        c, pts = chain(i)
+        assert (pts[0].Z == 1) == integral
+        seen = set()
+        for A, B in [(pts[j], B) for j in range(24) for k in range(j + 1)
+                     for B in (pts[k], c.negate(pts[k]))]:
+            R = c.add(A, B)
+            assert R == reference_add(c, A, B)
+            _assert_lowest_terms(R)
+            if A.X != B.X:  # a chord
+                e = math.gcd(A.Z, B.Z)
+                assert integral or e > 1
+                seen.add((e > 1, A.Z > big and B.Z > big))
+        assert seen >= ({(True, True), (False, True)} if integral
+                        else {(True, True)})
+
+
+def test_chord_takes_one_full_size_gcd(monkeypatch):
+    # gcd(R, H) is the chord's one gcd whose operands all pass 64 bits;
+    # its common factor comes from Z1 and Z2 and, past them, from gcds
+    # with the small gcd(Z1, Z2).  The summands pass the gate first,
+    # whose gcd(X, Z) is not the chord's.
+    chains = [chain(i) for i in (2, 0)]  # Z(P) = 1 and Z(P) = 3
+    for c, pts in chains:
+        for Q in pts:
+            c.weighted(Q)
+    full = []
+    gcd = math.gcd
+
+    def counted(*args):
+        full.append(min(abs(v).bit_length() for v in args) > 64)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    for c, pts in chains:
+        for k in range(10, K - 1):
+            full.clear()
+            assert c.add(pts[k], pts[0]) == pts[k + 1]
+            assert sum(full) == 1
+
+
+# X3 = 35^2 * 121, Y3 = 35^3 * 143 and Z3 = 70: lam = isqrt(lam2) is 3, 11
+# and 13, none of which divides Z3 (9 does not divide X3, 11^3 does not
+# divide Y3, and 5^2 * 7 is not a square).
 @pytest.mark.parametrize("lam2", [9, 11 * 11, 5 * 5 * 7])
 def test_wrong_common_factor_is_an_internal_fault(lam2, monkeypatch):
     # lam^2 = 35^2 here.  A wrong one is never divided out silently, and
@@ -495,6 +544,13 @@ def test_smooth_gcd_matches_gcd(N, negative, data):
     vals = [0 if z else p * f // g
             for p, f, z in zip(powers, cofactors, zero)]
     assert _smooth_gcd(-N if negative else N, *vals) == math.gcd(*vals)
+
+
+def test_smooth_gcd_keeps_the_primes_of_n_alone():
+    # 35 is common to both values and prime to N = 6: the N-smooth part
+    # of the gcd, 2^3 * 3, is what the chord reads.
+    assert _smooth_gcd(6, 2 ** 5 * 3 * 35, 2 ** 3 * 9 * 35) == 24
+    assert _smooth_gcd(6, 35 * 11, 35) == 1
 
 
 def test_two_torsion_points_are_on_the_curve():

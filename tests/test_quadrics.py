@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concordia.curves import INFINITY, Curve, point_sort_key
+from concordia.curves import INFINITY, Curve, Point, point_sort_key
+from concordia.geometry import ap_to_quadric, quadric_to_ap
 from concordia.quadrics import (QuadricPoint, TRIVIAL_BASE,
                                 concordant_form_map, point_to_quadric,
                                 quadric_to_point, right_triangle_map)
@@ -16,6 +17,32 @@ def test_primitive_normal_form():
         QuadricPoint(2, 4, 6, 8)  # gcd must already be 1
     with pytest.raises(ValueError):
         QuadricPoint(0, -1, 2, 3)  # first nonzero coordinate must be > 0
+
+
+@pytest.mark.parametrize("mn,xyz", [((-5, 5), (-4, 6, 1)),
+                                     ((-20, 10), (-5, 25, 1)),
+                                     ((-7, 35), (-35, 980, 3))])
+def test_built_images_equal_checked_ones_on_a_chain(mn, xyz):
+    # point_to_quadric and ap_to_quadric build their primitive images
+    # without QuadricPoint's check; on every multiple and torsion point the
+    # image equals the checked constructor's, field for field, and so
+    # passes that check.
+    c, P = Curve(*mn), Point(*xyz)
+    m, n = mn
+    Q = INFINITY
+    # O's image is the shared constant TRIVIAL_BASE, built by no map.
+    pts = sorted(c.torsion_oracle() - {INFINITY}, key=point_sort_key)
+    for _ in range(30):
+        Q = c.add(Q, P)
+        pts.append(Q)
+    for Q in pts:
+        S = point_to_quadric(Q, c)
+        checked = QuadricPoint(*S.coords())
+        assert type(S) is QuadricPoint and vars(S) == vars(checked)
+        assert S == checked and hash(S) == hash(checked)
+        if not S.is_trivial:
+            ap = quadric_to_ap(S, -m, n, 1)
+            assert ap_to_quadric(ap) == QuadricPoint(*map(abs, S.coords()))
 
 
 def test_trivial_detection():
